@@ -48,6 +48,7 @@ def _write_steps_jsonl(traj, path: Path) -> None:
     with open(path, "w") as fh:
         for n, rep in enumerate(traj.reports):
             fh.write(json.dumps({"n": n + 1, "mass_error": rep.mass_error,
+                                 "max_displacement": rep.max_displacement,
                                  "alpha": rep.cfl_alpha,
                                  "occupied": rep.occupied_cells}) + "\n")
 

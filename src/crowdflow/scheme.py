@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridMeasure, GridSpec, GridTrajectory, interpolate, total_mass
-from .velocity import VelocityModel, eval_grid_many, velocity_bound
+from .velocity import (VanishingHeadingError, VelocityModel, eval_grid_many,
+                       velocity_bound)
 
 DEFAULT_MAX_OCCUPIED = 10 ** 7
 
@@ -99,7 +100,10 @@ def step(lam: GridMeasure, model: VelocityModel, dt: float):
     h = spec.cell_width
     d = spec.dim
 
-    V = eval_grid_many(model, lam, lam.centers())
+    try:
+        V = eval_grid_many(model, lam, lam.centers())
+    except VanishingHeadingError as exc:
+        raise NumericalInvariantError(str(exc)) from exc
     disp = V * dt
     s = lam.indices + disp / h
     base = np.floor(s).astype(np.int64)

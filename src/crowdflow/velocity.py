@@ -21,6 +21,10 @@ import numpy as np
 from .grids import AtomicMeasure, GridMeasure
 
 _EVAL_CHUNK = 4_000_000  # max entries of the pairwise difference tensor
+# Memory ceiling on the padded box of the lattice correlation: at 2^22 cells a
+# real array takes 32 MB, and the correlation peaks at about 150 MB, no more
+# than one chunk of the pair sum's difference tensor and its temporaries in 2D.
+_LATTICE_MAX_CELLS = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +219,10 @@ class CustomDesired:
         return out.reshape(X.shape)
 
 
+class VanishingHeadingError(ValueError):
+    """The desired velocity vanishes where a sector needs its heading."""
+
+
 @dataclass(frozen=True)
 class FromDesired:
     """Heading taken from the normalized desired velocity."""
@@ -308,7 +316,7 @@ def _headings(model: VelocityModel, X: np.ndarray) -> np.ndarray:
     vd = model.desired(X)
     norms = np.linalg.norm(vd, axis=-1, keepdims=True)
     if np.any(norms < 1e-12):
-        raise ValueError("desired velocity vanishes: heading undefined")
+        raise VanishingHeadingError("desired velocity vanishes: heading undefined")
     return vd / norms
 
 
@@ -354,26 +362,105 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
     return model.n_agents * out
 
 
+def _fft_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n. numpy's FFT is several times slower on
+    lengths with a large prime factor."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _lattice_interaction(model: VelocityModel, lam: GridMeasure, X: np.ndarray):
+    """The interaction term at the rows of X as a lattice correlation.
+
+    For a translation-invariant model and query points on the lattice,
+    N * sum_c m_c F((c - i) h) sigma((c - i) h) is the correlation of the
+    dense bounding-box mass with the stencil K[o] = N F(o h) sigma(o h),
+    |o|_inf <= r = ceil(R / h). It is computed by FFT, zero-padded to
+    box + 2r so nothing wraps. Returns None where the pair sum must or
+    should run instead: position-dependent headings, query points off the
+    lattice, or a padded box larger than the pair count (or the memory
+    ceiling). The result agrees with the pair sum to rounding.
+    """
+    # a sector whose heading follows a varying desired velocity is the one
+    # model whose interaction depends on more than the offset
+    if lam.occupied == 0 or (isinstance(model.neighborhood, Sector)
+                             and not isinstance(model.heading, FixedAxis)
+                             and not isinstance(model.desired, ConstantDesired)):
+        return None
+    h, d = lam.spec.cell_width, lam.spec.dim
+    qi = np.rint(X / h)
+    if not np.array_equal(qi * h, X):
+        return None
+    r = math.ceil(model.neighborhood.radius / h)
+    lo = lam.indices.min(axis=0)
+    full = lam.indices.max(axis=0) - lo + 1 + 2 * r  # extent of the correlation
+    shape = tuple(_fft_len(int(n)) for n in full)
+    if math.prod(shape) > min(_LATTICE_MAX_CELLS, lam.occupied * X.shape[0]):
+        return None
+
+    # stencil flipped for a convolution: G[b] = K[r - b], computed by the
+    # pair sum itself on a unit atom at 0 seen from the points (b - r) h
+    b = np.indices((2 * r + 1,) * d).reshape(d, -1).T
+    G = _interaction_sum(model, np.zeros((1, d)), np.ones(1), (b - r) * h)
+    G = G.reshape((2 * r + 1,) * d + (d,))
+    axes = tuple(range(d))
+    cells = tuple((lam.indices - lo).T)
+    # query i sits at n = i - lo + r of the full convolution
+    n = qi.astype(np.int64) - lo + r
+    inside = np.all((n >= 0) & (n < full), axis=1)
+    at = tuple(n[inside].T)
+
+    def spectrum_of(values):
+        dense = np.zeros(shape)
+        dense[cells] = values
+        return np.fft.rfftn(dense)
+
+    def correlate(spectrum, stencil):
+        f = np.fft.rfftn(stencil, shape, axes)
+        f *= spectrum
+        return np.fft.irfftn(f, shape, axes)[at]
+
+    # FFT rounding never gives an exact 0, but the pair sum does wherever
+    # every term of a component is 0 (no cell in range, or all on the query's
+    # row in 2D), and a rounding-level velocity there would leak mass into a
+    # neighbor cell. So count the occupied cells each query sees through the
+    # component's nonzero stencil entries (exact after rint) and keep 0 where
+    # it sees none.
+    occupied = spectrum_of(1.0)
+    sees = [np.rint(correlate(occupied, (G[..., l] != 0).astype(float))) > 0
+            for l in range(d)]
+    del occupied
+    masses = spectrum_of(lam.cell_masses())
+    out = np.zeros(X.shape)
+    for l in range(d):
+        out[inside, l] = np.where(sees[l], correlate(masses, G[..., l]), 0.0)
+    return out
+
+
 def eval_atomic(model: VelocityModel, mu: AtomicMeasure, x) -> np.ndarray:
     """v[mu](x) for an atomic measure."""
-    x = np.asarray(x, dtype=float)
-    v = model.desired(x[None, :]) + _interaction_sum(
-        model, mu.positions, mu.weights, x[None, :])
-    return v[0]
+    return eval_atomic_many(model, mu, np.asarray(x, dtype=float)[None, :])[0]
 
 
 def eval_grid(model: VelocityModel, lam: GridMeasure, x) -> np.ndarray:
     """v[lambda](x) by cell-center quadrature over occupied cells."""
-    x = np.asarray(x, dtype=float)
-    v = model.desired(x[None, :]) + _interaction_sum(
-        model, lam.centers(), lam.cell_masses(), x[None, :])
-    return v[0]
+    return eval_grid_many(model, lam, np.asarray(x, dtype=float)[None, :])[0]
 
 
 def eval_grid_many(model: VelocityModel, lam: GridMeasure, X: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`eval_grid` over the rows of X."""
+    """Vectorized :func:`eval_grid` over the rows of X: a lattice correlation
+    where :func:`_lattice_interaction` applies, else the pair sum."""
     X = np.asarray(X, dtype=float)
-    return model.desired(X) + _interaction_sum(model, lam.centers(), lam.cell_masses(), X)
+    inter = _lattice_interaction(model, lam, X)
+    if inter is None:
+        inter = _interaction_sum(model, lam.centers(), lam.cell_masses(), X)
+    return model.desired(X) + inter
 
 
 def eval_atomic_many(model: VelocityModel, mu: AtomicMeasure, X: np.ndarray) -> np.ndarray:

@@ -96,7 +96,11 @@ def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure,
 
 def w1_grid_atomic(lam: GridMeasure, mu: AtomicMeasure,
                    max_atoms: int = DEFAULT_MAX_ATOMS) -> W1Result:
-    """Distance between a grid measure (atomized at cell centers) and mu."""
+    """Distance between a grid measure (atomized at cell centers) and mu:
+    the exact CDF sweep in 1D, the transport LP (capped at ``max_atoms`` per
+    side) otherwise."""
     d = lam.spec.dim
     bound = math.sqrt(d) * lam.spec.cell_width / 2.0
+    if d == 1:
+        return W1Result(w1_1d(atomize(lam), mu), bound)
     return W1Result(w1_exact(atomize(lam), mu, max_atoms=max_atoms), bound)

@@ -153,8 +153,10 @@ class TestCli:
         assert (ldir / "steps.jsonl").is_file()
         snaps = sorted(p.name for p in ldir.glob("density_t*.csv"))
         assert snaps == ["density_t0.005.csv", "density_t0.01.csv"]
-        first = json.loads((ldir / "steps.jsonl").read_text().splitlines()[0])
-        assert set(first) == {"n", "mass_error", "alpha", "occupied"}
+        records = [json.loads(line) for line in (ldir / "steps.jsonl").read_text().splitlines()]
+        assert set(records[0]) == {"n", "mass_error", "max_displacement", "alpha", "occupied"}
+        # the agents sit farther apart than R and v_d = 0, so none moves
+        assert all(rec["max_displacement"] == 0.0 for rec in records)
 
     def test_simulate_unknown_level_is_config_error(self, tmp_path):
         cfg = write_json(tmp_path, fast_config())

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
-                       CustomKernel, GridMeasure, GridSpec,
-                       NumericalInvariantError, VelocityModel, ZeroDesired,
+                       CustomDesired, CustomKernel, GridMeasure, GridSpec,
+                       NumericalInvariantError, Sector, VelocityModel, ZeroDesired,
                        box_overlap_fractions, cfl_ratio, mesh_schedule, moment,
                        project_atomic, run, sample_at, step, total_mass,
                        velocity_bound)
@@ -130,6 +130,15 @@ class TestStep:
         new, _ = step(lam, drift_model((1.0,)), h)  # displacement exactly h
         np.testing.assert_array_equal(new.indices, lam.indices + 1)
         np.testing.assert_array_equal(new.rho, lam.rho)
+
+    def test_vanishing_heading_is_invariant_error(self):
+        # the sector faces v_d(x) = -x, which vanishes at the origin cell
+        model = VelocityModel(dim=2, n_agents=2, desired=CustomDesired(lambda x: -x, 1.0, 1.0),
+                              kernel=CaseStudyRepulsion(A, EPS),
+                              neighborhood=Sector(R, np.pi, B))
+        lam = GridMeasure(GridSpec(2, 0.1), [[0, 0], [1, 0]], [50.0, 50.0])
+        with pytest.raises(NumericalInvariantError, match="heading"):
+            step(lam, model, 0.01)
 
     def test_report_fields(self):
         lam = GridMeasure(GridSpec(1, 0.1), [[0]], [10.0])

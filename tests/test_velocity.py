@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
                        CustomKernel, FixedAxis, FromDesired, GridMeasure,
@@ -9,7 +11,10 @@ from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
                        VelocityModel, ZeroDesired, cutoff, cutoff_at,
                        eval_atomic, eval_grid, kernel_F, lipschitz_constants,
                        rotation_at, velocity_bound)
-from crowdflow.velocity import CustomDesired, eval_atomic_many
+from crowdflow import velocity
+from crowdflow.velocity import (CustomDesired, _interaction_sum,
+                                _lattice_interaction, eval_atomic_many,
+                                eval_grid_many)
 
 A, EPS, R, B = 0.01, 0.025, 0.1, 0.02
 
@@ -269,3 +274,115 @@ class TestBounds:
                               neighborhood=Sector(R, math.pi / 2, B))
         with pytest.raises(NotImplementedError):
             lipschitz_constants(model)
+
+
+# ---------------------------------------------------------------------------
+# lattice correlation against the pair sum
+
+def lattice_models(dim, theta):
+    """Every translation-invariant model family the lattice path serves."""
+    heading = (math.cos(theta), math.sin(theta))
+    kern = CaseStudyRepulsion(A, EPS)
+    models = {
+        "ball": VelocityModel(dim=dim, n_agents=7, desired=ZeroDesired(),
+                              kernel=kern, neighborhood=Ball(R, B)),
+        "custom_kernel": VelocityModel(
+            dim=dim, n_agents=3, desired=ZeroDesired(),
+            kernel=CustomKernel(lambda z: np.sin(20.0 * z) * np.cos(z[::-1]), 1.0, 20.0),
+            neighborhood=Ball(R, B)),
+    }
+    if dim == 2:
+        models["sector_constant"] = VelocityModel(
+            dim=2, n_agents=5, desired=ConstantDesired(heading),
+            kernel=kern, neighborhood=Sector(R, 2.0, B))
+        models["sector_fixed_axis"] = VelocityModel(
+            dim=2, n_agents=5, desired=ZeroDesired(), kernel=kern,
+            neighborhood=Sector(R, math.pi, B), heading=FixedAxis(heading))
+    return models
+
+
+def query_box(lam, r):
+    """Every lattice point within r + 2 cells of the support's bounding box,
+    so queries outside the correlation's extent are included."""
+    lo = lam.indices.min(axis=0) - r - 2
+    hi = lam.indices.max(axis=0) + r + 2
+    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lam.spec.dim)
+    return grid * lam.spec.cell_width
+
+
+class TestLatticeCorrelation:
+    @given(st.integers(1, 2), st.sampled_from([0.02, 0.025, 0.05, 0.03]),
+           st.floats(0.0, 2 * math.pi),
+           st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12),
+                              st.floats(0.01, 10.0)), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pair_sum(self, dim, h, theta, cells):
+        idx = np.array([c[:dim] for c in cells])
+        lam = GridMeasure(GridSpec(dim, h), idx, [c[2] for c in cells])
+        X = np.vstack([lam.centers(), query_box(lam, math.ceil(R / h))])
+        for name, model in lattice_models(dim, theta).items():
+            got = _lattice_interaction(model, lam, X)
+            assert got is not None, name
+            ref = _interaction_sum(model, lam.centers(), lam.cell_masses(), X)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * scale, name
+
+    def test_isolated_cells_get_exact_zero(self):
+        # cells out of each other's range interact with nothing: the pair sum
+        # gives exactly 0 there, and so must the correlation, or stationary
+        # mass would leak into neighbor cells at rounding level
+        lam = GridMeasure(GridSpec(1, 0.01), [[0], [3], [40], [90]], [25.0] * 4)
+        model = ball_model(n_agents=4)
+        X = np.vstack([lam.centers(), query_box(lam, 11)])
+        got = _lattice_interaction(model, lam, X)
+        assert got is not None
+        assert np.all(got[2:4] == 0.0)
+        assert np.all(got[:2] != 0.0)
+        np.testing.assert_array_equal(eval_grid_many(model, lam, X)[2:4], 0.0)
+
+    def test_zero_component_stays_exact(self):
+        # cells on one row: every y-offset is 0, so the pair sum's y-component
+        # is exactly 0 at the cells, and the correlation's must be too
+        lam = GridMeasure(GridSpec(2, 0.02), [[i, 0] for i in range(0, 12, 2)], [2500 / 6] * 6)
+        X = np.vstack([lam.centers(), query_box(lam, 5)])
+        got = _lattice_interaction(ball_model(n_agents=4, dim=2), lam, X)
+        assert got is not None
+        assert np.all(got[:6, 0] != 0.0)
+        np.testing.assert_array_equal(got[:6, 1], 0.0)
+
+    def test_off_lattice_queries_fall_back(self):
+        lam = GridMeasure(GridSpec(1, 0.01), [[i] for i in range(30)], [1 / 0.3] * 30)
+        model = ball_model(n_agents=4)
+        X = lam.centers() + 0.003
+        assert _lattice_interaction(model, lam, X) is None
+        np.testing.assert_array_equal(
+            eval_grid_many(model, lam, X),
+            _interaction_sum(model, lam.centers(), lam.cell_masses(), X))
+
+    def test_position_dependent_heading_falls_back(self):
+        lam = GridMeasure(GridSpec(2, 0.02), [[i, j] for i in range(8) for j in range(8)],
+                          [2500 / 64] * 64)
+        model = VelocityModel(
+            dim=2, n_agents=3, desired=CustomDesired(lambda x: np.array([1.0, x[0]]), 2.0, 1.0),
+            kernel=CaseStudyRepulsion(A, EPS), neighborhood=Sector(R, math.pi, B))
+        X = lam.centers()
+        assert _lattice_interaction(model, lam, X) is None
+        np.testing.assert_array_equal(
+            eval_grid_many(model, lam, X),
+            model.desired(X) + _interaction_sum(model, X, lam.cell_masses(), X))
+
+    def test_far_spread_support_falls_back(self):
+        # two cells 10^7 apart: the dense box would dwarf the 4 pairs
+        lam = GridMeasure(GridSpec(1, 0.01), [[0], [10 ** 7]], [50.0, 50.0])
+        model = ball_model(n_agents=2)
+        X = lam.centers()
+        assert _lattice_interaction(model, lam, X) is None
+        np.testing.assert_array_equal(eval_grid_many(model, lam, X), np.zeros((2, 1)))
+
+    def test_memory_ceiling_falls_back(self, monkeypatch):
+        lam = GridMeasure(GridSpec(1, 0.01), [[i] for i in range(30)], [1 / 0.3] * 30)
+        model = ball_model(n_agents=4)
+        assert _lattice_interaction(model, lam, lam.centers()) is not None
+        monkeypatch.setattr(velocity, "_LATTICE_MAX_CELLS", 32)
+        assert _lattice_interaction(model, lam, lam.centers()) is None
