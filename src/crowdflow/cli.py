@@ -19,7 +19,7 @@ from .config import ConfigError, ExperimentConfig, load_config
 from .grids import GridSpec, project_atomic, write_density_csv
 from .particles import run_particles, to_measure, write_trajectory_csv
 from .scheme import NumericalInvariantError, run, sample_at
-from .wasserstein import w1_grid_atomic
+from .wasserstein import AtomCapError, w1_grid_atomic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -112,7 +112,13 @@ def cmd_converge(cfg: ExperimentConfig, args) -> int:
         k, h, dt = level
         traj = _run_level(cfg, level, mu0, out)
         for t in times:
-            res = w1_grid_atomic(sample_at(traj, min(t, traj.duration)), oracle_at[t])
+            lam_t = sample_at(traj, min(t, traj.duration))
+            try:
+                res = w1_grid_atomic(lam_t, oracle_at[t])
+            except AtomCapError as exc:
+                raise ConfigError(
+                    f"level k={k}, t={t:g}: W1 between {lam_t.occupied} grid atoms and "
+                    f"{oracle_at[t].n_atoms} oracle atoms is over the LP cap ({exc})") from exc
             rows.append((k, h, dt, t, res.distance, res.atomization_bound))
             if t == times[-1]:
                 final_by_k[k] = res.distance + res.atomization_bound
@@ -146,9 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config (JSON)")
     common.add_argument("--out", default=None, help="output directory override")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads (levels run sequentially; reductions "
-                        "are order-fixed regardless)")
     common.add_argument("--seed", type=int, default=None, help="RNG seed override")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -171,8 +174,6 @@ _COMMANDS = {"project": cmd_project, "particles": cmd_particles,
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:

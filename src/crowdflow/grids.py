@@ -52,6 +52,18 @@ def cell_center(spec: GridSpec, i) -> np.ndarray:
     return np.asarray(i, dtype=float) * spec.cell_width
 
 
+def merge_duplicates(keys: np.ndarray, values: np.ndarray):
+    """Rows of ``keys`` (n, d) in lexicographic order, with the ``values`` of
+    equal rows summed in their input order."""
+    order = np.lexsort(keys.T[::-1])
+    keys, values = keys[order], values[order]
+    distinct = np.any(keys[1:] != keys[:-1], axis=1)
+    if not np.all(distinct):
+        values = np.bincount(np.concatenate(([0], np.cumsum(distinct))), weights=values)
+        keys = keys[np.concatenate(([True], distinct))]
+    return keys, values
+
+
 class GridMeasure:
     """Finitely supported piecewise-constant density on a :class:`GridSpec`.
 
@@ -72,36 +84,16 @@ class GridMeasure:
         if np.any(rho < 0):
             raise ValueError("densities must be nonnegative")
         keep = rho > 0
-        indices, rho = indices[keep], rho[keep]
-        if indices.shape[0]:
-            order = np.lexsort(indices.T[::-1])
-            indices, rho = indices[order], rho[order]
-            # coalesce duplicate cells
-            dup = np.any(indices[1:] != indices[:-1], axis=1)
-            if not np.all(dup):
-                starts = np.concatenate(([0], np.nonzero(dup)[0] + 1))
-                rho = np.add.reduceat(rho, starts)
-                indices = indices[starts]
+        indices, rho = merge_duplicates(indices[keep], rho[keep])
         self.spec = spec
         self.indices = indices
         self.rho = rho
         self.indices.setflags(write=False)
         self.rho.setflags(write=False)
 
-    @classmethod
-    def from_dict(cls, spec: GridSpec, density: dict) -> "GridMeasure":
-        idx = list(density.keys())
-        rho = [density[i] for i in idx]
-        return cls(spec, np.asarray(idx, dtype=np.int64).reshape(-1, spec.dim), rho)
-
     @property
     def density(self) -> dict:
         return {tuple(int(v) for v in i): float(r) for i, r in zip(self.indices, self.rho)}
-
-    def density_at(self, i) -> float:
-        row = np.asarray(i, dtype=np.int64)
-        hit = np.nonzero(np.all(self.indices == row, axis=1))[0]
-        return float(self.rho[hit[0]]) if hit.size else 0.0
 
     @property
     def occupied(self) -> int:
@@ -240,10 +232,9 @@ def interpolate(a: GridMeasure, b: GridMeasure, theta: float) -> GridMeasure:
     return GridMeasure(a.spec, idx, rho)
 
 
-def write_density_csv(lam: GridMeasure, path, validate: bool = True) -> None:
+def write_density_csv(lam: GridMeasure, path) -> None:
     """Snapshot CSV: index_*, center_*, rho; one row per occupied cell."""
-    if validate:
-        lam.validate_probability()
+    lam.validate_probability()
     d = lam.spec.dim
     header = [f"index_{l}" for l in range(d)] + [f"center_{l}" for l in range(d)] + ["rho"]
     centers = lam.centers()

@@ -8,8 +8,8 @@ fractions. Mass is conserved up to rounding and densities stay nonnegative.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,29 +67,34 @@ def cfl_ratio(model: VelocityModel, dt: float, h: float) -> float:
     return velocity_bound(model) * dt / h
 
 
-def box_overlap_fractions(spec: GridSpec, j, w):
-    """Volume fractions of cell j translated by w against the target cells.
+@functools.lru_cache(maxsize=None)
+def _corners(d: int) -> np.ndarray:
+    """The 2^d corner offsets in {0, 1}^d, last axis fastest, shaped (2^d, 1, d)."""
+    return np.array(list(itertools.product((0, 1), repeat=d)), dtype=np.int64)[:, None, :]
 
-    The translated box overlaps at most 2 cells per axis; fractions are
-    nonnegative and sum to 1 up to rounding.
+
+def overlap_fractions(spec: GridSpec, J, W):
+    """Target cells and volume fractions of the cells J (m, d) translated by W.
+
+    Each translated box overlaps at most 2 cells per axis, so the result is
+    ``targets`` (2^d m, d) and ``fractions`` (2^d m,), corner-major: rows
+    c*m .. (c+1)*m - 1 are corner c of every cell. A cell's fractions are
+    nonnegative and sum to 1 up to rounding; some may be zero.
     """
-    h = spec.cell_width
-    per_axis = []
-    for l in range(spec.dim):
-        s = j[l] + w[l] / h
-        base = math.floor(s)
-        frac = s - base
-        if frac == 0.0:
-            per_axis.append(((int(base), 1.0),))
-        else:
-            per_axis.append(((int(base), 1.0 - frac), (int(base) + 1, frac)))
-    out = []
-    for combo in itertools.product(*per_axis):
-        f = 1.0
-        for _, fl in combo:
-            f *= fl
-        out.append((tuple(c[0] for c in combo), f))
-    return out
+    d = spec.dim
+    corners = _corners(d)
+    s = np.add(J, np.divide(W, spec.cell_width)).reshape(-1, d)
+    base = np.floor(s)
+    frac = s - base
+    fractions = np.multiply.reduce(np.where(corners, frac, 1.0 - frac), axis=-1)
+    targets = base.astype(np.int64) + corners
+    return targets.reshape(-1, d), fractions.reshape(-1)
+
+
+def box_overlap_fractions(spec: GridSpec, j, w):
+    """Nonzero ``(target cell, fraction)`` pairs of cell j translated by w."""
+    targets, fractions = overlap_fractions(spec, j, w)
+    return [(tuple(t), f) for t, f in zip(targets.tolist(), fractions.tolist()) if f > 0]
 
 
 def step(lam: GridMeasure, model: VelocityModel, dt: float):
@@ -97,38 +102,19 @@ def step(lam: GridMeasure, model: VelocityModel, dt: float):
     if not (dt > 0):
         raise ValueError("dt must be positive")
     spec = lam.spec
-    h = spec.cell_width
-    d = spec.dim
 
     try:
         V = eval_grid_many(model, lam, lam.centers())
     except VanishingHeadingError as exc:
         raise NumericalInvariantError(str(exc)) from exc
     disp = V * dt
-    s = lam.indices + disp / h
-    base = np.floor(s).astype(np.int64)
-    frac = s - base
-
-    targets = []
-    contribs = []
-    for corner in itertools.product((0, 1), repeat=d):
-        f = np.ones(lam.occupied)
-        for l, c in enumerate(corner):
-            f = f * (frac[:, l] if c else 1.0 - frac[:, l])
-        targets.append(base + np.asarray(corner, dtype=np.int64))
-        contribs.append(lam.rho * f)
-    targets = np.concatenate(targets)
-    contribs = np.concatenate(contribs)
-
-    uniq, inv = np.unique(targets, axis=0, return_inverse=True)
-    rho_new = np.zeros(uniq.shape[0])
-    np.add.at(rho_new, inv.ravel(), contribs)
-    new = GridMeasure(spec, uniq, rho_new)
+    targets, fractions = overlap_fractions(spec, lam.indices, disp)
+    new = GridMeasure(spec, targets, np.tile(lam.rho, 2 ** spec.dim) * fractions)
 
     report = StepReport(
         mass_error=abs(total_mass(new) - 1.0),
         max_displacement=float(np.max(np.linalg.norm(disp, axis=1))) if lam.occupied else 0.0,
-        cfl_alpha=cfl_ratio(model, dt, h),
+        cfl_alpha=cfl_ratio(model, dt, spec.cell_width),
         occupied_cells=new.occupied,
     )
     return new, report

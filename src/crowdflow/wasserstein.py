@@ -14,9 +14,13 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .grids import AtomicMeasure, GridMeasure, atomize
+from .grids import AtomicMeasure, GridMeasure, atomize, merge_duplicates
 
 DEFAULT_MAX_ATOMS = 4096
+
+
+class AtomCapError(ValueError):
+    """The transport LP was asked for more atoms per side than its cap."""
 
 
 @dataclass(frozen=True)
@@ -43,35 +47,21 @@ def w1_1d(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     return float(np.dot(cdf_gap, np.diff(x)))
 
 
-def _canonical(measure: AtomicMeasure):
-    """Atoms sorted lexicographically with exact duplicates merged."""
-    pos, wts = measure.positions, measure.weights
-    order = np.lexsort(pos.T[::-1])
-    pos, wts = pos[order], wts[order]
-    if pos.shape[0] > 1:
-        dup = np.any(pos[1:] != pos[:-1], axis=1)
-        if not np.all(dup):
-            starts = np.concatenate(([0], np.nonzero(dup)[0] + 1))
-            wts = np.add.reduceat(wts, starts)
-            pos = pos[starts]
-    return pos, wts
-
-
 def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure,
              max_atoms: int = DEFAULT_MAX_ATOMS) -> float:
     """Kantorovich W1 via the transportation LP on the bipartite atom graph.
 
     Result is independent of atom input order (atoms are canonicalized first).
-    Raises ValueError when either side exceeds ``max_atoms``; callers may then
-    subsample or fall back to :func:`w1_1d`.
+    Raises :class:`AtomCapError` when either side exceeds ``max_atoms``;
+    callers may then subsample or fall back to :func:`w1_1d`.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     if mu.n_atoms > max_atoms or nu.n_atoms > max_atoms:
-        raise ValueError(
+        raise AtomCapError(
             f"atom counts ({mu.n_atoms}, {nu.n_atoms}) exceed max_atoms={max_atoms}")
-    xs, a = _canonical(mu)
-    ys, b = _canonical(nu)
+    xs, a = merge_duplicates(mu.positions, mu.weights)
+    ys, b = merge_duplicates(nu.positions, nu.weights)
     m, n = xs.shape[0], ys.shape[0]
     cost = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2)
     if m == 1 or n == 1:

@@ -5,6 +5,7 @@ import pytest
 from crowdflow.cli import main
 from crowdflow.config import (ConfigError, case_study_path, load_config,
                               parse_config, write_config)
+from crowdflow.wasserstein import w1_grid_atomic
 
 FAST_MODEL = {
     "dim": 1,
@@ -167,11 +168,6 @@ class TestCli:
         cfg = write_json(tmp_path, fast_config(T=-1.0))
         assert main(["project", "--config", str(cfg)]) == 2
 
-    def test_bad_threads_exit_code(self, tmp_path):
-        cfg = write_json(tmp_path, fast_config())
-        assert main(["project", "--config", str(cfg), "--threads", "0",
-                     "--out", str(tmp_path / "o")]) == 2
-
     def test_converge_outputs_and_summary(self, tmp_path):
         cfg = write_json(tmp_path, fast_config())
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
@@ -190,6 +186,19 @@ class TestCli:
         for rel in ("metrics.csv", "summary.json", "particles.csv"):
             assert (tmp_path / "o1" / rel).read_bytes() == \
                    (tmp_path / "o2" / rel).read_bytes()
+
+    def test_w1_cap_hit_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("crowdflow.cli.w1_grid_atomic",
+                            lambda lam, mu: w1_grid_atomic(lam, mu, max_atoms=2))
+        data = fast_config(model=dict(FAST_MODEL, dim=2))
+        data["initial"] = {"type": "atoms",
+                           "positions": [[0.1, 0.1], [0.5, 0.5], [0.9, 0.1]]}
+        cfg = write_json(tmp_path, data)
+        assert main(["converge", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "k=4, t=0.005" in err
+        assert "3 grid atoms and 3 oracle atoms" in err
 
     def test_converge_non_monotone_exit_code(self, tmp_path):
         # a single stationary agent: exact on the k=2 grid (atom on a cell

@@ -9,6 +9,7 @@ from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
                        box_overlap_fractions, cfl_ratio, mesh_schedule, moment,
                        project_atomic, run, sample_at, step, total_mass,
                        velocity_bound)
+from crowdflow.velocity import eval_grid_many
 
 A, EPS, R, B = 0.01, 0.025, 0.1, 0.02
 
@@ -139,6 +140,30 @@ class TestStep:
         lam = GridMeasure(GridSpec(2, 0.1), [[0, 0], [1, 0]], [50.0, 50.0])
         with pytest.raises(NumericalInvariantError, match="heading"):
             step(lam, model, 0.01)
+
+    @pytest.mark.parametrize("model, spec, n_atoms, dt", [
+        (repulsion_model(40), GridSpec(1, 0.01), 40, 0.002),
+        (repulsion_model(40, dim=2), GridSpec(2, 0.02), 40, 0.004),
+        (drift_model((0.3, -0.7, 1.1)), GridSpec(3, 0.05), 30, 0.013),
+    ])
+    def test_matches_cellwise_overlap_accumulation(self, model, spec, n_atoms, dt):
+        # reference: push every cell through box_overlap_fractions on its own
+        # and accumulate the target densities in a dict
+        rng = np.random.default_rng(5)
+        lam = project_atomic(AtomicMeasure(rng.uniform(size=(n_atoms, spec.dim)) * 0.3),
+                             spec)
+        V = eval_grid_many(model, lam, lam.centers())
+        expected, n_contribs = {}, 0
+        for j, rho_j, v in zip(lam.indices.tolist(), lam.rho, V):
+            pairs = box_overlap_fractions(spec, j, v * dt)
+            n_contribs += len(pairs)
+            for target, f in pairs:
+                expected[target] = expected.get(target, 0.0) + rho_j * f
+        assert n_contribs > len(expected)  # some targets collide
+        got = step(lam, model, dt)[0].density
+        assert got.keys() == expected.keys()
+        np.testing.assert_allclose([got[i] for i in expected], list(expected.values()),
+                                   rtol=1e-14, atol=0)
 
     def test_report_fields(self):
         lam = GridMeasure(GridSpec(1, 0.1), [[0]], [10.0])

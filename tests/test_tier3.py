@@ -1,18 +1,11 @@
-"""The k = 10000 refinement tier of the bundled case study.
-
-It runs for about half a minute, so it carries the ``slow`` marker, which the
-default test run deselects; select it with ``pytest -m slow``.
-"""
+"""The k = 10000 refinement tier of the bundled case study."""
 
 import json
-
-import pytest
 
 from crowdflow.cli import main
 from crowdflow.config import case_study_path
 
 
-@pytest.mark.slow
 def test_case_study_three_tiers(tmp_path):
     cfg = json.loads(case_study_path().read_text())
     cfg["schedule"]["ks"] = [100, 1000, 10000]
