@@ -18,8 +18,8 @@ from .scheme import (MeshSchedule, NumericalInvariantError, StepReport,
                      sample_at, step)
 from .velocity import (Ball, CaseStudyRepulsion, ConstantDesired, CustomDesired,
                        CustomKernel, FixedAxis, FromDesired, PrototypeAttraction,
-                       Rotation2, Sector, VelocityModel, ZeroDesired, cutoff,
-                       cutoff_at, eval_atomic, eval_grid, kernel_F,
+                       Rotation2, Sector, VelocityModel, ZeroDesired, cutoff_at,
+                       eval_atomic_many, eval_grid_many, kernel_F,
                        lipschitz_constants, rotation_at, velocity_bound)
 from .wasserstein import W1Result, w1_1d, w1_exact, w1_grid_atomic
 
@@ -34,8 +34,8 @@ __all__ = [
     "step",
     "Ball", "CaseStudyRepulsion", "ConstantDesired", "CustomDesired",
     "CustomKernel", "FixedAxis", "FromDesired", "PrototypeAttraction",
-    "Rotation2", "Sector", "VelocityModel", "ZeroDesired", "cutoff",
-    "cutoff_at", "eval_atomic", "eval_grid", "kernel_F",
+    "Rotation2", "Sector", "VelocityModel", "ZeroDesired", "cutoff_at",
+    "eval_atomic_many", "eval_grid_many", "kernel_F",
     "lipschitz_constants", "rotation_at", "velocity_bound",
     "W1Result", "w1_1d", "w1_exact", "w1_grid_atomic",
 ]

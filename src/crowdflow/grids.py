@@ -19,6 +19,10 @@ MASS_TOL = 1e-10
 WEIGHT_TOL = 1e-12
 
 
+class NumericalInvariantError(RuntimeError):
+    """A runtime invariant of the scheme was violated (mass, support, ...)."""
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform lattice of half-open hypercube cells of edge ``cell_width``."""

@@ -49,20 +49,22 @@ class ParticleTrajectory:
 
 
 def to_measure(state: ParticleState) -> AtomicMeasure:
-    """Uniform Dirac sum over the particle positions; exact duplicates stack."""
+    """Uniform Dirac sum over the particle positions; exact duplicates stack.
+
+    Stacked atoms keep the order and the position of their first occurrence,
+    and each stacked weight is summed in input order.
+    """
     pos = state.positions
     n = pos.shape[0]
-    seen: dict = {}
-    stacked: list = []
-    for row in map(tuple, pos):
-        if row in seen:
-            stacked[seen[row]] += 1.0 / n
-        else:
-            seen[row] = len(stacked)
-            stacked.append(1.0 / n)
-    if len(stacked) == n:
+    order = np.lexsort(pos.T[::-1])  # stable: equal rows keep input order
+    starts = np.concatenate(([True], np.any(pos[order[1:]] != pos[order[:-1]], axis=1)))
+    if np.all(starts):
         return AtomicMeasure(pos, np.full(n, 1.0 / n))
-    return AtomicMeasure(np.array(list(seen), dtype=float), np.array(stacked))
+    group = np.empty(n, dtype=np.int64)
+    group[order] = np.cumsum(starts) - 1  # distinct rows numbered in sorted order
+    # label every row by its group's first occurrence, then number those in input order
+    first, atom = np.unique(order[starts][group], return_inverse=True)
+    return AtomicMeasure(pos[first], np.bincount(atom, np.full(n, 1.0 / n)))
 
 
 def push_forward_atoms(mu: AtomicMeasure, model: VelocityModel, dt: float) -> AtomicMeasure:

@@ -14,15 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridMeasure, GridSpec, GridTrajectory, interpolate, total_mass
-from .velocity import (VanishingHeadingError, VelocityModel, eval_grid_many,
-                       velocity_bound)
+from .grids import (GridMeasure, GridSpec, GridTrajectory, NumericalInvariantError,
+                    interpolate, total_mass)
+from .velocity import VelocityModel, eval_grid_many, velocity_bound
 
 DEFAULT_MAX_OCCUPIED = 10 ** 7
-
-
-class NumericalInvariantError(RuntimeError):
-    """A runtime invariant of the scheme was violated (mass, support, ...)."""
 
 
 @dataclass(frozen=True)
@@ -103,11 +99,7 @@ def step(lam: GridMeasure, model: VelocityModel, dt: float):
         raise ValueError("dt must be positive")
     spec = lam.spec
 
-    try:
-        V = eval_grid_many(model, lam, lam.centers())
-    except VanishingHeadingError as exc:
-        raise NumericalInvariantError(str(exc)) from exc
-    disp = V * dt
+    disp = eval_grid_many(model, lam, lam.centers()) * dt
     targets, fractions = overlap_fractions(spec, lam.indices, disp)
     new = GridMeasure(spec, targets, np.tile(lam.rho, 2 ** spec.dim) * fractions)
 

@@ -18,13 +18,24 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import AtomicMeasure, GridMeasure
+from .grids import AtomicMeasure, GridMeasure, NumericalInvariantError
 
 _EVAL_CHUNK = 4_000_000  # max entries of the pairwise difference tensor
 # Memory ceiling on the padded box of the lattice correlation: at 2^22 cells a
 # real array takes 32 MB, and the correlation peaks at about 150 MB, no more
 # than one chunk of the pair sum's difference tensor and its temporaries in 2D.
 _LATTICE_MAX_CELLS = 1 << 22
+
+
+def _call_vectorised(func, X) -> np.ndarray:
+    """func(X) for a caller-supplied callable, checked to keep X's shape."""
+    X = np.asarray(X, dtype=float)
+    out = np.asarray(func(X), dtype=float)
+    if out.shape != X.shape:
+        raise ValueError(
+            f"custom callables must map an (..., d) array of points to an "
+            f"(..., d) array, one d-vector per point; got {X.shape} -> {out.shape}")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -83,17 +94,15 @@ class PrototypeAttraction:
 @dataclass(frozen=True)
 class CustomKernel:
     """Caller-supplied F with its bound and Lipschitz constant on the
-    interaction ball. ``func`` maps a single d-vector to a d-vector."""
+    interaction ball. ``func`` is vectorised: it maps an (..., d) array of
+    offsets to the (..., d) array of their kernel values."""
 
     func: Callable[[np.ndarray], np.ndarray]
     fmax: float
     lip: float
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        flat = z.reshape(-1, z.shape[-1])
-        out = np.stack([np.asarray(self.func(p), dtype=float) for p in flat])
-        return out.reshape(z.shape)
+        return _call_vectorised(self.func, z)
 
 
 # ---------------------------------------------------------------------------
@@ -206,20 +215,18 @@ class ConstantDesired:
 @dataclass(frozen=True)
 class CustomDesired:
     """Caller-supplied v_d with its stated sup bound and Lipschitz constant.
-    ``func`` maps a single d-vector to a d-vector."""
+    ``func`` is vectorised: it maps an (..., d) array of points to the
+    (..., d) array of their desired velocities."""
 
     func: Callable[[np.ndarray], np.ndarray]
     vmax: float
     lip: float
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        flat = X.reshape(-1, X.shape[-1])
-        out = np.stack([np.asarray(self.func(p), dtype=float) for p in flat])
-        return out.reshape(X.shape)
+        return _call_vectorised(self.func, X)
 
 
-class VanishingHeadingError(ValueError):
+class VanishingHeadingError(NumericalInvariantError, ValueError):
     """The desired velocity vanishes where a sector needs its heading."""
 
 
@@ -242,13 +249,14 @@ class FixedAxis:
 
 @dataclass(frozen=True)
 class Rotation2:
-    """2D rotation given by its cosine/sine entries."""
+    """2D rotations given by their cosine/sine entries. The entries may be
+    arrays, one rotation each, that broadcast against ``z[..., 0]``."""
 
-    cos_t: float
-    sin_t: float
+    cos_t: np.ndarray | float
+    sin_t: np.ndarray | float
 
     def __post_init__(self):
-        if abs(self.cos_t ** 2 + self.sin_t ** 2 - 1.0) > 1e-12:
+        if np.any(np.abs(self.cos_t ** 2 + self.sin_t ** 2 - 1.0) > 1e-12):
             raise ValueError("cos_t^2 + sin_t^2 must equal 1")
 
     def apply(self, z: np.ndarray) -> np.ndarray:
@@ -303,11 +311,6 @@ def kernel_F(kernel, z) -> np.ndarray:
     return kernel(np.asarray(z, dtype=float))
 
 
-def cutoff(neigh, z) -> np.ndarray:
-    """Reference-frame cutoff sigma_{U_0}(z) in [0, 1]."""
-    return neigh.cutoff(np.asarray(z, dtype=float))
-
-
 def _headings(model: VelocityModel, X: np.ndarray) -> np.ndarray:
     """Unit heading vectors at each row of X; errors on vanishing heading."""
     if isinstance(model.heading, FixedAxis):
@@ -320,22 +323,29 @@ def _headings(model: VelocityModel, X: np.ndarray) -> np.ndarray:
     return vd / norms
 
 
-def rotation_at(model: VelocityModel, x) -> Rotation2:
-    """Rotation aligning the +x reference axis with the heading at x (2D)."""
+def rotation_at(model: VelocityModel, X) -> Rotation2:
+    """Rotations aligning the +x reference axis with the heading at each
+    point x of X (..., 2); the entries have the shape X.shape[:-1]."""
     if model.dim != 2:
         raise ValueError("rotations are defined for dim == 2 only")
-    u = _headings(model, np.asarray(x, dtype=float)[None, :])[0]
-    return Rotation2(float(u[0]), float(u[1]))
+    u = _headings(model, np.asarray(X, dtype=float))
+    return Rotation2(u[..., 0], u[..., 1])
 
 
-def cutoff_at(model: VelocityModel, x, y) -> float:
-    """sigma_{U_x}(y): the reference cutoff pulled back through the isometry."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if isinstance(model.neighborhood, Ball):
-        return float(cutoff(model.neighborhood, y - x))
-    rot = rotation_at(model, x)
-    return float(cutoff(model.neighborhood, rot.inverse_apply(y - x)))
+def _frame_cutoff(model: VelocityModel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """sigma_{U_x}(x + z) for the offsets Z (..., d) seen from the points X,
+    which broadcast against Z: a sector is first rotated into each heading's
+    reference frame."""
+    if isinstance(model.neighborhood, Sector):
+        Z = rotation_at(model, X).inverse_apply(Z)
+    return model.neighborhood.cutoff(Z)
+
+
+def cutoff_at(model: VelocityModel, X, Y) -> np.ndarray:
+    """sigma_{U_x}(y) for the points x of X and y of Y, which broadcast: the
+    reference cutoff pulled back through the isometry at x."""
+    X = np.asarray(X, dtype=float)
+    return _frame_cutoff(model, X, np.asarray(Y, dtype=float) - X)
 
 
 def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
@@ -345,18 +355,10 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
     out = np.empty((q, d))
     m = max(Y.shape[0], 1)
     block = max(1, _EVAL_CHUNK // m)
-    sector = isinstance(model.neighborhood, Sector)
     for lo in range(0, q, block):
-        Xb = X[lo:lo + block]
-        Z = Y[None, :, :] - Xb[:, None, :]
-        if sector:
-            u = _headings(model, Xb)
-            c, s = u[:, 0:1], u[:, 1:2]
-            zx, zy = Z[..., 0], Z[..., 1]
-            Zr = np.stack([c * zx + s * zy, -s * zx + c * zy], axis=-1)
-            sig = model.neighborhood.cutoff(Zr)
-        else:
-            sig = model.neighborhood.cutoff(Z)
+        Xb = X[lo:lo + block, None, :]
+        Z = Y[None, :, :] - Xb
+        sig = _frame_cutoff(model, Xb, Z)
         F = kernel_F(model.kernel, Z)
         out[lo:lo + block] = np.einsum("j,bj,bjd->bd", w, sig, F)
     return model.n_agents * out
@@ -443,19 +445,10 @@ def _lattice_interaction(model: VelocityModel, lam: GridMeasure, X: np.ndarray):
     return out
 
 
-def eval_atomic(model: VelocityModel, mu: AtomicMeasure, x) -> np.ndarray:
-    """v[mu](x) for an atomic measure."""
-    return eval_atomic_many(model, mu, np.asarray(x, dtype=float)[None, :])[0]
-
-
-def eval_grid(model: VelocityModel, lam: GridMeasure, x) -> np.ndarray:
-    """v[lambda](x) by cell-center quadrature over occupied cells."""
-    return eval_grid_many(model, lam, np.asarray(x, dtype=float)[None, :])[0]
-
-
 def eval_grid_many(model: VelocityModel, lam: GridMeasure, X: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`eval_grid` over the rows of X: a lattice correlation
-    where :func:`_lattice_interaction` applies, else the pair sum."""
+    """v[lambda](x) at each row x of X by cell-center quadrature over the
+    occupied cells: a lattice correlation where :func:`_lattice_interaction`
+    applies, else the pair sum."""
     X = np.asarray(X, dtype=float)
     inter = _lattice_interaction(model, lam, X)
     if inter is None:
@@ -464,7 +457,7 @@ def eval_grid_many(model: VelocityModel, lam: GridMeasure, X: np.ndarray) -> np.
 
 
 def eval_atomic_many(model: VelocityModel, mu: AtomicMeasure, X: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`eval_atomic` over the rows of X."""
+    """v[mu](x) at each row x of X for an atomic measure mu."""
     X = np.asarray(X, dtype=float)
     return model.desired(X) + _interaction_sum(model, mu.positions, mu.weights, X)
 

@@ -23,7 +23,7 @@ from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
                        velocity_bound, w1_1d, w1_exact)
 from crowdflow.cli import main
 from crowdflow.config import case_study_path, load_config
-from crowdflow.velocity import CustomDesired, eval_atomic, eval_atomic_many, rotation_at
+from crowdflow.velocity import CustomDesired, eval_atomic_many, rotation_at
 
 
 @pytest.fixture(scope="module")
@@ -135,9 +135,10 @@ def test_criterion_5_velocity_field_contract(case_study):
         mix = AtomicMeasure(np.vstack([mu.positions, nu.positions]),
                             np.concatenate([alpha * mu.weights,
                                             (1 - alpha) * nu.weights]))
-        x = rng.uniform(size=1)
-        lhs = eval_atomic(model, mix, x)
-        rhs = alpha * eval_atomic(model, mu, x) + (1 - alpha) * eval_atomic(model, nu, x)
+        x = rng.uniform(size=(1, 1))
+        lhs = eval_atomic_many(model, mix, x)
+        rhs = (alpha * eval_atomic_many(model, mu, x)
+               + (1 - alpha) * eval_atomic_many(model, nu, x))
         worst_lin = max(worst_lin, float(np.max(np.abs(lhs - rhs))))
     assert worst_lin <= 1e-12
 
@@ -172,8 +173,9 @@ def test_criterion_5_velocity_field_contract(case_study):
         dist = w1_1d(mu, nu)
         if dist <= 1e-12:
             continue
-        x = rng.uniform(size=1)
-        gap = float(np.max(np.abs(eval_atomic(model, mu, x) - eval_atomic(model, nu, x))))
+        x = rng.uniform(size=(1, 1))
+        gap = float(np.max(np.abs(eval_atomic_many(model, mu, x)
+                                  - eval_atomic_many(model, nu, x))))
         worst_meas = max(worst_meas, gap / dist)
     assert worst_meas <= consts["measure"] * slack
 
@@ -188,8 +190,8 @@ def test_criterion_6_rotation_inequality():
     lip_vd = float(np.linalg.norm(freq))  # unit field, angle Lipschitz in x
 
     def unit_field(x):
-        th = float(freq @ x)
-        return np.array([math.cos(th), math.sin(th)])
+        th = x @ freq
+        return np.stack([np.cos(th), np.sin(th)], axis=-1)
 
     model = VelocityModel(dim=2, n_agents=1,
                           desired=CustomDesired(unit_field, 1.0, lip_vd),

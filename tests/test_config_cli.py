@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
+from crowdflow import CaseStudyRepulsion, CustomDesired, Sector, VelocityModel
 from crowdflow.cli import main
 from crowdflow.config import (ConfigError, case_study_path, load_config,
                               parse_config, write_config)
@@ -199,6 +202,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "k=4, t=0.005" in err
         assert "3 grid atoms and 3 oracle atoms" in err
+
+    @pytest.mark.parametrize("command", ["particles", "converge"])
+    def test_vanishing_heading_exit_code(self, tmp_path, monkeypatch, command):
+        # configs cannot name a custom desired velocity, so swap one in: the
+        # sector faces v_d(x) = -x, which vanishes at the agent on the origin
+        data = fast_config(model=dict(FAST_MODEL, dim=2))
+        data["initial"] = {"type": "atoms",
+                           "positions": [[0.0, 0.0], [0.05, 0.0], [0.5, 0.5]]}
+        model = VelocityModel(dim=2, n_agents=3, desired=CustomDesired(lambda x: -x, 1.0, 1.0),
+                              kernel=CaseStudyRepulsion(0.01, 0.025),
+                              neighborhood=Sector(0.1, math.pi, 0.02))
+        cfg = dataclasses.replace(parse_config(data), model=model)
+        monkeypatch.setattr("crowdflow.cli.load_config", lambda path: cfg)
+        assert main([command, "--config", "unused.json", "--out", str(tmp_path / "o")]) == 3
 
     def test_converge_non_monotone_exit_code(self, tmp_path):
         # a single stationary agent: exact on the k=2 grid (atom on a cell

@@ -2,9 +2,12 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
-                       CustomKernel, ParticleState, VelocityModel, ZeroDesired,
+                       CustomDesired, CustomKernel, NumericalInvariantError,
+                       ParticleState, Sector, VelocityModel, ZeroDesired,
                        euler_step, push_forward_atoms, run_particles, to_measure)
 from crowdflow.particles import write_trajectory_csv
 
@@ -39,6 +42,15 @@ class TestEulerStep:
         out = euler_step(s, repulsion_model(2), 0.01)
         assert out.positions[0, 0] == pytest.approx(0.01 * TWO_ATOM_VEL, abs=1e-17)
         assert out.positions[1, 0] == pytest.approx(0.05 - 0.01 * TWO_ATOM_VEL, abs=1e-17)
+
+    def test_vanishing_heading_is_invariant_error(self):
+        # the sector faces v_d(x) = -x, which vanishes at the agent on the origin
+        model = VelocityModel(dim=2, n_agents=2, desired=CustomDesired(lambda x: -x, 1.0, 1.0),
+                              kernel=CaseStudyRepulsion(A, EPS),
+                              neighborhood=Sector(R, np.pi, B))
+        s = ParticleState(np.array([[0.0, 0.0], [0.05, 0.0]]), 0.0)
+        with pytest.raises(NumericalInvariantError, match="heading"):
+            euler_step(s, model, 0.01)
 
     def test_synchronous_update(self):
         # both particles see the pre-step configuration: mirror pair stays mirrored
@@ -118,7 +130,38 @@ class TestRunParticles:
             ParticleState(np.array([[np.inf]]), 0.0)
 
 
+def to_measure_loop(state):
+    """The dict loop that to_measure replaced, kept as its reference."""
+    pos = state.positions
+    n = pos.shape[0]
+    seen: dict = {}
+    stacked: list = []
+    for row in map(tuple, pos):
+        if row in seen:
+            stacked[seen[row]] += 1.0 / n
+        else:
+            seen[row] = len(stacked)
+            stacked.append(1.0 / n)
+    if len(stacked) == n:
+        return AtomicMeasure(pos, np.full(n, 1.0 / n))
+    return AtomicMeasure(np.array(list(seen), dtype=float), np.array(stacked))
+
+
+# few distinct coordinates, so duplicate rows are common; -0.0 must stack with 0.0
+COORDS = st.sampled_from([0.0, -0.0, 0.5, -1.25, 1e-300, 3.0])
+
+
 class TestToMeasure:
+    @given(st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.lists(COORDS, min_size=d, max_size=d), min_size=1, max_size=60)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dict_loop(self, rows):
+        state = ParticleState(np.array(rows), 0.0)
+        got, ref = to_measure(state), to_measure_loop(state)
+        assert got.positions.shape == ref.positions.shape
+        assert got.positions.tobytes() == ref.positions.tobytes()
+        assert got.weights.tobytes() == ref.weights.tobytes()
+
     def test_uniform_weights(self):
         mu = to_measure(ParticleState(np.array([[0.0], [1.0]]), 0.0))
         np.testing.assert_array_equal(mu.weights, [0.5, 0.5])

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
                        CustomKernel, FixedAxis, FromDesired, GridMeasure,
                        GridSpec, PrototypeAttraction, Rotation2, Sector,
-                       VelocityModel, ZeroDesired, cutoff, cutoff_at,
-                       eval_atomic, eval_grid, kernel_F, lipschitz_constants,
+                       VelocityModel, ZeroDesired, cutoff_at, eval_atomic_many,
+                       eval_grid_many, kernel_F, lipschitz_constants,
                        rotation_at, velocity_bound)
 from crowdflow import velocity
-from crowdflow.velocity import (CustomDesired, _interaction_sum,
-                                _lattice_interaction, eval_atomic_many,
-                                eval_grid_many)
+from crowdflow.velocity import CustomDesired, _interaction_sum, _lattice_interaction
 
 A, EPS, R, B = 0.01, 0.025, 0.1, 0.02
 
@@ -68,24 +66,24 @@ class TestKernels:
 class TestCutoffs:
     def test_ball_center_and_boundary(self):
         nb = Ball(R, B)
-        assert cutoff(nb, [0.0]) == pytest.approx(1.0)
-        assert cutoff(nb, [R]) == 0.0
-        assert cutoff(nb, [2 * R]) == 0.0
+        assert nb.cutoff([0.0]) == pytest.approx(1.0)
+        assert nb.cutoff([R]) == 0.0
+        assert nb.cutoff([2 * R]) == 0.0
 
     def test_ball_frozen_value(self):
-        assert cutoff(Ball(R, B), [0.05]) == pytest.approx(EXP_M1_150, abs=1e-15)
+        assert Ball(R, B).cutoff([0.05]) == pytest.approx(EXP_M1_150, abs=1e-15)
 
     def test_ball_monotone_decreasing(self):
         nb = Ball(R, B)
         s = np.linspace(0, R, 200)[:, None]
-        vals = cutoff(nb, s)
+        vals = nb.cutoff(s)
         assert np.all(np.diff(vals) <= 0)
 
     def test_ball_lipschitz_dominates_slopes(self):
         nb = Ball(R, B)
         L = nb.cutoff_lipschitz()
         s = np.linspace(0, R * 0.999999, 2000)[:, None]
-        vals = cutoff(nb, s)
+        vals = nb.cutoff(s)
         quot = np.abs(np.diff(vals)) / np.diff(s[:, 0])
         assert np.max(quot) <= L * (1 + 1e-6)
 
@@ -93,12 +91,12 @@ class TestCutoffs:
         sec = Sector(R, math.pi / 2, B)
         nb = Ball(R, B)
         z = np.array([0.05, 0.0])
-        assert cutoff(sec, z) == pytest.approx(float(cutoff(nb, [0.05])), abs=1e-15)
+        assert sec.cutoff(z) == pytest.approx(float(nb.cutoff([0.05])), abs=1e-15)
 
     def test_sector_vanishes_off_sector(self):
         sec = Sector(R, math.pi / 2, B)
-        assert cutoff(sec, np.array([0.0, 0.05])) == 0.0  # 90 deg off axis
-        assert cutoff(sec, np.array([-0.05, 0.0])) == 0.0  # behind
+        assert sec.cutoff(np.array([0.0, 0.05])) == 0.0  # 90 deg off axis
+        assert sec.cutoff(np.array([-0.05, 0.0])) == 0.0  # behind
 
     def test_sector_alpha_range(self):
         with pytest.raises(ValueError):
@@ -111,6 +109,8 @@ class TestRotation:
     def test_unit_invariant(self):
         with pytest.raises(ValueError):
             Rotation2(1.0, 1.0)
+        with pytest.raises(ValueError):
+            Rotation2(np.array([1.0, 0.6]), np.array([0.0, 0.6]))
 
     def test_roundtrip(self):
         rot = Rotation2(math.cos(0.7), math.sin(0.7))
@@ -138,6 +138,35 @@ class TestRotation:
                               heading=FixedAxis((0.0, 1.0)))
         rot = rotation_at(model, [3.0, -1.0])
         assert (rot.cos_t, rot.sin_t) == (0.0, 1.0)
+
+    def test_rows_match_single_points(self):
+        model = VelocityModel(
+            dim=2, n_agents=1, kernel=CaseStudyRepulsion(A, EPS),
+            desired=CustomDesired(lambda x: np.stack([np.cos(3 * x[..., 0]),
+                                                      np.sin(3 * x[..., 0]) + x[..., 1]], axis=-1),
+                                  2.0, 4.0),
+            neighborhood=Sector(R, math.pi / 2, B))
+        X = np.random.default_rng(8).uniform(-1, 1, size=(20, 2))
+        rows = rotation_at(model, X)
+        assert rows.cos_t.shape == rows.sin_t.shape == (20,)
+        for i, x in enumerate(X):
+            one = rotation_at(model, x)
+            assert (rows.cos_t[i], rows.sin_t[i]) == (one.cos_t, one.sin_t)
+
+    def test_pair_sum_rotates_by_rotation_at(self):
+        # the scheme's sector cutoff is cutoff_at's: N sum_j w_j F(y_j - x) sigma_{U_x}(y_j)
+        model = VelocityModel(
+            dim=2, n_agents=4, kernel=CaseStudyRepulsion(A, EPS),
+            desired=CustomDesired(lambda x: np.stack([1.0 + x[..., 1], -x[..., 0]], axis=-1),
+                                  3.0, 1.0),
+            neighborhood=Sector(R, math.pi, B))
+        rng = np.random.default_rng(10)
+        Y, w = rng.uniform(0, 0.2, size=(9, 2)), np.full(9, 1 / 9)
+        X = rng.uniform(0, 0.2, size=(6, 2))
+        expected = [4 * sum(wj * cutoff_at(model, x, y) * kernel_F(model.kernel, y - x)
+                            for y, wj in zip(Y, w)) for x in X]
+        np.testing.assert_allclose(_interaction_sum(model, Y, w, X), expected,
+                                   rtol=1e-13, atol=1e-15)
 
     def test_fixed_axis_must_be_unit(self):
         with pytest.raises(ValueError):
@@ -174,41 +203,74 @@ class TestModelValidation:
                           neighborhood=Ball(R, B))
 
 
+class TestCustomCallables:
+    def test_wrong_shape_is_contract_error(self):
+        kernel = CustomKernel(lambda z: np.linalg.norm(z, axis=-1), 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"map an \(\.\.\., d\) array"):
+            kernel(np.zeros((4, 3, 2)))
+        desired = CustomDesired(lambda x: np.array([1.0, 0.0]), 1.0, 0.0)
+        with pytest.raises(ValueError, match=r"map an \(\.\.\., d\) array"):
+            desired(np.zeros((5, 2)))
+        with pytest.raises(ValueError, match=r"map an \(\.\.\., d\) array"):
+            VelocityModel(dim=2, n_agents=1, desired=ZeroDesired(), kernel=kernel,
+                          neighborhood=Ball(R, B))
+
+    def test_kernel_called_once_per_block(self, monkeypatch):
+        shapes = []
+
+        def func(z):
+            shapes.append(z.shape)
+            return -z
+
+        model = VelocityModel(dim=1, n_agents=5, desired=ZeroDesired(),
+                              kernel=CustomKernel(func, 1.0, 1.0), neighborhood=Ball(R, B))
+        rng = np.random.default_rng(11)
+        mu = AtomicMeasure(rng.uniform(size=(5, 1)))
+        X = rng.uniform(size=(12, 1))
+        shapes.clear()
+        eval_atomic_many(model, mu, X)
+        assert shapes == [(12, 5, 1)]
+        monkeypatch.setattr(velocity, "_EVAL_CHUNK", 20)  # 4 queries per block
+        shapes.clear()
+        eval_atomic_many(model, mu, X)
+        assert shapes == [(4, 5, 1)] * 3
+
+
 class TestEvaluation:
     def test_lone_agent_is_stationary(self):
         model = ball_model(n_agents=1)
         mu = AtomicMeasure([[0.4]])
-        np.testing.assert_array_equal(eval_atomic(model, mu, [0.4]), [0.0])
+        np.testing.assert_array_equal(eval_atomic_many(model, mu, [[0.4]])[0], [0.0])
 
     def test_two_atom_frozen_value(self):
         model = ball_model(n_agents=2)
         mu = AtomicMeasure([[0.0], [0.05]], [0.5, 0.5])
-        v = eval_atomic(model, mu, [0.0])
+        v = eval_atomic_many(model, mu, [[0.0]])[0]
         assert v[0] == pytest.approx(TWO_ATOM_VEL, abs=1e-15)
 
     def test_out_of_range_mass_is_invisible(self):
         model = ball_model(n_agents=2)
         near = AtomicMeasure([[0.0], [0.05]], [0.5, 0.5])
         far = AtomicMeasure([[0.0], [5.0]], [0.5, 0.5])
-        v_far = eval_atomic(model, far, [0.0])
+        v_far = eval_atomic_many(model, far, [[0.0]])[0]
         assert v_far[0] == 0.0
-        assert eval_atomic(model, near, [0.0])[0] != 0.0
+        assert eval_atomic_many(model, near, [[0.0]])[0, 0] != 0.0
 
     def test_desired_velocity_added(self):
         model = VelocityModel(dim=2, n_agents=1, desired=ConstantDesired((1.0, -0.5)),
                               kernel=CaseStudyRepulsion(A, EPS),
                               neighborhood=Ball(R, B))
         mu = AtomicMeasure([[10.0, 10.0]])
-        np.testing.assert_allclose(eval_atomic(model, mu, [0.0, 0.0]), [1.0, -0.5])
+        np.testing.assert_allclose(eval_atomic_many(model, mu, [[0.0, 0.0]])[0], [1.0, -0.5])
 
     def test_grid_matches_atomic_on_cell_centers(self):
         model = ball_model(n_agents=3)
         spec = GridSpec(1, 0.02)
         lam = GridMeasure(spec, [[0], [1], [3]], [25.0, 12.5, 12.5])
         mu = AtomicMeasure([[0.0], [0.02], [0.06]], [0.5, 0.25, 0.25])
-        x = [0.01]
-        np.testing.assert_allclose(eval_grid(model, lam, x),
-                                   eval_atomic(model, mu, x), atol=1e-15)
+        x = [[0.01]]
+        np.testing.assert_allclose(eval_grid_many(model, lam, x),
+                                   eval_atomic_many(model, mu, x), atol=1e-15)
 
     def test_convex_linearity_in_measure(self):
         model = ball_model(n_agents=4)
@@ -219,9 +281,10 @@ class TestEvaluation:
         mix = AtomicMeasure(np.vstack([mu.positions, nu.positions]),
                             np.concatenate([alpha * mu.weights,
                                             (1 - alpha) * nu.weights]))
-        x = [0.5]
-        lhs = eval_atomic(model, mix, x)
-        rhs = alpha * eval_atomic(model, mu, x) + (1 - alpha) * eval_atomic(model, nu, x)
+        x = [[0.5]]
+        lhs = eval_atomic_many(model, mix, x)
+        rhs = (alpha * eval_atomic_many(model, mu, x)
+               + (1 - alpha) * eval_atomic_many(model, nu, x))
         np.testing.assert_allclose(lhs, rhs, atol=1e-15)
 
     def test_many_matches_single(self):
@@ -231,7 +294,7 @@ class TestEvaluation:
         X = rng.uniform(size=(7, 1))
         many = eval_atomic_many(model, mu, X)
         for i, x in enumerate(X):
-            np.testing.assert_array_equal(many[i], eval_atomic(model, mu, x))
+            np.testing.assert_array_equal(many[i], eval_atomic_many(model, mu, x[None])[0])
 
 
 class TestBounds:
@@ -288,7 +351,7 @@ def lattice_models(dim, theta):
                               kernel=kern, neighborhood=Ball(R, B)),
         "custom_kernel": VelocityModel(
             dim=dim, n_agents=3, desired=ZeroDesired(),
-            kernel=CustomKernel(lambda z: np.sin(20.0 * z) * np.cos(z[::-1]), 1.0, 20.0),
+            kernel=CustomKernel(lambda z: np.sin(20.0 * z) * np.cos(z[..., ::-1]), 1.0, 20.0),
             neighborhood=Ball(R, B)),
     }
     if dim == 2:
@@ -364,7 +427,8 @@ class TestLatticeCorrelation:
         lam = GridMeasure(GridSpec(2, 0.02), [[i, j] for i in range(8) for j in range(8)],
                           [2500 / 64] * 64)
         model = VelocityModel(
-            dim=2, n_agents=3, desired=CustomDesired(lambda x: np.array([1.0, x[0]]), 2.0, 1.0),
+            dim=2, n_agents=3, desired=CustomDesired(
+                lambda x: np.stack([np.ones_like(x[..., 0]), x[..., 0]], axis=-1), 2.0, 1.0),
             kernel=CaseStudyRepulsion(A, EPS), neighborhood=Sector(R, math.pi, B))
         X = lam.centers()
         assert _lattice_interaction(model, lam, X) is None
