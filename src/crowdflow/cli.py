@@ -108,11 +108,15 @@ def cmd_converge(cfg: ExperimentConfig, args) -> int:
 
     rows = []
     final_by_k = {}
+    # the time of the grid frame each W1 row compares: a level that runs
+    # round(T/dt) steps may end before a sample time
+    grid_times = {}
     for level in cfg.levels:
         k, h, dt = level
         traj = _run_level(cfg, level, mu0, out)
+        grid_times[k] = {t: min(t, traj.duration) for t in times}
         for t in times:
-            lam_t = sample_at(traj, min(t, traj.duration))
+            lam_t = sample_at(traj, grid_times[k][t])
             try:
                 res = w1_grid_atomic(lam_t, oracle_at[t])
             except AtomCapError as exc:
@@ -134,8 +138,15 @@ def cmd_converge(cfg: ExperimentConfig, args) -> int:
     monotone = all(b < a for a, b in zip(vals, vals[1:])) if len(vals) > 1 else None
     summary = {"ks": ks, "t_final": times[-1],
                "w1_plus_bound": {str(k): final_by_k[k] for k in ks},
-               "monotone_decrease": monotone}
+               "monotone_decrease": monotone,
+               "grid_sample_times": {str(k): {f"{t:g}": tg for t, tg in grid_times[k].items()}
+                                     for k in ks}}
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    early = [f"k={k} t={t:g} at t={tg!r}" for k in ks for t, tg in grid_times[k].items()
+             if tg < t]
+    if early:
+        print(f"warning: the grid run ends before the sample time, so W1 compares the "
+              f"grid at an earlier time than the oracle: {', '.join(early)}", file=sys.stderr)
     if monotone is None:
         print("converge: single level, no monotonicity verdict")
     else:

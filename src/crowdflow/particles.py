@@ -8,7 +8,7 @@ for the grid scheme.
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,12 +93,19 @@ def run_particles(x0, model: VelocityModel, T: float, dt: float) -> ParticleTraj
 
 
 def write_trajectory_csv(traj: ParticleTrajectory, path) -> None:
-    """CSV with one row per (t, particle), sorted by time then particle."""
-    d = traj.states[0].positions.shape[1]
+    """CSV with one row per (t, particle), sorted by time then particle.
+
+    The bytes are those ``csv.writer`` writes for the row
+    ``[repr(t), particle, repr(x_0), ...]``: no value needs quoting, since
+    positions and times are finite floats, so each state's rows are joined
+    directly and written at once, with csv's default CRLF line ends.
+    """
+    n, d = traj.states[0].positions.shape
     header = ["t", "particle"] + [f"x_{l}" for l in range(d)]
+    particles = [str(l) for l in range(n)]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for s in traj.states:
-            for l, p in enumerate(s.positions):
-                w.writerow([repr(float(s.t)), l, *(repr(float(v)) for v in p)])
+            columns = [map(repr, c) for c in s.positions.T.tolist()]
+            rows = zip(itertools.repeat(repr(float(s.t))), particles, *columns)
+            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")

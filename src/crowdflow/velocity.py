@@ -20,7 +20,16 @@ import numpy as np
 
 from .grids import AtomicMeasure, GridMeasure, NumericalInvariantError
 
-_EVAL_CHUNK = 4_000_000  # max entries of the pairwise difference tensor
+_EVAL_CHUNK = 4_000_000  # max (query, atom) pairs evaluated in one block
+# Inputs with fewer query x atom pairs than this take the pair sum's dense
+# block form: below it, sorting and windowing cost more than they save.
+_DENSE_MAX_PAIRS = 4096
+# The pair sum's window reaches R * (1 + _WINDOW_SLACK) from the query's
+# first coordinate. A ball needs no slack: rounding is monotone, so a computed
+# |y - x|^2 below R^2 implies |y_0 - x_0| < R exactly. A sector's frame
+# rotation may shorten an offset by 5e-13 relative, as Rotation2 admits
+# cos^2 + sin^2 within 1e-12 of 1, plus a few ulps of rounding.
+_WINDOW_SLACK = 1e-11
 # Memory ceiling on the padded box of the lattice correlation: at 2^22 cells a
 # real array takes 32 MB, and the correlation peaks at about 150 MB, no more
 # than one chunk of the pair sum's difference tensor and its temporaries in 2D.
@@ -332,12 +341,17 @@ def rotation_at(model: VelocityModel, X) -> Rotation2:
     return Rotation2(u[..., 0], u[..., 1])
 
 
-def _frame_cutoff(model: VelocityModel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+def _frame_cutoff(model: VelocityModel, X: np.ndarray, Z: np.ndarray,
+                  rows=None) -> np.ndarray:
     """sigma_{U_x}(x + z) for the offsets Z (..., d) seen from the points X,
-    which broadcast against Z: a sector is first rotated into each heading's
-    reference frame."""
+    which broadcast against Z, or seen from X[rows] when ``rows`` is given:
+    a sector is first rotated into each heading's reference frame, which is
+    computed once per point of X."""
     if isinstance(model.neighborhood, Sector):
-        Z = rotation_at(model, X).inverse_apply(Z)
+        rot = rotation_at(model, X)
+        if rows is not None:
+            rot = Rotation2(rot.cos_t[rows], rot.sin_t[rows])
+        Z = rot.inverse_apply(Z)
     return model.neighborhood.cutoff(Z)
 
 
@@ -350,17 +364,52 @@ def cutoff_at(model: VelocityModel, X, Y) -> np.ndarray:
 
 def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
                      X: np.ndarray) -> np.ndarray:
-    """N * sum_j w_j F(y_j - x) sigma_{U_x}(y_j) for each row x of X."""
+    """N * sum_j w_j F(y_j - x) sigma_{U_x}(y_j) for each row x of X.
+
+    U_x lies inside B_R(x), so only the atoms whose first coordinate lies
+    within R of x's can contribute. Below _DENSE_MAX_PAIRS query x atom pairs
+    every pair is evaluated in dense blocks. Above it the atoms are sorted by
+    first coordinate and each query sees only its window of them; each
+    query's terms are summed in that sorted order by ``bincount``, so a row
+    gets the same bits whether it is evaluated alone or in a batch.
+    """
     q, d = X.shape
+    m = Y.shape[0]
+    if q * m < _DENSE_MAX_PAIRS:
+        out = np.empty((q, d))
+        block = max(1, _EVAL_CHUNK // max(m, 1))
+        for lo in range(0, q, block):
+            Xb = X[lo:lo + block, None, :]
+            Z = Y[None, :, :] - Xb
+            sig = _frame_cutoff(model, Xb, Z)
+            F = kernel_F(model.kernel, Z)
+            out[lo:lo + block] = np.einsum("j,bj,bjd->bd", w, sig, F)
+        return model.n_agents * out
+
+    order = np.argsort(Y[:, 0], kind="stable")
+    Y, w = Y[order], w[order]
+    reach = model.neighborhood.radius * (1 + _WINDOW_SLACK)
+    first = np.searchsorted(Y[:, 0], X[:, 0] - reach, "left")
+    count = np.searchsorted(Y[:, 0], X[:, 0] + reach, "right") - first
+    ends = np.cumsum(count)  # the pairs of query i are ends[i] - count[i] ... ends[i] - 1
     out = np.empty((q, d))
-    m = max(Y.shape[0], 1)
-    block = max(1, _EVAL_CHUNK // m)
-    for lo in range(0, q, block):
-        Xb = X[lo:lo + block, None, :]
-        Z = Y[None, :, :] - Xb
-        sig = _frame_cutoff(model, Xb, Z)
+    lo = 0
+    while lo < q:
+        # the queries lo..hi-1 hold at most _EVAL_CHUNK pairs (or lo alone)
+        base = ends[lo] - count[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _EVAL_CHUNK, "right")))
+        n = count[lo:hi]
+        start = ends[lo:hi] - n - base  # each query's first pair in the block
+        row = np.repeat(np.arange(hi - lo), n)
+        col = np.arange(ends[hi - 1] - base) + np.repeat(first[lo:hi] - start, n)
+        # take gathers rows several times faster than fancy indexing
+        Z = Y.take(col, axis=0) - X[lo:hi].take(row, axis=0)
+        sig = _frame_cutoff(model, X[lo:hi], Z, row)
         F = kernel_F(model.kernel, Z)
-        out[lo:lo + block] = np.einsum("j,bj,bjd->bd", w, sig, F)
+        terms = (w[col] * sig)[:, None] * F
+        for l in range(d):
+            out[lo:hi, l] = np.bincount(row, terms[:, l], hi - lo)
+        lo = hi
     return model.n_agents * out
 
 

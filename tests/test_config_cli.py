@@ -171,7 +171,7 @@ class TestCli:
         cfg = write_json(tmp_path, fast_config(T=-1.0))
         assert main(["project", "--config", str(cfg)]) == 2
 
-    def test_converge_outputs_and_summary(self, tmp_path):
+    def test_converge_outputs_and_summary(self, tmp_path, capsys):
         cfg = write_json(tmp_path, fast_config())
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         metrics = (tmp_path / "o" / "metrics.csv").read_text().splitlines()
@@ -180,6 +180,27 @@ class TestCli:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         assert summary["ks"] == [4, 8]
         assert "monotone_decrease" in summary
+        # both levels run past T, so every row compares the grid at its own t
+        assert summary["grid_sample_times"] == {k: {"0.005": 0.005, "0.01": 0.01}
+                                                for k in ("4", "8")}
+        assert "warning" not in capsys.readouterr().err
+
+    def test_converge_records_grid_sample_times(self, tmp_path, capsys):
+        # v_ref = 1.2 gives dt = 0.456 at k = 4, where round(0.6 / dt) = 1 step
+        # ends the run at t = 0.456 < T, and dt = 0.323 at k = 8 (2 steps, past T)
+        cfg = write_json(tmp_path, fast_config(T=0.6))
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        dt4 = (1.0 / (4 * 1.2)) ** 0.5
+        assert summary["grid_sample_times"] == {"4": {"0.3": 0.3, "0.6": dt4},
+                                                "8": {"0.3": 0.3, "0.6": 0.6}}
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert f"k=4 t=0.6 at t={dt4!r}" in warnings[0]
+        assert "k=8" not in warnings[0]
+        metrics = (tmp_path / "o" / "metrics.csv").read_text().splitlines()
+        assert metrics[0] == "k,h,dt,t,w1,atomization_bound"
 
     def test_converge_determinism(self, tmp_path):
         cfg = write_json(tmp_path, fast_config())

@@ -9,7 +9,7 @@ from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
                        CustomDesired, CustomKernel, NumericalInvariantError,
                        ParticleState, Sector, VelocityModel, ZeroDesired,
                        euler_step, push_forward_atoms, run_particles, to_measure)
-from crowdflow.particles import write_trajectory_csv
+from crowdflow.particles import ParticleTrajectory, write_trajectory_csv
 
 A, EPS, R, B = 0.01, 0.025, 0.1, 0.02
 
@@ -177,6 +177,25 @@ class TestToMeasure:
         np.testing.assert_allclose(mu.weights, [0.5, 0.25, 0.25])
 
 
+def write_trajectory_csv_writer(traj, path):
+    """The csv.writer loop that write_trajectory_csv replaced, kept as its reference."""
+    d = traj.states[0].positions.shape[1]
+    header = ["t", "particle"] + [f"x_{l}" for l in range(d)]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for s in traj.states:
+            for l, p in enumerate(s.positions):
+                w.writerow([repr(float(s.t)), l, *(repr(float(v)) for v in p)])
+
+
+# signed zeros, exponent forms, subnormals and large magnitudes, plus arbitrary finite floats
+CSV_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-05, -1e-05, 0.1, 1e16, -1.2345678901234567e300,
+                     5e-324, 123456789.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestTrajectoryCsv:
     def test_layout(self, tmp_path):
         traj = run_particles([[0.1, 0.2], [0.9, 0.4]], repulsion_model(2, dim=2),
@@ -189,3 +208,15 @@ class TestTrajectoryCsv:
         assert len(rows) == 1 + 2 * 3  # header + N particles * (steps + 1)
         assert float(rows[1][0]) == 0.0
         assert [r[1] for r in rows[1:3]] == ["0", "1"]
+
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+               st.tuples(st.floats(0.0, 10.0), st.lists(st.lists(
+                   CSV_VALUES, min_size=d, max_size=d), min_size=3, max_size=3)),
+               min_size=1, max_size=4)))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_csv_writer(self, tmp_path_factory, states):
+        traj = ParticleTrajectory(0.01, tuple(ParticleState(np.array(p), t) for t, p in states))
+        d = tmp_path_factory.mktemp("csv")
+        write_trajectory_csv(traj, d / "got.csv")
+        write_trajectory_csv_writer(traj, d / "ref.csv")
+        assert (d / "got.csv").read_bytes() == (d / "ref.csv").read_bytes()

@@ -26,6 +26,15 @@ def ball_model(n_agents=2, dim=1):
                          neighborhood=Ball(R, B))
 
 
+def pair_sum(form, model, Y, w, X, chunk=velocity._EVAL_CHUNK):
+    """_interaction_sum forced into its dense block form or its windowed form."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(velocity, "_DENSE_MAX_PAIRS", {"dense": math.inf, "windowed": 0}[form])
+        mp.setattr(velocity, "_EVAL_CHUNK", chunk)
+        return _interaction_sum(model, np.asarray(Y, float), np.asarray(w, float),
+                                np.asarray(X, float))
+
+
 class TestKernels:
     def test_repulsion_outside_mollification(self):
         # |z| = 0.05 > eps: F = -a z / |z|^2
@@ -165,8 +174,9 @@ class TestRotation:
         X = rng.uniform(0, 0.2, size=(6, 2))
         expected = [4 * sum(wj * cutoff_at(model, x, y) * kernel_F(model.kernel, y - x)
                             for y, wj in zip(Y, w)) for x in X]
-        np.testing.assert_allclose(_interaction_sum(model, Y, w, X), expected,
-                                   rtol=1e-13, atol=1e-15)
+        for form in ("dense", "windowed"):
+            np.testing.assert_allclose(pair_sum(form, model, Y, w, X), expected,
+                                       rtol=1e-13, atol=1e-15)
 
     def test_fixed_axis_must_be_unit(self):
         with pytest.raises(ValueError):
@@ -450,3 +460,118 @@ class TestLatticeCorrelation:
         assert _lattice_interaction(model, lam, lam.centers()) is not None
         monkeypatch.setattr(velocity, "_LATTICE_MAX_CELLS", 32)
         assert _lattice_interaction(model, lam, lam.centers()) is None
+
+
+# ---------------------------------------------------------------------------
+# the pair sum's windowed form against its dense block form
+
+def window_models(dim, theta):
+    """The lattice path's models plus those only the pair sum serves: a
+    position-dependent heading, and cutoffs with b = 1e-15, which stay near 1
+    up to an ulp inside R, so pairs at the window's edge count."""
+    heading = (math.cos(theta), math.sin(theta))
+    kern = CaseStudyRepulsion(A, EPS)
+    models = lattice_models(dim, theta)
+    models["ball_sharp"] = VelocityModel(dim=dim, n_agents=7, desired=ZeroDesired(),
+                                         kernel=kern, neighborhood=Ball(R, 1e-15))
+    if dim == 2:
+        models["sector_sharp"] = VelocityModel(
+            dim=2, n_agents=5, desired=ConstantDesired(heading),
+            kernel=kern, neighborhood=Sector(R, 2.0, 1e-15))
+        models["sector_custom"] = VelocityModel(
+            dim=2, n_agents=5, kernel=kern, neighborhood=Sector(R, 2.0, B),
+            desired=CustomDesired(lambda x: np.stack([2.0 + np.sin(x[..., 1]),
+                                                      np.cos(3.0 * x[..., 0] + theta)], axis=-1),
+                                  3.0, 3.0))
+    return models
+
+
+@st.composite
+def pair_sum_inputs(draw):
+    """Atoms (with duplicates), weights and queries: some atoms, free points
+    off the support, and points at an offset of R and of one ulp inside R
+    from an atom along the first axis; all optionally shifted by 1e6."""
+    dim = draw(st.integers(1, 3))
+    coord = st.floats(-0.4, 0.4) | st.sampled_from([0.0, R, -R])
+    Y = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=30))
+    Y = np.array(Y + [Y[i] for i in draw(st.lists(st.integers(0, len(Y) - 1), max_size=5))])
+    w = draw(st.lists(st.floats(0.01, 10.0), min_size=len(Y), max_size=len(Y)))
+    free = draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim),
+                         max_size=15))
+    edge = []
+    for i in draw(st.lists(st.integers(0, len(Y) - 1), max_size=4)):
+        for r in (R, np.nextafter(R, 0.0), -R, -np.nextafter(R, 0.0)):
+            x = Y[i].copy()
+            x[0] += r
+            edge.append(x)
+    X = np.vstack([Y[:5], np.reshape(free, (-1, dim)), np.reshape(edge, (-1, dim))])
+    shift = draw(st.sampled_from([0.0, 1e6]))
+    return Y + shift, np.array(w), X + shift
+
+
+class TestWindowedPairSum:
+    @given(pair_sum_inputs(), st.floats(0.0, 2 * math.pi),
+           st.sampled_from([7, velocity._EVAL_CHUNK]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_dense_form(self, inputs, theta, chunk):
+        Y, w, X = inputs
+        for name, model in window_models(Y.shape[1], theta).items():
+            dense = pair_sum("dense", model, Y, w, X, chunk)
+            got = pair_sum("windowed", model, Y, w, X, chunk)
+            assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense)), name
+            assert np.all(got[dense == 0] == 0), name
+            for i in range(len(X)):
+                one = pair_sum("windowed", model, Y, w, X[i:i + 1], chunk)[0]
+                assert one.tobytes() == got[i].tobytes(), name
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_window_edge(self, shift):
+        # atoms at exactly R and one ulp inside R on either side of the query:
+        # only the inner two are seen, through a cutoff of about exp(-4.5).
+        # Shifted by 1e6 the offsets round to within an ulp of 1e6 of R.
+        inner = np.nextafter(R, 0.0)
+        model = VelocityModel(dim=1, n_agents=1, desired=ZeroDesired(),
+                              kernel=PrototypeAttraction(R), neighborhood=Ball(R, 1e-15))
+        Y = np.array([[-R], [-inner], [inner], [R]]) + shift
+        X = np.array([[0.0]]) + shift
+        w = np.array([1.0, 2.0, 4.0, 8.0])
+        dense = pair_sum("dense", model, Y, w, X)
+        got = pair_sum("windowed", model, Y, w, X)
+        assert dense[0, 0] != 0
+        np.testing.assert_allclose(got, dense, rtol=1e-12, atol=0)
+        if shift == 0.0:
+            sig = model.neighborhood.cutoff(np.array([[inner]]))[0]
+            assert 0 < sig < 0.1
+            np.testing.assert_allclose(got[0, 0], 2.0 * sig * inner, rtol=1e-15)
+
+    def test_sector_frame_slack(self):
+        # a FixedAxis 4.5e-13 short of unit length (inside Rotation2's 1e-12
+        # tolerance) shrinks the rotated offsets, so an atom 2e-13 beyond R
+        # along the axis still lies inside the sector
+        axis = (1 - 4.5e-13, 0.0)
+        model = VelocityModel(dim=2, n_agents=1, desired=ZeroDesired(),
+                              kernel=PrototypeAttraction(R), heading=FixedAxis(axis),
+                              neighborhood=Sector(R, math.pi, 1e-15))
+        Y, w, X = np.array([[R * (1 + 2e-13), 0.0]]), np.ones(1), np.zeros((1, 2))
+        dense = pair_sum("dense", model, Y, w, X)
+        assert dense[0, 0] > 0.09
+        np.testing.assert_array_equal(pair_sum("windowed", model, Y, w, X), dense)
+
+    def test_only_pairs_in_the_window_are_evaluated(self, monkeypatch):
+        offsets = []
+
+        def func(z):
+            offsets.append(math.prod(z.shape[:-1]))
+            return -A * z / np.maximum(np.abs(z), EPS) ** 2
+
+        model = VelocityModel(dim=1, n_agents=200, desired=ZeroDesired(),
+                              kernel=CustomKernel(func, A / EPS, A / EPS ** 2),
+                              neighborhood=Ball(R, B))
+        mu = AtomicMeasure(np.random.default_rng(12).uniform(0.0, 10 * R, size=(200, 1)))
+        q, m = 200, 200
+        assert q * m >= velocity._DENSE_MAX_PAIRS
+        offsets.clear()
+        got = eval_atomic_many(model, mu, mu.positions)
+        assert 0 < sum(offsets) < q * m / 3
+        dense = pair_sum("dense", model, mu.positions, mu.weights, mu.positions)
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
