@@ -1,8 +1,15 @@
 """Exact Wasserstein-1 distances between finitely supported measures.
 
-Two independent exact routes are provided: a 1D cumulative-distribution sweep
-and a general transportation LP with Euclidean costs. They must agree on 1D
-instances, which the test suite exercises as a cross-check.
+In 1D, W1 is the cumulative-distribution sweep :func:`w1_1d`. In any
+dimension, :func:`w1_exact` solves the transportation LP with Euclidean costs
+by column generation: HiGHS solves the LP restricted to a sparse set of
+candidate atom pairs, the reduced cost of every pair is priced against its
+duals, the pairs that price negative join the set, and the loop ends when
+none does. HiGHS runs with primal and dual feasibility tolerances of 1e-10.
+The result carries a certified interval around the exact optimum: a lower
+bound from the duals made exactly feasible by a c-transform, and an upper
+bound from the plan rounded onto the exact marginals. The dense LP is the same
+restricted solve over all m * n pairs, which the tests use as the reference.
 """
 
 from __future__ import annotations
@@ -16,23 +23,50 @@ from scipy.optimize import linprog
 
 from .grids import AtomicMeasure, GridMeasure, atomize, merge_duplicates
 
-DEFAULT_MAX_ATOMS = 4096
+# cap on the atom pairs priced per solve (m * n); pricing memory stays bounded
+# by _BLOCK_PAIRS whatever the cap
+DEFAULT_MAX_PAIRS = 2 ** 24
+# HiGHS primal and dual feasibility tolerance; a pair joins the candidate set
+# when its reduced cost is below -_LP_TOL, the slack HiGHS allows the pairs it
+# already holds
+_LP_TOL = 1e-10
+# nearest atoms on the other side that seed each atom's candidate pairs
+_NEAREST = 4
+# cost entries per block when the m x n cost is scanned
+_BLOCK_PAIRS = 2 ** 18
 
 
 class AtomCapError(ValueError):
-    """The transport LP was asked for more atoms per side than its cap."""
+    """The transport LP was asked to price more atom pairs than its cap."""
+
+
+class TransportCost(float):
+    """The transport LP's optimal value, with ``lower <= W1 <= upper`` for the
+    exact optimum W1 of the same LP."""
+
+    lower: float
+    upper: float
+
+    def __new__(cls, value: float, lower: float, upper: float):
+        self = super().__new__(cls, value)
+        self.lower, self.upper = float(lower), float(upper)
+        return self
 
 
 @dataclass(frozen=True)
 class W1Result:
     """Distance between an atomized grid measure and an atomic measure.
 
-    The true grid-vs-atomic distance lies in
-    [max(0, distance - atomization_bound), distance + atomization_bound].
+    ``distance`` is the computed W1 of the atomized measure, and
+    ``lower <= W1 <= upper`` is certified for its exact value (all three are
+    equal in 1D). The true grid-vs-atomic distance lies in
+    [max(0, lower - atomization_bound), upper + atomization_bound].
     """
 
     distance: float
     atomization_bound: float
+    lower: float
+    upper: float
 
 
 def w1_1d(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
@@ -48,49 +82,142 @@ def w1_1d(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
 
 
 def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure,
-             max_atoms: int = DEFAULT_MAX_ATOMS) -> float:
-    """Kantorovich W1 via the transportation LP on the bipartite atom graph.
+             max_pairs: int = DEFAULT_MAX_PAIRS) -> TransportCost:
+    """Kantorovich W1 via the transportation LP on the bipartite atom graph,
+    solved by column generation and returned with its certified interval.
 
     Result is independent of atom input order (atoms are canonicalized first).
-    Raises :class:`AtomCapError` when either side exceeds ``max_atoms``;
-    callers may then subsample or fall back to :func:`w1_1d`.
+    The last column constraint is left out of the LP, as it is redundant, so
+    the last atom of ``nu`` takes the mass the others leave; the bounds hold
+    for those marginals. Raises :class:`AtomCapError` when the m * n atom
+    pairs exceed ``max_pairs``; callers may then subsample or fall back to
+    :func:`w1_1d`.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    if mu.n_atoms > max_atoms or nu.n_atoms > max_atoms:
+    if mu.n_atoms * nu.n_atoms > max_pairs:
         raise AtomCapError(
-            f"atom counts ({mu.n_atoms}, {nu.n_atoms}) exceed max_atoms={max_atoms}")
+            f"atom counts ({mu.n_atoms}, {nu.n_atoms}) give "
+            f"{mu.n_atoms * nu.n_atoms} pairs, over max_pairs={max_pairs}")
     xs, a = merge_duplicates(mu.positions, mu.weights)
     ys, b = merge_duplicates(nu.positions, nu.weights)
-    m, n = xs.shape[0], ys.shape[0]
-    cost = np.linalg.norm(xs[:, None, :] - ys[None, :, :], axis=2)
-    if m == 1 or n == 1:
-        # plan is forced
-        return float(a @ cost @ b)
+    # the marginals the LP enforces, with equal totals, as the bounds need
+    b[-1] = a.sum() - b[:-1].sum()
+    n = len(b)
 
-    # equality constraints: row sums = a, column sums = b (last one redundant)
-    row_idx = np.repeat(np.arange(m), n)
-    col_idx = m + np.tile(np.arange(n), m)
-    var_idx = np.arange(m * n)
-    A = sparse.csr_matrix(
-        (np.ones(2 * m * n), (np.concatenate([row_idx, col_idx]),
-                              np.concatenate([var_idx, var_idx]))),
-        shape=(m + n, m * n))
+    rows, cols = _nearest(xs, ys)
+    near_cols, near_rows = _nearest(ys, xs)
+    pairs = np.unique(np.concatenate([rows * n + cols, near_rows * n + near_cols,
+                                      _north_west_pairs(a, b)]))
+    # each round adds at least one of the m * n pairs, so the loop ends
+    while True:
+        value, plan, cost, f, g = _restricted_lp(xs, a, ys, b, pairs)
+        negative, g_c = _price(xs, ys, f, g)
+        new = np.setdiff1d(negative, pairs, assume_unique=True)
+        if new.size == 0:
+            break
+        pairs = np.union1d(pairs, new)
+    # (f, g_c) is feasible for every pair, so its dual objective bounds W1 below
+    lower = a @ f + b @ g_c
+    return TransportCost(value, lower, _rounded_cost(xs, a, ys, b, pairs, cost, plan))
+
+
+def _cost_blocks(xs: np.ndarray, ys: np.ndarray):
+    """Yield (first row, Euclidean cost block) over row blocks of the m x n
+    cost between xs and ys, at most about _BLOCK_PAIRS entries each."""
+    step = max(1, _BLOCK_PAIRS // len(ys))
+    for i in range(0, len(xs), step):
+        yield i, np.linalg.norm(xs[i:i + step, None, :] - ys[None, :, :], axis=2)
+
+
+def _nearest(xs: np.ndarray, ys: np.ndarray):
+    """Row and column indices of the pairs (i, j) where ys[j] is one of the
+    _NEAREST nearest ys of xs[i]."""
+    k = min(_NEAREST, len(ys))
+    rows, cols = [], []
+    for i, C in _cost_blocks(xs, ys):
+        near = np.argpartition(C, k - 1, axis=1)[:, :k]
+        rows.append(np.repeat(np.arange(i, i + len(C)), k))
+        cols.append(near.ravel())
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _north_west_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Flat keys i * n + j of the north-west-corner plan's support: pair (i, j)
+    carries the overlap of row i's and column j's intervals of cumulative mass."""
+    ca, cb = np.cumsum(a), np.cumsum(b)
+    starts = np.union1d(0.0, np.concatenate([ca[:-1], cb[:-1]]))
+    i = np.minimum(np.searchsorted(ca, starts, side="right"), len(a) - 1)
+    j = np.minimum(np.searchsorted(cb, starts, side="right"), len(b) - 1)
+    return i * len(b) + j
+
+
+def _restricted_lp(xs, a, ys, b, pairs):
+    """Transport LP over the pairs with flat keys ``pairs``: optimal
+    value, plan and cost on those pairs, and the duals (f, g), with g = 0 on
+    the last column, whose constraint is left out as redundant."""
+    m, n = len(a), len(b)
+    i, j = np.divmod(pairs, n)
+    cost = np.linalg.norm(xs[i] - ys[j], axis=1)
+    var = np.arange(len(pairs))
+    A = sparse.csr_matrix((np.ones(2 * len(pairs)),
+                           (np.concatenate([i, m + j]), np.concatenate([var, var]))),
+                          shape=(m + n, len(pairs)))
     rhs = np.concatenate([a, b])
-    res = linprog(cost.ravel(), A_eq=A[:-1], b_eq=rhs[:-1],
-                  bounds=(0, None), method="highs")
+    res = linprog(cost, A_eq=A[:-1], b_eq=rhs[:-1], bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": _LP_TOL,
+                           "dual_feasibility_tolerance": _LP_TOL})
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
+    duals = res.eqlin.marginals
+    return float(res.fun), res.x, cost, duals[:m], np.append(duals[m:], 0.0)
+
+
+def _price(xs, ys, f, g):
+    """Flat keys (sorted) of the pairs whose reduced cost c_ij - f_i - g_j is
+    below -_LP_TOL, and the c-transform g_c[j] = min_i (c_ij - f_i)."""
+    n = len(ys)
+    negative, g_c = [], np.full(n, np.inf)
+    for i, C in _cost_blocks(xs, ys):
+        D = C - f[i:i + len(C), None]
+        np.minimum(g_c, D.min(axis=0), out=g_c)
+        r, c = np.nonzero(D - g < -_LP_TOL)
+        negative.append((i + r) * n + c)
+    return np.concatenate(negative), g_c
+
+
+def _rounded_cost(xs, a, ys, b, pairs, cost, plan) -> float:
+    """Cost of the sparse plan after rounding it onto the marginals (a, b)
+    (Altschuler, Weed & Rigollet 2017, Alg. 2): scale down the rows, then the
+    columns, that carry too much mass, and add the rank-1 plan
+    err_a err_b^T / |err_a|_1 of the mass still missing, without forming it."""
+    m, n = len(a), len(b)
+    i, j = np.divmod(pairs, n)
+    plan = np.maximum(plan, 0.0)
+    over = np.bincount(i, plan, minlength=m)
+    plan = plan * np.divide(a, over, out=np.ones(m), where=over > a)[i]
+    over = np.bincount(j, plan, minlength=n)
+    plan = plan * np.divide(b, over, out=np.ones(n), where=over > b)[j]
+    err_a = np.maximum(a - np.bincount(i, plan, minlength=m), 0.0)
+    err_b = np.maximum(b - np.bincount(j, plan, minlength=n), 0.0)
+    upper = float(cost @ plan)
+    ia, jb = np.flatnonzero(err_a), np.flatnonzero(err_b)
+    if ia.size and jb.size:
+        ea, eb = err_a[ia], err_b[jb]
+        upper += sum(float(ea[r:r + len(C)] @ C @ eb)
+                     for r, C in _cost_blocks(xs[ia], ys[jb])) / ea.sum()
+    return upper
 
 
 def w1_grid_atomic(lam: GridMeasure, mu: AtomicMeasure,
-                   max_atoms: int = DEFAULT_MAX_ATOMS) -> W1Result:
+                   max_pairs: int = DEFAULT_MAX_PAIRS) -> W1Result:
     """Distance between a grid measure (atomized at cell centers) and mu:
-    the exact CDF sweep in 1D, the transport LP (capped at ``max_atoms`` per
-    side) otherwise."""
+    the exact CDF sweep in 1D, the certified transport LP (capped at
+    ``max_pairs`` atom pairs) otherwise."""
     d = lam.spec.dim
     bound = math.sqrt(d) * lam.spec.cell_width / 2.0
     if d == 1:
-        return W1Result(w1_1d(atomize(lam), mu), bound)
-    return W1Result(w1_exact(atomize(lam), mu, max_atoms=max_atoms), bound)
+        dist = w1_1d(atomize(lam), mu)
+        return W1Result(dist, bound, dist, dist)
+    dist = w1_exact(atomize(lam), mu, max_pairs=max_pairs)
+    return W1Result(float(dist), bound, dist.lower, dist.upper)

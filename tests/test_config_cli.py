@@ -211,9 +211,28 @@ class TestCli:
             assert (tmp_path / "o1" / rel).read_bytes() == \
                    (tmp_path / "o2" / rel).read_bytes()
 
+    def test_converge_determinism_2d(self, tmp_path):
+        # 2D rows run the transport LP; its candidate pairs and rounds must
+        # not depend on anything but the inputs
+        data = fast_config(model=dict(FAST_MODEL, dim=2, n_agents=12), T=0.02,
+                           initial={"type": "uniform_random", "count": 12,
+                                    "interval": [0.0, 1.0], "seed": 5})
+        data["schedule"]["ks"] = [8, 16]
+        cfg = write_json(tmp_path, data)
+        for name in ("o1", "o2"):
+            assert main(["converge", "--config", str(cfg),
+                         "--out", str(tmp_path / name)]) == 0
+        for rel in ("metrics.csv", "summary.json", "particles.csv"):
+            assert (tmp_path / "o1" / rel).read_bytes() == \
+                   (tmp_path / "o2" / rel).read_bytes()
+        gaps = json.loads((tmp_path / "o1" / "summary.json").read_text())["w1_gap"]
+        assert set(gaps) == {"8", "16"}
+        # the bounds are sums in floating point, so they may cross by rounding
+        assert all(-1e-12 <= gap <= 1e-8 for row in gaps.values() for gap in row.values())
+
     def test_w1_cap_hit_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("crowdflow.cli.w1_grid_atomic",
-                            lambda lam, mu: w1_grid_atomic(lam, mu, max_atoms=2))
+                            lambda lam, mu: w1_grid_atomic(lam, mu, max_pairs=8))
         data = fast_config(model=dict(FAST_MODEL, dim=2))
         data["initial"] = {"type": "atoms",
                            "positions": [[0.1, 0.1], [0.5, 0.5], [0.9, 0.1]]}
