@@ -126,7 +126,7 @@ class AtomicMeasure:
             positions = positions[:, None]
         if positions.ndim != 2 or positions.shape[0] == 0:
             raise ValueError("positions must be a nonempty (n, d) array")
-        if not np.all(np.isfinite(positions)):
+        if not np.isfinite(positions).all():
             raise ValueError("positions must be finite")
         n = positions.shape[0]
         if weights is None:
@@ -135,14 +135,19 @@ class AtomicMeasure:
             weights = np.asarray(weights, dtype=float).reshape(-1)
         if weights.shape[0] != n:
             raise ValueError("positions and weights must have the same length")
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        lightest = weights.min()
+        if not (lightest >= 0 and weights.max() < math.inf):  # NaN fails both
             raise ValueError("weights must be finite and nonnegative")
-        keep = weights > 0
-        positions, weights = positions[keep], weights[keep]
-        if positions.shape[0] == 0:
-            raise ValueError("measure has no positive-weight atoms")
-        if abs(float(np.sum(weights)) - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"weights sum to {float(np.sum(weights))!r}, expected 1")
+        if lightest > 0:  # no atom to drop; copy, since the arrays are frozen below
+            positions, weights = positions.copy(), weights.copy()
+        else:
+            keep = weights > 0
+            positions, weights = positions[keep], weights[keep]
+            if positions.shape[0] == 0:
+                raise ValueError("measure has no positive-weight atoms")
+        total = float(weights.sum())
+        if abs(total - 1.0) > WEIGHT_TOL:
+            raise ValueError(f"weights sum to {total!r}, expected 1")
         self.positions = positions
         self.weights = weights
         self.positions.setflags(write=False)

@@ -26,7 +26,7 @@ class ParticleState:
         p = np.asarray(self.positions, dtype=float)
         if p.ndim != 2 or p.shape[0] < 1:
             raise ValueError("positions must be a nonempty (N, d) array")
-        if not np.all(np.isfinite(p)):
+        if not np.isfinite(p).all():
             raise ValueError("positions must be finite")
         object.__setattr__(self, "positions", p)
 
@@ -48,23 +48,26 @@ class ParticleTrajectory:
         return self.states[-1]
 
 
-def to_measure(state: ParticleState) -> AtomicMeasure:
+def to_measure(state: ParticleState, return_inverse: bool = False):
     """Uniform Dirac sum over the particle positions; exact duplicates stack.
 
     Stacked atoms keep the order and the position of their first occurrence,
-    and each stacked weight is summed in input order.
+    and each stacked weight is summed in input order. With ``return_inverse``
+    the result is ``(mu, atom)``: particle i sits on atom ``atom[i]`` of mu.
     """
     pos = state.positions
     n = pos.shape[0]
     order = np.lexsort(pos.T[::-1])  # stable: equal rows keep input order
-    starts = np.concatenate(([True], np.any(pos[order[1:]] != pos[order[:-1]], axis=1)))
-    if np.all(starts):
-        return AtomicMeasure(pos, np.full(n, 1.0 / n))
-    group = np.empty(n, dtype=np.int64)
-    group[order] = np.cumsum(starts) - 1  # distinct rows numbered in sorted order
-    # label every row by its group's first occurrence, then number those in input order
-    first, atom = np.unique(order[starts][group], return_inverse=True)
-    return AtomicMeasure(pos[first], np.bincount(atom, np.full(n, 1.0 / n)))
+    starts = np.concatenate(([True], (pos[order[1:]] != pos[order[:-1]]).any(axis=1)))
+    if starts.all():
+        mu, atom = AtomicMeasure(pos, np.full(n, 1.0 / n)), np.arange(n)
+    else:
+        group = np.empty(n, dtype=np.int64)
+        group[order] = np.cumsum(starts) - 1  # distinct rows numbered in sorted order
+        # label every row by its group's first occurrence, then number those in input order
+        first, atom = np.unique(order[starts][group], return_inverse=True)
+        mu = AtomicMeasure(pos[first], np.bincount(atom, np.full(n, 1.0 / n)))
+    return (mu, atom) if return_inverse else mu
 
 
 def push_forward_atoms(mu: AtomicMeasure, model: VelocityModel, dt: float) -> AtomicMeasure:
@@ -74,10 +77,14 @@ def push_forward_atoms(mu: AtomicMeasure, model: VelocityModel, dt: float) -> At
 
 
 def euler_step(state: ParticleState, model: VelocityModel, dt: float) -> ParticleState:
-    """Synchronous Euler update of every particle against the pre-step state."""
-    mu = to_measure(state)
-    vel = eval_atomic_many(model, mu, state.positions)
-    return ParticleState(state.positions + dt * vel, state.t + dt)
+    """Synchronous Euler update of every particle against the pre-step state.
+
+    The velocity is evaluated once per distinct position, at the atoms of the
+    stacked measure, and each particle moves with its atom's velocity.
+    """
+    mu, atom = to_measure(state, return_inverse=True)
+    vel = eval_atomic_many(model, mu, mu.positions)
+    return ParticleState(state.positions + dt * vel.take(atom, axis=0), state.t + dt)
 
 
 def run_particles(x0, model: VelocityModel, T: float, dt: float) -> ParticleTrajectory:

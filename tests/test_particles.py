@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
                        CustomDesired, CustomKernel, NumericalInvariantError,
                        ParticleState, Sector, VelocityModel, ZeroDesired,
-                       euler_step, push_forward_atoms, run_particles, to_measure)
+                       eval_atomic_many, euler_step, push_forward_atoms, run_particles,
+                       to_measure, velocity)
 from crowdflow.particles import ParticleTrajectory, write_trajectory_csv
 
 A, EPS, R, B = 0.01, 0.025, 0.1, 0.02
@@ -72,6 +74,68 @@ class TestPushForwardEquivalence:
         mu = AtomicMeasure([[0.0], [0.05]], [0.25, 0.75])
         out = push_forward_atoms(mu, repulsion_model(2), 0.01)
         np.testing.assert_array_equal(out.weights, mu.weights)
+
+
+def stacked_models(dim):
+    """Models of the stacked-state test: a ball in any dimension and, in 2D,
+    sectors facing a constant and a position-dependent desired velocity."""
+    kern = CaseStudyRepulsion(A, EPS)
+    models = [VelocityModel(dim=dim, n_agents=7, desired=ZeroDesired(), kernel=kern,
+                            neighborhood=Ball(R, B))]
+    if dim == 2:
+        models += [
+            VelocityModel(dim=2, n_agents=7, desired=ConstantDesired((1.0, 0.5)),
+                          kernel=kern, neighborhood=Sector(R, 2.0, B)),
+            VelocityModel(dim=2, n_agents=7, kernel=kern, neighborhood=Sector(R, 2.0, B),
+                          desired=CustomDesired(
+                              lambda x: np.stack([2.0 + np.sin(7.0 * x[..., 1]),
+                                                  np.cos(5.0 * x[..., 0])], axis=-1),
+                              3.0, 7.0)),
+        ]
+    return models
+
+
+@st.composite
+def stacked_positions(draw):
+    """More agents than a pool of points they are drawn from, so some stack."""
+    dim = draw(st.integers(1, 3))
+    coord = st.floats(-0.15, 0.15) | st.sampled_from([0.0, -0.0])
+    pool = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=len(pool) + 1, max_size=60))
+    return np.array([pool[i] for i in picks])
+
+
+class TestStackedStep:
+    @given(stacked_positions())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_equal_to_evaluation_per_agent(self, pos):
+        state = ParticleState(pos, 0.0)
+        mu = to_measure(state)
+        assert mu.n_atoms < len(pos)
+        for form, threshold in (("dense", math.inf), ("windowed", 0)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(velocity, "_DENSE_MAX_PAIRS", threshold)
+                for model in stacked_models(pos.shape[1]):
+                    got = euler_step(state, model, 0.01).positions
+                    ref = pos + 0.01 * eval_atomic_many(model, mu, pos)
+                    assert got.tobytes() == ref.tobytes(), (form, model.neighborhood)
+
+    def test_velocity_is_evaluated_once_per_distinct_position(self):
+        pairs = []
+
+        def func(z):
+            pairs.append(math.prod(z.shape[:-1]))
+            return -A * z / np.maximum(np.abs(z), EPS) ** 2
+
+        model = VelocityModel(dim=1, n_agents=12, desired=ZeroDesired(),
+                              kernel=CustomKernel(func, A / EPS, A / EPS ** 2),
+                              neighborhood=Ball(R, B))
+        # 12 agents stacked on 3 points: the dense form evaluates 3 x 3 atom pairs
+        pos = np.repeat([[0.0], [0.03], [0.06]], 4, axis=0)
+        pairs.clear()
+        out = euler_step(ParticleState(pos, 0.0), model, 0.01)
+        assert sum(pairs) == 3 * 3
+        assert len(np.unique(out.positions)) == 3
 
 
 class TestRunParticles:
@@ -161,6 +225,10 @@ class TestToMeasure:
         assert got.positions.shape == ref.positions.shape
         assert got.positions.tobytes() == ref.positions.tobytes()
         assert got.weights.tobytes() == ref.weights.tobytes()
+        mu, atom = to_measure(state, return_inverse=True)
+        assert mu.positions.tobytes() == got.positions.tobytes()
+        assert mu.weights.tobytes() == got.weights.tobytes()
+        assert np.array_equal(mu.positions[atom], state.positions)
 
     def test_uniform_weights(self):
         mu = to_measure(ParticleState(np.array([[0.0], [1.0]]), 0.0))

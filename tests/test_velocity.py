@@ -12,7 +12,8 @@ from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
                        eval_grid_many, kernel_F, lipschitz_constants,
                        rotation_at, velocity_bound)
 from crowdflow import velocity
-from crowdflow.velocity import CustomDesired, _interaction_sum, _lattice_interaction
+from crowdflow.velocity import (CustomDesired, _interaction_sum, _lattice_interaction,
+                                _radial_bump)
 
 A, EPS, R, B = 0.01, 0.025, 0.1, 0.02
 
@@ -72,7 +73,56 @@ class TestKernels:
             PrototypeAttraction(0.0)
 
 
+def radial_bump_compress(s2, radius, b):
+    """The compress/scatter form of the radial bump, kept as its reference."""
+    r2 = radius * radius
+    inside = s2 < r2
+    out = np.zeros_like(s2, dtype=float)
+    s2_in = s2[inside]
+    out[inside] = np.exp(-b * s2_in / (r2 - s2_in))
+    return out
+
+
+def sector_cutoff_compress(sector, z):
+    """Sector.cutoff with both bumps in compress/scatter form, kept as its reference."""
+    z = np.asarray(z, dtype=float)
+    s2 = np.sum(z * z, axis=-1)
+    radial = radial_bump_compress(s2, sector.radius, sector.cutoff_b)
+    s = np.sqrt(s2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cosphi = np.where(s > 0, z[..., 0] / np.where(s > 0, s, 1.0), 1.0)
+        phi = np.arccos(np.clip(cosphi, -1.0, 1.0))
+        half = sector.alpha / 2.0
+        angular = np.zeros_like(phi)
+        ins = phi < half
+        angular[ins] = np.exp(-sector.cutoff_b * phi[ins] ** 2 / (half * half - phi[ins] ** 2))
+    angular = np.where(s == 0, 1.0, angular)
+    return radial * angular
+
+
 class TestCutoffs:
+    def test_bumps_match_compress_scatter_form(self):
+        rng = np.random.default_rng(4)
+        r2 = R * R
+        edges = [0.0, np.nextafter(r2, 0.0), r2, np.nextafter(r2, 1.0), 2 * r2, 1e300]
+        s2 = np.concatenate([edges, rng.uniform(0.0, 2 * r2, 500)])
+        for b in (B, 1e-15, 50.0):
+            assert _radial_bump(s2, R, b).tobytes() == radial_bump_compress(s2, R, b).tobytes()
+        # (0, y) sits at phi = arccos(0) exactly: the angular bump's edge falls
+        # on it, one ulp beyond it and one ulp short of it
+        edge = np.arccos(0.0)
+        z = np.vstack([[[0.0, 0.05], [0.0, -0.05], [0.05, 0.0], [-0.05, 0.0], [0.0, 0.0],
+                        [R, 0.0], [0.0, R]],
+                       rng.uniform(-1.5 * R, 1.5 * R, (500, 2))])
+        for b in (B, 1e-15):
+            for alpha in (2 * edge, 2 * np.nextafter(edge, 4.0), 2 * np.nextafter(edge, 0.0),
+                          2.0, 2 * math.pi):
+                sec = Sector(R, alpha, b)
+                assert sec.cutoff(z).tobytes() == sector_cutoff_compress(sec, z).tobytes()
+        # one ulp inside the edge the angular bump is evaluated: exp(-5.6) x radial
+        assert Sector(R, 2 * np.nextafter(edge, 4.0), 1e-15).cutoff(z[0]) > 0.0
+        assert Sector(R, 2 * edge, 1e-15).cutoff(z[0]) == 0.0
+
     def test_ball_center_and_boundary(self):
         nb = Ball(R, B)
         assert nb.cutoff([0.0]) == pytest.approx(1.0)
@@ -569,7 +619,7 @@ class TestWindowedPairSum:
                               neighborhood=Ball(R, B))
         mu = AtomicMeasure(np.random.default_rng(12).uniform(0.0, 10 * R, size=(200, 1)))
         q, m = 200, 200
-        assert q * m >= velocity._DENSE_MAX_PAIRS
+        assert (q - 1) * (m - 1) >= velocity._DENSE_MAX_PAIRS
         offsets.clear()
         got = eval_atomic_many(model, mu, mu.positions)
         assert 0 < sum(offsets) < q * m / 3
