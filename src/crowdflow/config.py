@@ -54,7 +54,7 @@ def _build_desired(block: dict) -> object:
     if kind == "zero":
         return ZeroDesired()
     if kind == "constant":
-        return ConstantDesired(tuple(float(v) for v in _require(block, "c", "model.desired")))
+        return ConstantDesired(_require(block, "c", "model.desired"))
     raise ConfigError(f"unknown desired velocity type '{kind}'")
 
 
@@ -86,7 +86,7 @@ def _build_heading(block: dict | None) -> object:
     if kind == "from_desired":
         return FromDesired()
     if kind == "fixed_axis":
-        return FixedAxis(tuple(float(v) for v in _require(block, "axis", "model.heading")))
+        return FixedAxis(_require(block, "axis", "model.heading"))
     raise ConfigError(f"unknown heading type '{kind}'")
 
 

@@ -56,6 +56,17 @@ def cell_center(spec: GridSpec, i) -> np.ndarray:
     return np.asarray(i, dtype=float) * spec.cell_width
 
 
+def sq_norm(z: np.ndarray) -> np.ndarray:
+    """|z|^2 over the last axis, summed one component at a time from the first:
+    the same bits as ``np.sum(z * z, axis=-1)``, whose square root is
+    ``np.linalg.norm(z, axis=-1)``, without their reduction over a short axis
+    (several times slower on many short rows)."""
+    s = z[..., 0] * z[..., 0]
+    for l in range(1, z.shape[-1]):
+        s += z[..., l] * z[..., l]
+    return s
+
+
 def merge_duplicates(keys: np.ndarray, values: np.ndarray):
     """Rows of ``keys`` (n, d) in lexicographic order, with the ``values`` of
     equal rows summed in their input order."""

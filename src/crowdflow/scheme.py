@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (GridMeasure, GridSpec, GridTrajectory, NumericalInvariantError,
-                    interpolate, total_mass)
+                    interpolate, sq_norm, total_mass)
 from .velocity import VelocityModel, eval_grid_many, velocity_bound
 
 DEFAULT_MAX_OCCUPIED = 10 ** 7
@@ -105,7 +105,7 @@ def step(lam: GridMeasure, model: VelocityModel, dt: float):
 
     report = StepReport(
         mass_error=abs(total_mass(new) - 1.0),
-        max_displacement=float(np.max(np.linalg.norm(disp, axis=1))) if lam.occupied else 0.0,
+        max_displacement=float(np.max(np.sqrt(sq_norm(disp)))) if lam.occupied else 0.0,
         cfl_alpha=cfl_ratio(model, dt, spec.cell_width),
         occupied_cells=new.occupied,
     )

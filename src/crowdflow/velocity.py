@@ -11,6 +11,7 @@ that vanishes on the neighborhood boundary.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -18,9 +19,17 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import AtomicMeasure, GridMeasure, NumericalInvariantError
+from .grids import AtomicMeasure, GridMeasure, NumericalInvariantError, sq_norm
 
-_EVAL_CHUNK = 4_000_000  # max (query, atom) pairs evaluated in one block
+# Max (query, atom) pairs evaluated in one block of the pair sum, sized to the
+# cache: each of a block's dozen temporaries takes at most 128 KB, which stays
+# in cache and which the allocator reuses from block to block. Much larger
+# blocks take fresh memory for every temporary and spend much of their time
+# faulting it in (at 4e6, a 1000-agent 1D oracle step of 68k pairs was one
+# block of 0.5 MB temporaries and ran 1.5x slower). Scanned over 2^12 to 2^16
+# on the 1D oracle and on 2D pair sums, 2^14 was fastest or tied (2-CPU x86 VM,
+# numpy 2.4, one thread). A query is never split across blocks.
+_EVAL_CHUNK = 1 << 14
 # The pair sum takes its dense block form while (q - 1)(m - 1) < _DENSE_MAX_PAIRS
 # for q queries and m atoms. The windowed form sorts all m atoms and searches
 # for all q queries whatever the window holds, so a side of one point (one
@@ -37,8 +46,8 @@ _DENSE_MAX_PAIRS = 63 * 63
 # cos^2 + sin^2 within 1e-12 of 1, plus a few ulps of rounding.
 _WINDOW_SLACK = 1e-11
 # Memory ceiling on the padded box of the lattice correlation: at 2^22 cells a
-# real array takes 32 MB, and the correlation peaks at about 150 MB, no more
-# than one chunk of the pair sum's difference tensor and its temporaries in 2D.
+# real array takes 32 MB, and the correlation peaks at about 150 MB. Past it
+# the pair sum runs instead, in blocks of _EVAL_CHUNK pairs.
 _LATTICE_MAX_CELLS = 1 << 22
 
 
@@ -70,7 +79,7 @@ class CaseStudyRepulsion:
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        r = np.linalg.norm(z, axis=-1, keepdims=True)
+        r = np.sqrt(sq_norm(z))[..., None]
         m = np.maximum(r, self.eps)
         return -self.a * z / (m * m)
 
@@ -144,7 +153,7 @@ class Ball:
 
     def cutoff(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        s2 = np.sum(z * z, axis=-1)
+        s2 = sq_norm(z)
         return _radial_bump(s2, self.radius, self.cutoff_b)
 
     def cutoff_lipschitz(self) -> float:
@@ -184,7 +193,7 @@ class Sector:
 
     def cutoff(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        s2 = np.sum(z * z, axis=-1)
+        s2 = sq_norm(z)
         radial = _radial_bump(s2, self.radius, self.cutoff_b)
         s = np.sqrt(s2)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -214,6 +223,9 @@ class ZeroDesired:
 @dataclass(frozen=True)
 class ConstantDesired:
     c: tuple
+
+    def __post_init__(self):  # a tuple of floats, so the model hashes by value
+        object.__setattr__(self, "c", tuple(float(v) for v in self.c))
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -256,6 +268,7 @@ class FixedAxis:
     axis: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "axis", tuple(float(v) for v in self.axis))
         a = np.asarray(self.axis, dtype=float)
         if abs(float(np.linalg.norm(a)) - 1.0) > 1e-9:
             raise ValueError("FixedAxis axis must be a unit vector")
@@ -331,7 +344,7 @@ def _headings(model: VelocityModel, X: np.ndarray) -> np.ndarray:
         axis = np.asarray(model.heading.axis, dtype=float)
         return np.broadcast_to(axis, X.shape).copy()
     vd = model.desired(X)
-    norms = np.linalg.norm(vd, axis=-1, keepdims=True)
+    norms = np.sqrt(sq_norm(vd))[..., None]
     if np.any(norms < 1e-12):
         raise VanishingHeadingError("desired velocity vanishes: heading undefined")
     return vd / norms
@@ -412,7 +425,7 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
         Z = Y.take(col, axis=0) - X[lo:hi].take(row, axis=0)
         sig = _frame_cutoff(model, X[lo:hi], Z, row)
         F = kernel_F(model.kernel, Z)
-        terms = (w[col] * sig)[:, None] * F
+        terms = (w.take(col) * sig)[:, None] * F
         for l in range(d):
             out[lo:hi, l] = np.bincount(row, terms[:, l], hi - lo)
         lo = hi
@@ -430,6 +443,21 @@ def _fft_len(n: int) -> int:
         if rest == 1:
             return n
         n += 1
+
+
+@functools.lru_cache(maxsize=16)
+def _lattice_stencil(model: VelocityModel, h: float) -> np.ndarray:
+    """The lattice correlation's stencil, flipped for a convolution:
+    G[b] = K[r - b] for b in [0, 2r]^d, shaped (2r + 1,) * d + (d,). It is
+    computed by the pair sum itself on a unit atom at 0 seen from the points
+    (b - r) h, once per (model, h): every step of a level reuses it, so it is
+    returned read-only. Models built from a config hash by value."""
+    d, r = model.dim, math.ceil(model.neighborhood.radius / h)
+    b = np.indices((2 * r + 1,) * d).reshape(d, -1).T
+    G = _interaction_sum(model, np.zeros((1, d)), np.ones(1), (b - r) * h)
+    G = G.reshape((2 * r + 1,) * d + (d,))
+    G.setflags(write=False)
+    return G
 
 
 def _lattice_interaction(model: VelocityModel, lam: GridMeasure, X: np.ndarray):
@@ -461,11 +489,7 @@ def _lattice_interaction(model: VelocityModel, lam: GridMeasure, X: np.ndarray):
     if math.prod(shape) > min(_LATTICE_MAX_CELLS, lam.occupied * X.shape[0]):
         return None
 
-    # stencil flipped for a convolution: G[b] = K[r - b], computed by the
-    # pair sum itself on a unit atom at 0 seen from the points (b - r) h
-    b = np.indices((2 * r + 1,) * d).reshape(d, -1).T
-    G = _interaction_sum(model, np.zeros((1, d)), np.ones(1), (b - r) * h)
-    G = G.reshape((2 * r + 1,) * d + (d,))
+    G = _lattice_stencil(model, h)
     axes = tuple(range(d))
     cells = tuple((lam.indices - lo).T)
     # query i sits at n = i - lo + r of the full convolution

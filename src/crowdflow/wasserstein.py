@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .grids import AtomicMeasure, GridMeasure, atomize, merge_duplicates
+from .grids import AtomicMeasure, GridMeasure, atomize, merge_duplicates, sq_norm
 
 # cap on the atom pairs priced per solve (m * n); pricing memory stays bounded
 # by _BLOCK_PAIRS whatever the cap
@@ -127,7 +127,7 @@ def _cost_blocks(xs: np.ndarray, ys: np.ndarray):
     cost between xs and ys, at most about _BLOCK_PAIRS entries each."""
     step = max(1, _BLOCK_PAIRS // len(ys))
     for i in range(0, len(xs), step):
-        yield i, np.linalg.norm(xs[i:i + step, None, :] - ys[None, :, :], axis=2)
+        yield i, np.sqrt(sq_norm(xs[i:i + step, None, :] - ys[None, :, :]))
 
 
 def _nearest(xs: np.ndarray, ys: np.ndarray):
@@ -158,7 +158,7 @@ def _restricted_lp(xs, a, ys, b, pairs):
     the last column, whose constraint is left out as redundant."""
     m, n = len(a), len(b)
     i, j = np.divmod(pairs, n)
-    cost = np.linalg.norm(xs[i] - ys[j], axis=1)
+    cost = np.sqrt(sq_norm(xs[i] - ys[j]))
     var = np.arange(len(pairs))
     A = sparse.csr_matrix((np.ones(2 * len(pairs)),
                            (np.concatenate([i, m + j]), np.concatenate([var, var]))),

@@ -1,9 +1,12 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
                        CustomKernel, FixedAxis, FromDesired, GridMeasure,
@@ -11,9 +14,11 @@ from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
                        VelocityModel, ZeroDesired, cutoff_at, eval_atomic_many,
                        eval_grid_many, kernel_F, lipschitz_constants,
                        rotation_at, velocity_bound)
-from crowdflow import velocity
-from crowdflow.velocity import (CustomDesired, _interaction_sum, _lattice_interaction,
-                                _radial_bump)
+from crowdflow import velocity, wasserstein
+from crowdflow.config import build_model, case_study_path
+from crowdflow.grids import sq_norm
+from crowdflow.velocity import (CustomDesired, _headings, _interaction_sum,
+                                _lattice_interaction, _radial_bump)
 
 A, EPS, R, B = 0.01, 0.025, 0.1, 0.02
 
@@ -98,6 +103,94 @@ def sector_cutoff_compress(sector, z):
         angular[ins] = np.exp(-sector.cutoff_b * phi[ins] ** 2 / (half * half - phi[ins] ** 2))
     angular = np.where(s == 0, 1.0, angular)
     return radial * angular
+
+
+# The forms that summed |z|^2 with np.sum(z * z, axis=-1) or took
+# np.linalg.norm(z, axis=-1), kept as the references for sq_norm's callers.
+
+def ball_cutoff_sum_form(ball, z):
+    z = np.asarray(z, dtype=float)
+    return _radial_bump(np.sum(z * z, axis=-1), ball.radius, ball.cutoff_b)
+
+
+def sector_cutoff_sum_form(sector, z):
+    z = np.asarray(z, dtype=float)
+    s2 = np.sum(z * z, axis=-1)
+    radial = _radial_bump(s2, sector.radius, sector.cutoff_b)
+    s = np.sqrt(s2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cosphi = np.where(s > 0, z[..., 0] / np.where(s > 0, s, 1.0), 1.0)
+    phi = np.arccos(np.clip(cosphi, -1.0, 1.0))
+    half = sector.alpha / 2.0
+    phi2 = phi ** 2
+    with np.errstate(all="ignore"):
+        expo = -sector.cutoff_b * phi2 / (half * half - phi2)
+    angular = np.exp(expo, out=np.zeros_like(expo), where=phi < half)
+    angular = np.where(s == 0, 1.0, angular)
+    return radial * angular
+
+
+def repulsion_norm_form(kernel, z):
+    z = np.asarray(z, dtype=float)
+    r = np.linalg.norm(z, axis=-1, keepdims=True)
+    m = np.maximum(r, kernel.eps)
+    return -kernel.a * z / (m * m)
+
+
+def cost_blocks_norm_form(xs, ys):
+    step = max(1, wasserstein._BLOCK_PAIRS // len(ys))
+    return [np.linalg.norm(xs[i:i + step, None, :] - ys[None, :, :], axis=2)
+            for i in range(0, len(xs), step)]
+
+
+# signed zeros, subnormals, and magnitudes whose squares underflow or overflow
+_magnitude = (st.floats(0.0, 1.0) | st.floats(1e-160, 1e-140) | st.floats(1e140, 1e160)
+              | st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-150, 1e150]))
+_coord = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]), _magnitude)
+_offsets = st.integers(1, 3).flatmap(
+    lambda d: arrays(np.float64, st.tuples(st.integers(1, 12), st.just(d)), elements=_coord))
+
+
+class TestSquaredNorm:
+    @given(_offsets)
+    @settings(max_examples=300, deadline=None)
+    def test_callers_match_sum_and_norm_forms(self, z):
+        with np.errstate(all="ignore"):  # squares that overflow are part of the input
+            assert sq_norm(z).tobytes() == np.sum(z * z, axis=-1).tobytes()
+            norm = np.linalg.norm(z, axis=-1)
+            assert np.sqrt(sq_norm(z)).tobytes() == norm.tobytes()
+            for b in (B, 50.0):
+                ball = Ball(R, b)
+                assert ball.cutoff(z).tobytes() == ball_cutoff_sum_form(ball, z).tobytes()
+            kern = CaseStudyRepulsion(A, EPS)
+            assert kern(z).tobytes() == repulsion_norm_form(kern, z).tobytes()
+            got = wasserstein._cost_blocks(z, z[::-1])
+            for (_, C), ref in zip(got, cost_blocks_norm_form(z, z[::-1]), strict=True):
+                assert C.tobytes() == ref.tobytes()
+            if z.shape[1] != 2:
+                return
+            for alpha in (2.0, math.pi, 2 * math.pi):
+                sec = Sector(R, alpha, B)
+                assert sec.cutoff(z).tobytes() == sector_cutoff_sum_form(sec, z).tobytes()
+            model = VelocityModel(dim=2, n_agents=1, kernel=kern, neighborhood=Sector(R, 2.0, B),
+                                  desired=CustomDesired(lambda x: x, 1.0, 1.0))
+            if np.all(norm >= 1e-12):
+                ref = z / np.linalg.norm(z, axis=-1, keepdims=True)
+                assert _headings(model, z).tobytes() == ref.tobytes()
+            else:
+                with pytest.raises(velocity.VanishingHeadingError):
+                    _headings(model, z)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_transport_lp_cost_matches_norm_form(self, d):
+        rng = np.random.default_rng(d)
+        xs, ys = rng.normal(size=(6, d)), rng.normal(size=(5, d))
+        xs[0], xs[1, 0], ys[0] = -0.0, 5e-324, xs[2] + 1e-150
+        a, b = np.full(6, 1 / 6), np.full(5, 1 / 5)
+        pairs = np.arange(30)
+        cost = wasserstein._restricted_lp(xs, a, ys, b, pairs)[2]
+        i, j = np.divmod(pairs, 5)
+        assert cost.tobytes() == np.linalg.norm(xs[i] - ys[j], axis=1).tobytes()
 
 
 class TestCutoffs:
@@ -511,6 +604,48 @@ class TestLatticeCorrelation:
         monkeypatch.setattr(velocity, "_LATTICE_MAX_CELLS", 32)
         assert _lattice_interaction(model, lam, lam.centers()) is None
 
+    def test_config_models_hash_by_value(self):
+        blocks = [json.loads(case_study_path().read_text())["model"],
+                  {"dim": 2, "n_agents": 5, "desired": {"type": "constant", "c": [1, 0.5]},
+                   "kernel": {"type": "case_study", "a": A, "eps": EPS},
+                   "neighborhood": {"type": "sector", "R": R, "alpha": 2.0, "b": B},
+                   "heading": {"type": "fixed_axis", "axis": [0, 1]}}]
+        for block in blocks:
+            model = build_model(block)
+            twin = build_model(json.loads(json.dumps(block)))
+            assert model is not twin and model == twin and hash(model) == hash(twin)
+        # list and array fields are stored as tuples of floats, so such models hash too
+        assert ConstantDesired([1, 0.5]) == ConstantDesired(np.array([1.0, 0.5]))
+        assert hash(FixedAxis([0, 1])) == hash(FixedAxis((0.0, 1.0)))
+
+    def test_stencil_is_computed_once_per_model_and_width(self, monkeypatch):
+        block = json.loads(case_study_path().read_text())["model"]
+        lam = GridMeasure(GridSpec(1, 0.01), [[i] for i in range(0, 60, 3)], [5.0] * 20)
+        ref = _interaction_sum(build_model(block), lam.centers(), lam.cell_masses(),
+                               lam.centers())
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3].shape)
+            return _interaction_sum(*args)
+
+        monkeypatch.setattr(velocity, "_interaction_sum", counting)
+        velocity._lattice_stencil.cache_clear()
+        first = _lattice_interaction(build_model(block), lam, lam.centers())
+        # an equal model built anew, at the same width: no new stencil
+        again = _lattice_interaction(build_model(block), lam, lam.centers())
+        assert calls == [(21, 1)]
+        assert first.tobytes() == again.tobytes()
+        assert np.max(np.abs(first - ref)) <= 1e-12 * np.max(np.abs(ref))
+        G = velocity._lattice_stencil(build_model(block), 0.01)
+        assert not G.flags.writeable
+        assert G[:, 0].tobytes() == _interaction_sum(
+            build_model(block), np.zeros((1, 1)), np.ones(1),
+            np.arange(-10, 11)[:, None] * 0.01)[:, 0].tobytes()
+        _lattice_interaction(build_model(block), GridMeasure(GridSpec(1, 0.02), lam.indices,
+                                                            lam.rho), lam.indices * 0.02)
+        assert calls == [(21, 1), (11, 1)]  # a new width, a new stencil
+
 
 # ---------------------------------------------------------------------------
 # the pair sum's windowed form against its dense block form
@@ -559,9 +694,11 @@ def pair_sum_inputs(draw):
     return Y + shift, np.array(w), X + shift
 
 
+CHUNKS = [7, velocity._EVAL_CHUNK, 4_000_000]
+
+
 class TestWindowedPairSum:
-    @given(pair_sum_inputs(), st.floats(0.0, 2 * math.pi),
-           st.sampled_from([7, velocity._EVAL_CHUNK]))
+    @given(pair_sum_inputs(), st.floats(0.0, 2 * math.pi), st.sampled_from(CHUNKS))
     @settings(max_examples=120, deadline=None)
     def test_matches_dense_form(self, inputs, theta, chunk):
         Y, w, X = inputs
@@ -570,6 +707,10 @@ class TestWindowedPairSum:
             got = pair_sum("windowed", model, Y, w, X, chunk)
             assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense)), name
             assert np.all(got[dense == 0] == 0), name
+            # the block size moves no bits in either form
+            for other in CHUNKS:
+                assert pair_sum("dense", model, Y, w, X, other).tobytes() == dense.tobytes(), name
+                assert pair_sum("windowed", model, Y, w, X, other).tobytes() == got.tobytes(), name
             for i in range(len(X)):
                 one = pair_sum("windowed", model, Y, w, X[i:i + 1], chunk)[0]
                 assert one.tobytes() == got[i].tobytes(), name
@@ -625,3 +766,17 @@ class TestWindowedPairSum:
         assert 0 < sum(offsets) < q * m / 3
         dense = pair_sum("dense", model, mu.positions, mu.weights, mu.positions)
         assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_pair_sum_memory_stays_in_blocks(self):
+        # 1000 uniform 1D atoms on [0, 1] seen from themselves: about 190k
+        # pairs in the window, 1.5 MB a temporary if evaluated in one block
+        model = ball_model(n_agents=1000)
+        Y = np.random.default_rng(13).uniform(0.0, 1.0, size=(1000, 1))
+        w = np.full(1000, 1e-3)
+        tracemalloc.start()
+        try:
+            _interaction_sum(model, Y, w, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
