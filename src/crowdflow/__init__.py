@@ -8,14 +8,12 @@ convergence diagnostics.
 
 __version__ = "0.1.0"
 
-from .grids import (AtomicMeasure, GridMeasure, GridSpec, GridTrajectory,
-                    atomize, cell_center, cell_of, interpolate, moment,
-                    project_atomic, total_mass)
-from .particles import (ParticleState, ParticleTrajectory, euler_step,
-                        push_forward_atoms, run_particles, to_measure)
-from .scheme import (MeshSchedule, NumericalInvariantError, StepReport,
-                     box_overlap_fractions, cfl_ratio, mesh_schedule, run,
-                     sample_at, step)
+from .grids import (AtomicMeasure, GridMeasure, GridSpec, atomize, cell_center,
+                    cell_of, interpolate, moment, project_atomic, total_mass)
+from .particles import (ParticleState, euler_step, push_forward_atoms,
+                        run_particles, to_measure)
+from .scheme import (NumericalInvariantError, StepReport, box_overlap_fractions,
+                     cfl_ratio, mesh_schedule, run, sample_at, step)
 from .velocity import (Ball, CaseStudyRepulsion, ConstantDesired, CustomDesired,
                        CustomKernel, FixedAxis, FromDesired, PrototypeAttraction,
                        Rotation2, Sector, VelocityModel, ZeroDesired, cutoff_at,
@@ -24,14 +22,12 @@ from .velocity import (Ball, CaseStudyRepulsion, ConstantDesired, CustomDesired,
 from .wasserstein import W1Result, w1_1d, w1_exact, w1_grid_atomic
 
 __all__ = [
-    "AtomicMeasure", "GridMeasure", "GridSpec", "GridTrajectory",
-    "atomize", "cell_center", "cell_of", "interpolate", "moment",
-    "project_atomic", "total_mass",
-    "ParticleState", "ParticleTrajectory", "euler_step", "push_forward_atoms",
-    "run_particles", "to_measure",
-    "MeshSchedule", "NumericalInvariantError", "StepReport",
-    "box_overlap_fractions", "cfl_ratio", "mesh_schedule", "run", "sample_at",
-    "step",
+    "AtomicMeasure", "GridMeasure", "GridSpec", "atomize", "cell_center",
+    "cell_of", "interpolate", "moment", "project_atomic", "total_mass",
+    "ParticleState", "euler_step", "push_forward_atoms", "run_particles",
+    "to_measure",
+    "NumericalInvariantError", "StepReport", "box_overlap_fractions",
+    "cfl_ratio", "mesh_schedule", "run", "sample_at", "step",
     "Ball", "CaseStudyRepulsion", "ConstantDesired", "CustomDesired",
     "CustomKernel", "FixedAxis", "FromDesired", "PrototypeAttraction",
     "Rotation2", "Sector", "VelocityModel", "ZeroDesired", "cutoff_at",

@@ -18,7 +18,7 @@ from . import __version__
 from .config import ConfigError, ExperimentConfig, load_config
 from .grids import GridSpec, project_atomic, write_density_csv
 from .particles import run_particles, to_measure, write_trajectory_csv
-from .scheme import NumericalInvariantError, run, sample_at
+from .scheme import NumericalInvariantError, run, sample_at, step_count
 from .wasserstein import AtomCapError, w1_grid_atomic
 
 EXIT_OK = 0
@@ -44,15 +44,6 @@ def _oracle_dt(cfg: ExperimentConfig) -> float:
     return min(min(dt for _, _, dt in cfg.levels) / 10.0, cfg.T)
 
 
-def _write_steps_jsonl(traj, path: Path) -> None:
-    with open(path, "w") as fh:
-        for n, rep in enumerate(traj.reports):
-            fh.write(json.dumps({"n": n + 1, "mass_error": rep.mass_error,
-                                 "max_displacement": rep.max_displacement,
-                                 "alpha": rep.cfl_alpha,
-                                 "occupied": rep.occupied_cells}) + "\n")
-
-
 def cmd_project(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     mu0 = cfg.initial_measure(args.seed)
@@ -66,22 +57,40 @@ def cmd_project(cfg: ExperimentConfig, args) -> int:
 def cmd_particles(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     mu0 = cfg.initial_measure(args.seed)
-    traj = run_particles(mu0.positions, cfg.model, cfg.T, _oracle_dt(cfg))
-    write_trajectory_csv(traj, out / "particles.csv")
-    (out / "particles_final.json").write_text(to_measure(traj.final).to_json() + "\n")
+    states = run_particles(mu0.positions, cfg.model, cfg.T, _oracle_dt(cfg))
+    write_trajectory_csv(states, out / "particles.csv")
+    (out / "particles_final.json").write_text(to_measure(states[-1]).to_json() + "\n")
     return EXIT_OK
 
 
 def _run_level(cfg: ExperimentConfig, level, mu0, out: Path):
+    """Step one level, keeping only the previous frame.
+
+    Each step's line of ``steps.jsonl`` is written and flushed when the step
+    finishes. Sample time t is read at the grid time t' = min(t, n_steps*dt),
+    since a level of round(T/dt) steps may end before t: between frames n and
+    n + 1, n = min(int(t'/dt), n_steps - 1). Its snapshot is built once, when
+    step n + 1 finishes, written to ``density_t<t>.csv`` and yielded as
+    ``(t, t', snapshot)``, in the order of the (increasing) sample times.
+    """
     k, h, dt = level
-    lam0 = project_atomic(mu0, GridSpec(cfg.model.dim, h))
-    traj = run(lam0, cfg.model, cfg.T, dt)
+    lam = project_atomic(mu0, GridSpec(cfg.model.dim, h))
+    n_steps = step_count(cfg.T, dt)
+    pending = [(t, min(t, n_steps * dt)) for t in cfg.w1_sample_times]
     ldir = _level_dir(out, k)
-    _write_steps_jsonl(traj, ldir / "steps.jsonl")
-    for t in cfg.w1_sample_times:
-        write_density_csv(sample_at(traj, min(t, traj.duration)),
-                          ldir / f"density_t{t:g}.csv")
-    return traj
+    with open(ldir / "steps.jsonl", "w") as fh:
+        for n, (new, rep) in enumerate(run(lam, cfg.model, cfg.T, dt)):
+            fh.write(json.dumps({"n": n + 1, "mass_error": rep.mass_error,
+                                 "max_displacement": rep.max_displacement,
+                                 "alpha": rep.cfl_alpha,
+                                 "occupied": rep.occupied_cells}) + "\n")
+            fh.flush()
+            while pending and min(int(pending[0][1] / dt), n_steps - 1) == n:
+                t, t_grid = pending.pop(0)
+                lam_t = sample_at(lam, new, n, dt, t_grid)
+                write_density_csv(lam_t, ldir / f"density_t{t:g}.csv")
+                yield t, t_grid, lam_t
+            lam = new
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
@@ -90,7 +99,8 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
         raise ConfigError(f"level {args.level} not in schedule "
                           f"(available: {sorted(levels)})")
     out = _out_dir(cfg, args)
-    _run_level(cfg, levels[args.level], cfg.initial_measure(args.seed), out)
+    for _ in _run_level(cfg, levels[args.level], cfg.initial_measure(args.seed), out):
+        pass
     return EXIT_OK
 
 
@@ -98,13 +108,13 @@ def cmd_converge(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     mu0 = cfg.initial_measure(args.seed)
 
-    oracle = run_particles(mu0.positions, cfg.model, cfg.T, _oracle_dt(cfg))
+    oracle_dt = _oracle_dt(cfg)
+    oracle = run_particles(mu0.positions, cfg.model, cfg.T, oracle_dt)
     write_trajectory_csv(oracle, out / "particles.csv")
     times = cfg.w1_sample_times
     oracle_at = {}
     for t in times:
-        n = min(round(t / oracle.dt), len(oracle.states) - 1)
-        oracle_at[t] = to_measure(oracle.states[n])
+        oracle_at[t] = to_measure(oracle[min(round(t / oracle_dt), len(oracle) - 1)])
 
     rows = []
     final_by_k = {}
@@ -114,11 +124,11 @@ def cmd_converge(cfg: ExperimentConfig, args) -> int:
     grid_times = {}
     for level in cfg.levels:
         k, h, dt = level
-        traj = _run_level(cfg, level, mu0, out)
-        grid_times[k] = {t: min(t, traj.duration) for t in times}
-        gaps[k] = {}
-        for t in times:
-            lam_t = sample_at(traj, grid_times[k][t])
+        grid_times[k], gaps[k] = {}, {}
+        # each W1 row is computed at the step that produces its snapshot, so
+        # a cap hit stops the level there
+        for t, t_grid, lam_t in _run_level(cfg, level, mu0, out):
+            grid_times[k][t] = t_grid
             try:
                 res = w1_grid_atomic(lam_t, oracle_at[t])
             except AtomCapError as exc:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .grids import AtomicMeasure
-from .scheme import MeshSchedule, mesh_schedule
+from .scheme import mesh_schedule
 from .velocity import (Ball, CaseStudyRepulsion, ConstantDesired, FixedAxis,
                        FromDesired, PrototypeAttraction, Sector, VelocityModel,
                        ZeroDesired, velocity_bound)
@@ -146,12 +146,11 @@ def parse_config(data: dict, source: str = "<config>") -> ExperimentConfig:
     sched = _require(data, "schedule", source)
     v_ref = float(sched.get("v_ref", velocity_bound(model)))
     if "ks" in sched:
-        delta = float(_require(sched, "delta", "schedule"))
+        delta_out = float(_require(sched, "delta", "schedule"))
         try:
-            ms: MeshSchedule = mesh_schedule(v_ref, delta, [int(k) for k in sched["ks"]])
+            levels = mesh_schedule(v_ref, delta_out, [int(k) for k in sched["ks"]])
         except ValueError as exc:
             raise ConfigError(f"invalid schedule: {exc}") from exc
-        levels, delta_out = ms.levels, delta
     elif "h" in sched and "dt" in sched:
         h, dt = float(sched["h"]), float(sched["dt"])
         if not (h > 0 and dt > 0):
@@ -172,6 +171,8 @@ def parse_config(data: dict, source: str = "<config>") -> ExperimentConfig:
     for t in times:
         if not (0.0 <= t <= T):
             raise ConfigError(f"w1 sample time {t!r} outside [0, T]")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ConfigError(f"w1_sample_times must be strictly increasing, got {list(times)}")
 
     return ExperimentConfig(model=model, initial=initial, T=T, levels=levels,
                             delta=delta_out, v_ref=v_ref,

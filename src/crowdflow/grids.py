@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,26 +184,6 @@ class AtomicMeasure:
     def from_json(cls, text: str) -> "AtomicMeasure":
         atoms = json.loads(text)
         return cls([a["x"] for a in atoms], [a["w"] for a in atoms])
-
-
-@dataclass
-class GridTrajectory:
-    """Time-indexed grid measures at t_n = n*dt, plus per-step diagnostics."""
-
-    spec: GridSpec
-    dt: float
-    frames: list
-    reports: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.frames:
-            raise ValueError("trajectory needs at least one frame")
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
-
-    @property
-    def duration(self) -> float:
-        return (len(self.frames) - 1) * self.dt
 
 
 def project_atomic(mu_bar: AtomicMeasure, spec: GridSpec) -> GridMeasure:

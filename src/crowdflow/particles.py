@@ -31,23 +31,6 @@ class ParticleState:
         object.__setattr__(self, "positions", p)
 
 
-@dataclass(frozen=True)
-class ParticleTrajectory:
-    dt: float
-    states: tuple
-
-    def __post_init__(self):
-        if not self.states:
-            raise ValueError("trajectory needs at least one state")
-        n0 = self.states[0].positions.shape[0]
-        if any(s.positions.shape[0] != n0 for s in self.states):
-            raise ValueError("particle count must stay constant")
-
-    @property
-    def final(self) -> ParticleState:
-        return self.states[-1]
-
-
 def to_measure(state: ParticleState, return_inverse: bool = False):
     """Uniform Dirac sum over the particle positions; exact duplicates stack.
 
@@ -87,8 +70,9 @@ def euler_step(state: ParticleState, model: VelocityModel, dt: float) -> Particl
     return ParticleState(state.positions + dt * vel.take(atom, axis=0), state.t + dt)
 
 
-def run_particles(x0, model: VelocityModel, T: float, dt: float) -> ParticleTrajectory:
-    """round(T/dt) Euler steps from the initial positions x0."""
+def run_particles(x0, model: VelocityModel, T: float, dt: float) -> tuple:
+    """The states at t_n = n*dt of round(T/dt) Euler steps from the initial
+    positions x0, the initial state first."""
     if not (T > 0 and dt > 0):
         raise ValueError("T and dt must be positive")
     state = ParticleState(np.asarray(x0, dtype=float), 0.0)
@@ -96,10 +80,10 @@ def run_particles(x0, model: VelocityModel, T: float, dt: float) -> ParticleTraj
     for _ in range(max(1, round(T / dt))):
         state = euler_step(state, model, dt)
         states.append(state)
-    return ParticleTrajectory(dt, tuple(states))
+    return tuple(states)
 
 
-def write_trajectory_csv(traj: ParticleTrajectory, path) -> None:
+def write_trajectory_csv(states, path) -> None:
     """CSV with one row per (t, particle), sorted by time then particle.
 
     The bytes are those ``csv.writer`` writes for the row
@@ -107,12 +91,12 @@ def write_trajectory_csv(traj: ParticleTrajectory, path) -> None:
     positions and times are finite floats, so each state's rows are joined
     directly and written at once, with csv's default CRLF line ends.
     """
-    n, d = traj.states[0].positions.shape
+    n, d = states[0].positions.shape
     header = ["t", "particle"] + [f"x_{l}" for l in range(d)]
     particles = [str(l) for l in range(n)]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for s in traj.states:
+        for s in states:
             columns = [map(repr, c) for c in s.positions.T.tolist()]
             rows = zip(itertools.repeat(repr(float(s.t))), particles, *columns)
             fh.write("\r\n".join(map(",".join, rows)) + "\r\n")

@@ -14,29 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (GridMeasure, GridSpec, GridTrajectory, NumericalInvariantError,
-                    interpolate, sq_norm, total_mass)
+from .grids import (GridMeasure, GridSpec, NumericalInvariantError, interpolate,
+                    sq_norm, total_mass)
 from .velocity import VelocityModel, eval_grid_many, velocity_bound
 
 DEFAULT_MAX_OCCUPIED = 10 ** 7
 
 
-@dataclass(frozen=True)
-class MeshSchedule:
-    """Refinement levels (k, h, dt) with dt = (h / v_ref)^delta, 0 < delta < 1."""
-
-    levels: tuple
-    delta: float
-    v_ref: float
-
-    def __post_init__(self):
-        hs = [h for _, h, _ in self.levels]
-        if any(b >= a for a, b in zip(hs, hs[1:])):
-            raise ValueError("cell widths must be strictly decreasing across levels")
-
-
-def mesh_schedule(v_ref: float, delta: float, ks) -> MeshSchedule:
-    """Levels h_k = 1/k, dt_k = (h_k / v_ref)^delta for each k in ks."""
+def mesh_schedule(v_ref: float, delta: float, ks) -> tuple:
+    """Refinement levels ((k, h_k, dt_k), ...) with h_k = 1/k and
+    dt_k = (h_k / v_ref)^delta, 0 < delta < 1; increasing ks make h decrease."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie strictly in (0, 1), got {delta!r}")
     if not (v_ref > 0):
@@ -44,8 +31,7 @@ def mesh_schedule(v_ref: float, delta: float, ks) -> MeshSchedule:
     ks = list(ks)
     if not ks or any(k <= 0 for k in ks) or any(b <= a for a, b in zip(ks, ks[1:])):
         raise ValueError("ks must be positive and strictly increasing")
-    levels = tuple((k, 1.0 / k, (1.0 / (k * v_ref)) ** delta) for k in ks)
-    return MeshSchedule(levels, delta, v_ref)
+    return tuple((k, 1.0 / k, (1.0 / (k * v_ref)) ** delta) for k in ks)
 
 
 @dataclass(frozen=True)
@@ -112,16 +98,19 @@ def step(lam: GridMeasure, model: VelocityModel, dt: float):
     return new, report
 
 
-def run(lam0: GridMeasure, model: VelocityModel, T: float, dt: float,
-        max_occupied: int = DEFAULT_MAX_OCCUPIED) -> GridTrajectory:
-    """Iterate the scheme for round(T/dt) steps from lam0."""
+def step_count(T: float, dt: float) -> int:
+    """Number of steps a run of horizon T takes: round(T/dt), at least one."""
     if not (T > 0 and dt > 0):
         raise ValueError("T and dt must be positive")
-    n_steps = max(1, round(T / dt))
-    frames = [lam0]
-    reports = []
+    return max(1, round(T / dt))
+
+
+def run(lam0: GridMeasure, model: VelocityModel, T: float, dt: float,
+        max_occupied: int = DEFAULT_MAX_OCCUPIED):
+    """Iterate the scheme for step_count(T, dt) steps from lam0, yielding
+    ``(lam, report)`` after each step; no frame is kept."""
     lam = lam0
-    for n in range(n_steps):
+    for n in range(step_count(T, dt)):
         lam, rep = step(lam, model, dt)
         if rep.mass_error > 1e-10:
             raise NumericalInvariantError(
@@ -130,19 +119,15 @@ def run(lam0: GridMeasure, model: VelocityModel, T: float, dt: float,
             raise NumericalInvariantError(
                 f"support blow-up: {rep.occupied_cells} occupied cells at "
                 f"step {n + 1} exceed the cap {max_occupied}")
-        frames.append(lam)
-        reports.append(rep)
-    return GridTrajectory(lam0.spec, dt, frames, reports)
+        yield lam, rep
 
 
-def sample_at(traj: GridTrajectory, t: float) -> GridMeasure:
-    """Linear-in-time interpolant of the trajectory at time t."""
-    T = traj.duration
-    if t < -1e-12 or t > T + 1e-12:
-        raise ValueError(f"t={t!r} outside [0, {T!r}]")
-    t = min(max(t, 0.0), T)
-    if len(traj.frames) == 1:
-        return traj.frames[0]
-    n = min(int(t / traj.dt), len(traj.frames) - 2)
-    theta = (t - n * traj.dt) / traj.dt
-    return interpolate(traj.frames[n], traj.frames[n + 1], min(max(theta, 0.0), 1.0))
+def sample_at(before: GridMeasure, after: GridMeasure, n: int, dt: float,
+              t: float) -> GridMeasure:
+    """Linear-in-time interpolant at time t of frames n (``before``, at n*dt)
+    and n + 1 (``after``)."""
+    t0 = n * dt
+    if t < t0 - 1e-12 or t > t0 + dt + 1e-12:
+        raise ValueError(f"t={t!r} outside [{t0!r}, {t0 + dt!r}]")
+    theta = (t - t0) / dt
+    return interpolate(before, after, min(max(theta, 0.0), 1.0))

@@ -44,14 +44,13 @@ def test_criterion_1_mass_conservation(case_study):
     k, h, dt = cfg.levels[-1]
     assert k == 1000
     lam0 = project_atomic(mu0, GridSpec(cfg.model.dim, h))
-    traj = run(lam0, cfg.model, cfg.T, dt)
-    errs = [rep.mass_error for rep in traj.reports]
+    errs = [rep.mass_error for _, rep in run(lam0, cfg.model, cfg.T, dt)]
 
     # supplementary long run: a fixed 1000 consecutive steps on the k=100 grid
     lam0c = project_atomic(mu0, GridSpec(cfg.model.dim, 0.01))
-    long = run(lam0c, cfg.model, T=0.1, dt=1e-4)
-    errs += [rep.mass_error for rep in long.reports]
-    assert len(long.reports) == 1000
+    long = [rep.mass_error for _, rep in run(lam0c, cfg.model, T=0.1, dt=1e-4)]
+    errs += long
+    assert len(long) == 1000
 
     worst = max(errs)
     assert worst <= 1e-10
@@ -106,14 +105,14 @@ def test_criterion_4_one_step_transport_bound(case_study):
     k, h, dt = cfg.levels[0]
     assert k == 100
     lam0 = project_atomic(mu0, GridSpec(cfg.model.dim, h))
-    traj = run(lam0, cfg.model, cfg.T, dt)
+    frames = [lam0] + [lam for lam, _ in run(lam0, cfg.model, cfg.T, dt)]
     V = velocity_bound(cfg.model)
     bound = V * dt + 2 * math.sqrt(cfg.model.dim) * h
     worst = 0.0
-    for a, b in zip(traj.frames, traj.frames[1:]):
+    for a, b in zip(frames, frames[1:]):
         worst = max(worst, w1_1d(atomize(a), atomize(b)))
     assert worst <= bound + 1e-12
-    _passline(4, f"{len(traj.reports)} consecutive steps with "
+    _passline(4, f"{len(frames) - 1} consecutive steps with "
               f"W1 <= V dt + 2 sqrt(d) h = {bound:.4f} (worst {worst:.4f})", t0, 60)
 
 
@@ -268,9 +267,9 @@ def test_criterion_9_exact_shift():
                           kernel=CustomKernel(lambda z: np.zeros_like(z), 0.0, 0.0),
                           neighborhood=Ball(0.1, 0.02))
     lam0 = GridMeasure(GridSpec(1, h), [[0], [1], [2], [5]], [4.0, 8.0, 2.0, 2.0])
-    traj = run(lam0, model, T=100 * h, dt=h)
-    assert len(traj.reports) == 100
-    final = traj.frames[-1]
+    steps = list(run(lam0, model, T=100 * h, dt=h))
+    assert len(steps) == 100
+    final = steps[-1][0]
     np.testing.assert_array_equal(final.indices, lam0.indices + 100)
     np.testing.assert_array_equal(final.rho, lam0.rho)
     _passline(9, "100 integer-cell drift steps reproduce the translated "

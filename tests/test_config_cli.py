@@ -1,10 +1,11 @@
 import dataclasses
+import functools
 import json
 import math
 
 import pytest
 
-from crowdflow import CaseStudyRepulsion, CustomDesired, Sector, VelocityModel
+from crowdflow import CaseStudyRepulsion, CustomDesired, Sector, VelocityModel, scheme
 from crowdflow.cli import main
 from crowdflow.config import (ConfigError, case_study_path, load_config,
                               parse_config, write_config)
@@ -127,6 +128,15 @@ class TestValidation:
         with pytest.raises(ConfigError, match="sample time"):
             parse_config(fast_config(w1_sample_times=[0.5]))
 
+    @pytest.mark.parametrize("times", [[0.01, 0.005], [0.01, 0.01]])
+    def test_sample_times_not_increasing(self, tmp_path, times):
+        # decreasing times would misname the final row, repeated ones write it twice
+        with pytest.raises(ConfigError, match="w1_sample_times must be strictly increasing"):
+            parse_config(fast_config(w1_sample_times=times))
+        cfg = write_json(tmp_path, fast_config(w1_sample_times=times))
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
     def test_explicit_level_schedule(self):
         cfg = parse_config(fast_config(schedule={"h": 0.25, "dt": 0.005}))
         assert cfg.levels == ((0, 0.25, 0.005),)
@@ -242,6 +252,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert "k=4, t=0.005" in err
         assert "3 grid atoms and 3 oracle atoms" in err
+
+    def test_w1_cap_hit_stops_level_at_sample_step(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("crowdflow.cli.w1_grid_atomic",
+                            lambda lam, mu: w1_grid_atomic(lam, mu, max_pairs=8))
+        # 8 steps of 0.0012 to T = 0.01: t = T/2 lies between frames 4 and 5
+        data = fast_config(model=dict(FAST_MODEL, dim=2), schedule={"h": 0.05, "dt": 0.0012},
+                           w1_sample_times=[0.005, 0.01])
+        data["initial"] = {"type": "atoms",
+                           "positions": [[0.1, 0.1], [0.5, 0.5], [0.9, 0.1]]}
+        cfg = write_json(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
+        lines = (out / "level_0" / "steps.jsonl").read_text().splitlines()
+        assert [json.loads(line)["n"] for line in lines] == [1, 2, 3, 4, 5]
+        assert (out / "level_0" / "density_t0.005.csv").is_file()
+        assert not (out / "level_0" / "density_t0.01.csv").exists()
+        assert not (out / "metrics.csv").exists()
+
+    def test_invariant_break_keeps_telemetry(self, tmp_path, monkeypatch, capsys):
+        # three close agents repel, and the support grows by 2 cells a step:
+        # 5, 7, 9, 11, 13, ... so a cap of 12 breaks at step 5
+        data = fast_config(initial={"type": "atoms", "positions": [[0.45], [0.5], [0.55]]},
+                           schedule={"h": 0.01, "dt": 0.001})
+        cfg = write_json(tmp_path, data)
+        full = tmp_path / "full"
+        assert main(["simulate", "--config", str(cfg), "--level", "0", "--out", str(full)]) == 0
+        full_lines = (full / "level_0" / "steps.jsonl").read_text().splitlines()
+        assert [json.loads(line)["occupied"] for line in full_lines[:5]] == [5, 7, 9, 11, 13]
+
+        monkeypatch.setattr("crowdflow.cli.run", functools.partial(scheme.run, max_occupied=12))
+        out = tmp_path / "o"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "13 occupied cells at step 5" in capsys.readouterr().err
+        lines = (out / "level_0" / "steps.jsonl").read_text().splitlines()
+        assert lines == full_lines[:4]
 
     @pytest.mark.parametrize("command", ["particles", "converge"])
     def test_vanishing_heading_exit_code(self, tmp_path, monkeypatch, command):

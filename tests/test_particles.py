@@ -11,7 +11,7 @@ from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
                        ParticleState, Sector, VelocityModel, ZeroDesired,
                        eval_atomic_many, euler_step, push_forward_atoms, run_particles,
                        to_measure, velocity)
-from crowdflow.particles import ParticleTrajectory, write_trajectory_csv
+from crowdflow.particles import write_trajectory_csv
 
 A, EPS, R, B = 0.01, 0.025, 0.1, 0.02
 
@@ -140,50 +140,50 @@ class TestStackedStep:
 
 class TestRunParticles:
     def test_zero_velocity_constant_states(self):
-        traj = run_particles([[0.1], [0.9]], repulsion_model(2), T=0.1, dt=0.01)
+        states = run_particles([[0.1], [0.9]], repulsion_model(2), T=0.1, dt=0.01)
         # atoms out of interaction range: nothing moves, ever
-        for s in traj.states:
-            np.testing.assert_array_equal(s.positions, traj.states[0].positions)
+        for s in states:
+            np.testing.assert_array_equal(s.positions, states[0].positions)
 
     def test_step_count_and_times(self):
-        traj = run_particles([[0.0]], repulsion_model(1), T=0.1, dt=0.01)
-        assert len(traj.states) == 11
-        assert traj.final.t == pytest.approx(0.1)
+        states = run_particles([[0.0]], repulsion_model(1), T=0.1, dt=0.01)
+        assert len(states) == 11
+        assert states[-1].t == pytest.approx(0.1)
 
     def test_repulsion_spreads_particles(self):
         rng = np.random.default_rng(12345)
         x0 = rng.uniform(0, 1, size=(10, 1))
-        traj = run_particles(x0, repulsion_model(10), T=0.1, dt=0.001)
+        final = run_particles(x0, repulsion_model(10), T=0.1, dt=0.001)[-1]
 
         def min_gap(p):
             x = np.sort(p[:, 0])
             return float(np.min(np.diff(x)))
 
-        assert min_gap(traj.final.positions) >= min_gap(x0)
+        assert min_gap(final.positions) >= min_gap(x0)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
         x0 = rng.uniform(size=(5, 1))
         perm = rng.permutation(5)
         model = repulsion_model(5)
-        a = run_particles(x0, model, T=0.05, dt=0.005).final.positions
-        b = run_particles(x0[perm], model, T=0.05, dt=0.005).final.positions
+        a = run_particles(x0, model, T=0.05, dt=0.005)[-1].positions
+        b = run_particles(x0[perm], model, T=0.05, dt=0.005)[-1].positions
         np.testing.assert_allclose(b, a[perm], atol=1e-15)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(3)
         x0 = rng.uniform(size=(4, 1))
         model = repulsion_model(4)
-        base = run_particles(x0, model, T=0.05, dt=0.005).final.positions
-        moved = run_particles(x0 + 7.25, model, T=0.05, dt=0.005).final.positions
+        base = run_particles(x0, model, T=0.05, dt=0.005)[-1].positions
+        moved = run_particles(x0 + 7.25, model, T=0.05, dt=0.005)[-1].positions
         np.testing.assert_allclose(moved, base + 7.25, atol=1e-12)
 
     def test_step_halving_reduces_error(self):
         rng = np.random.default_rng(12345)
         x0 = rng.uniform(0, 1, size=(10, 1))
         model = repulsion_model(10)
-        ref = run_particles(x0, model, T=0.1, dt=1e-5).final.positions
-        err = [np.max(np.abs(run_particles(x0, model, T=0.1, dt=dt).final.positions - ref))
+        ref = run_particles(x0, model, T=0.1, dt=1e-5)[-1].positions
+        err = [np.max(np.abs(run_particles(x0, model, T=0.1, dt=dt)[-1].positions - ref))
                for dt in (0.01, 0.005, 0.0025)]
         assert err[1] < err[0] and err[2] < err[1]
 
@@ -245,14 +245,14 @@ class TestToMeasure:
         np.testing.assert_allclose(mu.weights, [0.5, 0.25, 0.25])
 
 
-def write_trajectory_csv_writer(traj, path):
+def write_trajectory_csv_writer(states, path):
     """The csv.writer loop that write_trajectory_csv replaced, kept as its reference."""
-    d = traj.states[0].positions.shape[1]
+    d = states[0].positions.shape[1]
     header = ["t", "particle"] + [f"x_{l}" for l in range(d)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for s in traj.states:
+        for s in states:
             for l, p in enumerate(s.positions):
                 w.writerow([repr(float(s.t)), l, *(repr(float(v)) for v in p)])
 
@@ -266,10 +266,10 @@ CSV_VALUES = st.one_of(
 
 class TestTrajectoryCsv:
     def test_layout(self, tmp_path):
-        traj = run_particles([[0.1, 0.2], [0.9, 0.4]], repulsion_model(2, dim=2),
-                             T=0.02, dt=0.01)
+        states = run_particles([[0.1, 0.2], [0.9, 0.4]], repulsion_model(2, dim=2),
+                               T=0.02, dt=0.01)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
+        write_trajectory_csv(states, path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "particle", "x_0", "x_1"]
@@ -283,8 +283,8 @@ class TestTrajectoryCsv:
                min_size=1, max_size=4)))
     @settings(max_examples=100, deadline=None)
     def test_bytes_match_csv_writer(self, tmp_path_factory, states):
-        traj = ParticleTrajectory(0.01, tuple(ParticleState(np.array(p), t) for t, p in states))
+        states = tuple(ParticleState(np.array(p), t) for t, p in states)
         d = tmp_path_factory.mktemp("csv")
-        write_trajectory_csv(traj, d / "got.csv")
-        write_trajectory_csv_writer(traj, d / "ref.csv")
+        write_trajectory_csv(states, d / "got.csv")
+        write_trajectory_csv_writer(states, d / "ref.csv")
         assert (d / "got.csv").read_bytes() == (d / "ref.csv").read_bytes()

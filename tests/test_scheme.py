@@ -9,6 +9,7 @@ from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
                        box_overlap_fractions, cfl_ratio, mesh_schedule, moment,
                        project_atomic, run, sample_at, step, total_mass,
                        velocity_bound)
+from crowdflow.scheme import step_count
 from crowdflow.velocity import eval_grid_many
 
 A, EPS, R, B = 0.01, 0.025, 0.1, 0.02
@@ -34,8 +35,7 @@ def drift_model(c):
 
 class TestSchedule:
     def test_frozen_case_study_levels(self):
-        ms = mesh_schedule(4.0, 0.9, [100, 1000])
-        (k1, h1, dt1), (k2, h2, dt2) = ms.levels
+        (k1, h1, dt1), (k2, h2, dt2) = mesh_schedule(4.0, 0.9, [100, 1000])
         assert (k1, k2) == (100, 1000)
         assert h1 == pytest.approx(0.01, abs=1e-18)
         assert dt1 == pytest.approx(DT_K100, abs=1e-18)
@@ -43,8 +43,7 @@ class TestSchedule:
 
     def test_time_step_dominates_cell_width(self):
         # h = o(dt): the displacement in cell units grows under refinement
-        ms = mesh_schedule(4.0, 0.9, [10, 100, 1000])
-        betas = [h / dt for _, h, dt in ms.levels]
+        betas = [h / dt for _, h, dt in mesh_schedule(4.0, 0.9, [10, 100, 1000])]
         assert all(b2 < b1 for b1, b2 in zip(betas, betas[1:]))
 
     def test_delta_must_be_in_open_unit_interval(self):
@@ -176,64 +175,66 @@ class TestStep:
 class TestRun:
     def test_trajectory_shape(self):
         lam = GridMeasure(GridSpec(1, 0.1), [[0]], [10.0])
-        traj = run(lam, drift_model((1.0,)), T=0.5, dt=0.05)
-        assert len(traj.frames) == 11
-        assert len(traj.reports) == 10
-        assert traj.duration == pytest.approx(0.5)
+        steps = list(run(lam, drift_model((1.0,)), T=0.5, dt=0.05))
+        assert len(steps) == 10
+        assert step_count(0.5, 0.05) * 0.05 == pytest.approx(0.5)
 
     def test_mass_conserved_along_run(self):
         rng = np.random.default_rng(8)
         lam = project_atomic(AtomicMeasure(rng.uniform(size=(5, 1))), GridSpec(1, 0.02))
-        traj = run(lam, repulsion_model(5), T=0.05, dt=0.005)
-        assert all(rep.mass_error <= 1e-10 for rep in traj.reports)
+        assert all(rep.mass_error <= 1e-10
+                   for _, rep in run(lam, repulsion_model(5), T=0.05, dt=0.005))
 
     def test_first_moment_growth_bound(self):
         rng = np.random.default_rng(21)
         h, dt = 0.01, 0.005
         lam0 = project_atomic(AtomicMeasure(rng.uniform(size=(10, 1))), GridSpec(1, h))
         model = repulsion_model(10)
-        traj = run(lam0, model, T=0.05, dt=dt)
+        frames = [lam0] + [lam for lam, _ in run(lam0, model, T=0.05, dt=dt)]
         V = velocity_bound(model)
         beta = h / dt
         m0 = moment(lam0, 1)
-        for n, lam in enumerate(traj.frames):
+        for n, lam in enumerate(frames):
             assert moment(lam, 1) <= m0 + (V + 2 * beta) * n * dt + h + 1e-12
 
     def test_support_cap_triggers(self):
         lam = GridMeasure(GridSpec(1, 0.01), [[0]], [100.0])
         with pytest.raises(NumericalInvariantError, match="support"):
-            run(lam, drift_model((0.5,)), T=0.1, dt=0.003, max_occupied=1)
+            list(run(lam, drift_model((0.5,)), T=0.1, dt=0.003, max_occupied=1))
 
     def test_nonpositive_inputs_rejected(self):
         lam = GridMeasure(GridSpec(1, 0.1), [[0]], [10.0])
         with pytest.raises(ValueError):
-            run(lam, drift_model((1.0,)), T=0.0, dt=0.1)
+            next(run(lam, drift_model((1.0,)), T=0.0, dt=0.1))
         with pytest.raises(ValueError):
-            run(lam, drift_model((1.0,)), T=0.1, dt=-0.1)
+            next(run(lam, drift_model((1.0,)), T=0.1, dt=-0.1))
 
 
 class TestSampleAt:
     def setup_method(self):
         lam = GridMeasure(GridSpec(1, 0.1), [[0]], [10.0])
-        self.traj = run(lam, drift_model((1.0,)), T=0.2, dt=0.1)
+        self.frames = [lam] + [f for f, _ in run(lam, drift_model((1.0,)), T=0.2, dt=0.1)]
+
+    def sample(self, n, t):
+        return sample_at(self.frames[n], self.frames[n + 1], n, 0.1, t)
 
     def test_endpoints(self):
-        assert sample_at(self.traj, 0.0).density == self.traj.frames[0].density
-        assert sample_at(self.traj, 0.2).density == self.traj.frames[-1].density
+        assert self.sample(0, 0.0).density == self.frames[0].density
+        assert self.sample(1, 0.2).density == self.frames[-1].density
 
     def test_frame_times_exact(self):
-        assert sample_at(self.traj, 0.1).density == self.traj.frames[1].density
+        assert self.sample(1, 0.1).density == self.frames[1].density
 
     def test_midpoint_interpolates_mass(self):
-        lam = sample_at(self.traj, 0.05)
+        lam = self.sample(0, 0.05)
         assert abs(total_mass(lam) - 1.0) <= 1e-12
-        d0 = self.traj.frames[0].density
-        d1 = self.traj.frames[1].density
+        d0 = self.frames[0].density
+        d1 = self.frames[1].density
         for idx, val in lam.density.items():
             assert val == pytest.approx(0.5 * d0.get(idx, 0.0) + 0.5 * d1.get(idx, 0.0))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            sample_at(self.traj, -0.01)
+            self.sample(0, -0.01)
         with pytest.raises(ValueError):
-            sample_at(self.traj, 0.21)
+            self.sample(1, 0.21)
