@@ -26,16 +26,20 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
+def _mkdir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from exc
+    return path
+
+
 def _out_dir(cfg: ExperimentConfig, args) -> Path:
-    out = Path(args.out) if args.out else Path(cfg.outputs)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return _mkdir(Path(args.out) if args.out else Path(cfg.outputs))
 
 
 def _level_dir(out: Path, k: int) -> Path:
-    d = out / f"level_{k}"
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+    return _mkdir(out / f"level_{k}")
 
 
 def _oracle_dt(cfg: ExperimentConfig) -> float:
@@ -170,6 +174,17 @@ def cmd_converge(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, as numpy's default_rng takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crowdflow",
                                      description="Measure-transport crowd/swarm simulations")
@@ -177,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config (JSON)")
     common.add_argument("--out", default=None, help="output directory override")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed override")
+    common.add_argument("--seed", type=_seed, default=None, help="RNG seed override")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("project", parents=[common],

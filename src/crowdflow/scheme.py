@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,8 +101,8 @@ def step(lam: GridMeasure, model: VelocityModel, dt: float):
 
 def step_count(T: float, dt: float) -> int:
     """Number of steps a run of horizon T takes: round(T/dt), at least one."""
-    if not (T > 0 and dt > 0):
-        raise ValueError("T and dt must be positive")
+    if not (0 < T < math.inf and 0 < dt < math.inf):
+        raise ValueError(f"T and dt must be positive and finite, got T={T!r}, dt={dt!r}")
     return max(1, round(T / dt))
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .grids import AtomicMeasure, GridMeasure, NumericalInvariantError, sq_norm
 
@@ -74,8 +75,8 @@ class CaseStudyRepulsion:
     eps: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.eps > 0):
-            raise ValueError("repulsion needs a > 0 and eps > 0")
+        if not (0 < self.a < math.inf and self.eps > 0):
+            raise ValueError("repulsion needs finite a > 0 and eps > 0")
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -148,8 +149,8 @@ class Ball:
     cutoff_b: float
 
     def __post_init__(self):
-        if not (self.radius > 0 and self.cutoff_b > 0):
-            raise ValueError("Ball needs radius > 0 and cutoff_b > 0")
+        if not (0 < self.radius < math.inf and 0 < self.cutoff_b < math.inf):
+            raise ValueError("Ball needs finite radius > 0 and cutoff_b > 0")
 
     def cutoff(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -157,23 +158,14 @@ class Ball:
         return _radial_bump(s2, self.radius, self.cutoff_b)
 
     def cutoff_lipschitz(self) -> float:
-        """Numerically maximized |d/ds| of the radial bump on [0, R)."""
-        from scipy.optimize import minimize_scalar
-
+        """max |d/ds| of the radial bump on [0, R), in closed form. With
+        v = (s/R)^2 the slope is (2b/R) sqrt(v) / (1 - v)^2 exp(-b v / (1 - v)),
+        steepest at the root v* of 3v^2 - 2(1 - b)v - 1 = 0; 1 - v* is taken
+        in its rationalised form, free of cancellation as b -> 0."""
         R, b = self.radius, self.cutoff_b
-
-        def neg_slope(s):
-            u = s * s / (R * R - s * s)
-            return -(2.0 * b * R * R * s / (R * R - s * s) ** 2) * math.exp(-b * u)
-
-        grid = np.linspace(0.0, R * (1 - 1e-9), 4001)
-        vals = np.array([neg_slope(s) for s in grid])
-        j = int(np.argmin(vals))
-        lo = grid[max(j - 1, 0)]
-        hi = grid[min(j + 1, grid.size - 1)]
-        res = minimize_scalar(neg_slope, bounds=(lo, hi), method="bounded",
-                              options={"xatol": R * 1e-14})
-        return float(-min(res.fun, vals[j]))
+        u = 2.0 * b / ((2.0 + b) + math.sqrt((1.0 - b) ** 2 + 3.0))  # 1 - v*
+        v = 1.0 - u
+        return 2.0 * b / R * math.sqrt(v) / (u * u) * math.exp(-b * v / u)
 
 
 @dataclass(frozen=True)
@@ -186,8 +178,8 @@ class Sector:
     cutoff_b: float
 
     def __post_init__(self):
-        if not (self.radius > 0 and self.cutoff_b > 0):
-            raise ValueError("Sector needs radius > 0 and cutoff_b > 0")
+        if not (0 < self.radius < math.inf and 0 < self.cutoff_b < math.inf):
+            raise ValueError("Sector needs finite radius > 0 and cutoff_b > 0")
         if not (0 < self.alpha <= 2 * math.pi):
             raise ValueError(f"alpha must lie in (0, 2*pi], got {self.alpha!r}")
 
@@ -226,6 +218,8 @@ class ConstantDesired:
 
     def __post_init__(self):  # a tuple of floats, so the model hashes by value
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
+        if not all(map(math.isfinite, self.c)):
+            raise ValueError(f"desired velocity must be finite, got {self.c}")
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -270,7 +264,7 @@ class FixedAxis:
     def __post_init__(self):
         object.__setattr__(self, "axis", tuple(float(v) for v in self.axis))
         a = np.asarray(self.axis, dtype=float)
-        if abs(float(np.linalg.norm(a)) - 1.0) > 1e-9:
+        if not abs(float(np.linalg.norm(a)) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError("FixedAxis axis must be a unit vector")
 
 
@@ -316,9 +310,14 @@ class VelocityModel:
             raise ValueError("dim must be >= 1")
         if self.n_agents < 1:
             raise ValueError("n_agents must be >= 1")
+        if isinstance(self.desired, ConstantDesired) and len(self.desired.c) != self.dim:
+            raise ValueError(f"desired velocity {self.desired.c} has "
+                             f"{len(self.desired.c)} components, expected dim = {self.dim}")
         if isinstance(self.neighborhood, Sector):
             if self.dim != 2:
                 raise ValueError("sector neighborhoods are supported in 2D only")
+            if isinstance(self.heading, FixedAxis) and len(self.heading.axis) != 2:
+                raise ValueError(f"heading axis {self.heading.axis} must have 2 components")
             if isinstance(self.heading, FromDesired) and (
                     isinstance(self.desired, ZeroDesired)
                     or (isinstance(self.desired, ConstantDesired)
@@ -432,19 +431,6 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
     return model.n_agents * out
 
 
-def _fft_len(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n. numpy's FFT is several times slower on
-    lengths with a large prime factor."""
-    while True:
-        rest = n
-        for p in (2, 3, 5):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return n
-        n += 1
-
-
 @functools.lru_cache(maxsize=16)
 def _lattice_stencil(model: VelocityModel, h: float) -> np.ndarray:
     """The lattice correlation's stencil, flipped for a convolution:
@@ -485,7 +471,9 @@ def _lattice_interaction(model: VelocityModel, lam: GridMeasure, X: np.ndarray):
     r = math.ceil(model.neighborhood.radius / h)
     lo = lam.indices.min(axis=0)
     full = lam.indices.max(axis=0) - lo + 1 + 2 * r  # extent of the correlation
-    shape = tuple(_fft_len(int(n)) for n in full)
+    # the smallest 2^a 3^b 5^c >= n per axis: numpy's FFT is several times
+    # slower on lengths with a large prime factor
+    shape = tuple(next_fast_len(int(n), real=True) for n in full)
     if math.prod(shape) > min(_LATTICE_MAX_CELLS, lam.occupied * X.shape[0]):
         return None
 

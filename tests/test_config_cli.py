@@ -7,8 +7,7 @@ import pytest
 
 from crowdflow import CaseStudyRepulsion, CustomDesired, Sector, VelocityModel, scheme
 from crowdflow.cli import main
-from crowdflow.config import (ConfigError, case_study_path, load_config,
-                              parse_config, write_config)
+from crowdflow.config import ConfigError, case_study_path, load_config, parse_config
 from crowdflow.wasserstein import w1_grid_atomic
 
 FAST_MODEL = {
@@ -38,6 +37,46 @@ def write_json(tmp_path, data, name="cfg.json"):
     return path
 
 
+UNIFORM = {"type": "uniform_random", "count": 3, "interval": [0.0, 1.0], "seed": 5}
+
+
+def with_raw_value(path, text, **overrides):
+    """The JSON text of fast_config(**overrides) with the value at ``path``
+    replaced by the raw JSON ``text`` (all of it when ``path`` is empty)."""
+    if not path:
+        return text
+    data = json.loads(json.dumps(fast_config(**overrides)))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@@"
+    return json.dumps(data).replace('"@@"', text)
+
+
+# (path, raw JSON value, fast_config overrides): values of the wrong type,
+# not finite, out of range or inconsistent with the rest of the config
+MALFORMED = [
+    (("T",), '"abc"', {}),
+    (("T",), "1e999", {}),
+    (("schedule", "delta"), '"x"', {}),
+    (("schedule", "h"), '"a"', {"schedule": {"h": 0.25, "dt": 0.005}}),
+    (("schedule", "h"), "1e999", {"schedule": {"h": 0.25, "dt": 0.005}}),
+    (("schedule", "v_ref"), "1e999", {}),
+    (("initial", "count"), '"x"', {"initial": UNIFORM}),
+    (("initial", "interval"), "[0, 1, 2]", {"initial": UNIFORM}),
+    (("initial", "interval"), "[0, 1e309]", {"initial": UNIFORM}),
+    (("initial", "seed"), "-5", {"initial": UNIFORM}),
+    (("initial", "weights"), "[0.2, 0.2, 0.2]", {}),
+    (("initial", "weights"), "[0.5, 0.5]", {}),
+    (("initial", "positions"), "[[0.1], [NaN], [0.9]]", {}),
+    (("initial", "positions"), '[[0.1], ["x"], [0.9]]', {}),
+    (("model", "kernel"), "null", {}),
+    ((), "3", {}),
+    (("w1_sample_times",), "0.05", {}),
+    (("w1_sample_times",), "[]", {}),
+]
+
+
 class TestLoadConfig:
     def test_bundled_case_study(self):
         cfg = load_config(case_study_path())
@@ -59,16 +98,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"bad\.json:1:\d+"):
             load_config(path)
 
-    def test_roundtrip(self, tmp_path):
-        cfg = load_config(case_study_path())
-        out = tmp_path / "copy.json"
-        write_config(cfg, out)
-        back = load_config(out)
-        assert back.levels == cfg.levels
-        assert back.T == cfg.T
-        assert back.w1_sample_times == cfg.w1_sample_times
-        assert back.initial == cfg.initial
-        assert back.model == cfg.model
+    def test_non_utf8_file_names_it(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"T": "\xe9"}')
+        with pytest.raises(ConfigError, match=r"latin1\.json: not UTF-8"):
+            load_config(path)
+        assert main(["converge", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "latin1.json" in capsys.readouterr().err
 
     def test_seeded_initial_measure_reproducible(self):
         cfg = load_config(case_study_path())
@@ -137,10 +173,41 @@ class TestValidation:
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
+    def test_empty_sample_times_rejected(self):
+        # the verdict is the last sample time's, so there must be one
+        with pytest.raises(ConfigError, match="w1_sample_times must be nonempty"):
+            parse_config(fast_config(w1_sample_times=[]))
+
+    @pytest.mark.parametrize("path, value, overrides", [
+        (("model", "dim"), 1.5, {}),
+        (("model", "n_agents"), 3.5, {}),
+        (("schedule", "ks"), [4, 8.5], {}),
+        (("initial", "count"), 3.5, {"initial": UNIFORM}),
+        (("initial", "seed"), 5.5, {"initial": UNIFORM}),
+    ], ids=["dim", "n_agents", "ks", "count", "seed"])
+    def test_non_integral_integer_rejected(self, path, value, overrides):
+        data = json.loads(with_raw_value(path, json.dumps(value), **overrides))
+        with pytest.raises(ConfigError, match="expected an integer"):
+            parse_config(data)
+
+    def test_integral_float_accepted(self):
+        data = fast_config(schedule={"delta": 0.5, "ks": [4.0, 8]})
+        assert [k for k, _, _ in parse_config(data).levels] == [4, 8]
+
+    @pytest.mark.parametrize("path, text, overrides", MALFORMED,
+                             ids=[".".join(p or ["config"]) + "=" + t for p, t, _ in MALFORMED])
+    def test_malformed_value_exits_2_before_any_work(self, tmp_path, capsys, path, text,
+                                                     overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(with_raw_value(path, text, **overrides))
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}: invalid ")
+        assert not (tmp_path / "o").exists()
+
     def test_explicit_level_schedule(self):
         cfg = parse_config(fast_config(schedule={"h": 0.25, "dt": 0.005}))
         assert cfg.levels == ((0, 0.25, 0.005),)
-        assert cfg.delta is None
 
 
 class TestCli:
@@ -180,6 +247,29 @@ class TestCli:
     def test_invalid_config_exit_code(self, tmp_path):
         cfg = write_json(tmp_path, fast_config(T=-1.0))
         assert main(["project", "--config", str(cfg)]) == 2
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, fast_config(initial=UNIFORM))
+        with pytest.raises(SystemExit) as exc:
+            main(["particles", "--config", str(cfg), "--seed", "-1",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(err) == 1 and "argument --seed: must be an integer >= 0" in err[0]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out, blocker, named", [("taken", "taken", "taken"),
+                                                     ("taken/below", "taken", "taken/below"),
+                                                     ("o", "o/level_4", "o/level_4")])
+    def test_output_path_taken_by_a_file_exits_2(self, tmp_path, capsys, out, blocker,
+                                                 named):
+        cfg = write_json(tmp_path, fast_config())
+        (tmp_path / blocker).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / blocker).write_text("not a directory")
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot make output directory {tmp_path / named}:")
 
     def test_converge_outputs_and_summary(self, tmp_path, capsys):
         cfg = write_json(tmp_path, fast_config())

@@ -239,6 +239,26 @@ class TestCutoffs:
         quot = np.abs(np.diff(vals)) / np.diff(s[:, 0])
         assert np.max(quot) <= L * (1 + 1e-6)
 
+    @pytest.mark.parametrize("b", [1e-15, 1e-6, 0.02, 1.0, 10.0])
+    def test_ball_lipschitz_is_the_steepest_slope(self, b):
+        L = Ball(R, b).cutoff_lipschitz()
+
+        def slope(w):
+            # |d/ds| of the bump at s = R - w, with R^2 - s^2 = w (2R - w) taken
+            # at full precision however close to R the peak sits (R - R b / 4)
+            s, gap = R - w, w * (2 * R - w)
+            return 2 * b * R * R * s / gap ** 2 * np.exp(-b * s * s / gap)
+
+        w = R * np.logspace(-20, 0, 4001)[:-1]
+        peak = 0.0
+        for _ in range(4):  # refine the grid around its steepest point
+            slopes = slope(w)
+            j = int(np.argmax(slopes))
+            peak = max(peak, slopes[j])
+            w = np.linspace(w[max(j - 1, 0)], w[min(j + 1, w.size - 1)], 1001)
+        assert peak <= L * (1 + 1e-12)
+        assert peak >= L * (1 - 1e-10)
+
     def test_sector_on_axis_matches_radial(self):
         sec = Sector(R, math.pi / 2, B)
         nb = Ball(R, B)
@@ -528,6 +548,14 @@ def query_box(lam, r):
 
 
 class TestLatticeCorrelation:
+    def test_fft_lengths_are_the_next_5_smooth(self):
+        # the padded box's shape, and so the output bits, follow from these
+        smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                        for a in range(15) for b in range(10) for c in range(7))
+        n = np.arange(1, 10 ** 4 + 1)
+        want = np.asarray(smooth)[np.searchsorted(smooth, n)]
+        assert [velocity.next_fast_len(int(k), real=True) for k in n] == want.tolist()
+
     @given(st.integers(1, 2), st.sampled_from([0.02, 0.025, 0.05, 0.03]),
            st.floats(0.0, 2 * math.pi),
            st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12),
