@@ -8,8 +8,8 @@ convergence diagnostics.
 
 __version__ = "0.1.0"
 
-from .grids import (AtomicMeasure, GridMeasure, GridSpec, atomize, cell_center,
-                    cell_of, interpolate, moment, project_atomic, total_mass)
+from .grids import (AtomicMeasure, GridMeasure, GridSpec, atomize, cell_indices,
+                    interpolate, moment, project_atomic, total_mass)
 from .particles import (ParticleState, euler_step, push_forward_atoms,
                         run_particles, to_measure)
 from .scheme import (NumericalInvariantError, StepReport, box_overlap_fractions,
@@ -22,8 +22,8 @@ from .velocity import (Ball, CaseStudyRepulsion, ConstantDesired, CustomDesired,
 from .wasserstein import W1Result, w1_1d, w1_exact, w1_grid_atomic
 
 __all__ = [
-    "AtomicMeasure", "GridMeasure", "GridSpec", "atomize", "cell_center",
-    "cell_of", "interpolate", "moment", "project_atomic", "total_mass",
+    "AtomicMeasure", "GridMeasure", "GridSpec", "atomize", "cell_indices",
+    "interpolate", "moment", "project_atomic", "total_mass",
     "ParticleState", "euler_step", "push_forward_atoms", "run_particles",
     "to_measure",
     "NumericalInvariantError", "StepReport", "box_overlap_fractions",

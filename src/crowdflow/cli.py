@@ -9,14 +9,14 @@ Subcommands: ``project`` (initial data onto each grid level), ``particles``
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, load_config
-from .grids import GridSpec, project_atomic, write_density_csv
+from .config import ConfigError, ExperimentConfig, load_config, time_label
+from .grids import GridSpec, csv_text, project_atomic, write_density_csv
 from .particles import run_particles, to_measure, write_trajectory_csv
 from .scheme import NumericalInvariantError, run, sample_at, step_count
 from .wasserstein import AtomCapError, w1_grid_atomic
@@ -92,7 +92,7 @@ def _run_level(cfg: ExperimentConfig, level, mu0, out: Path):
             while pending and min(int(pending[0][1] / dt), n_steps - 1) == n:
                 t, t_grid = pending.pop(0)
                 lam_t = sample_at(lam, new, n, dt, t_grid)
-                write_density_csv(lam_t, ldir / f"density_t{t:g}.csv")
+                write_density_csv(lam_t, ldir / f"density_t{time_label(t)}.csv")
                 yield t, t_grid, lam_t
             lam = new
 
@@ -108,6 +108,10 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
+# a W1 row: level k's grid at time t_grid against the oracle at sample time t
+W1Row = namedtuple("W1Row", "k h dt t t_grid w1")
+
+
 def cmd_converge(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     mu0 = cfg.initial_measure(args.seed)
@@ -121,47 +125,39 @@ def cmd_converge(cfg: ExperimentConfig, args) -> int:
         oracle_at[t] = to_measure(oracle[min(round(t / oracle_dt), len(oracle) - 1)])
 
     rows = []
-    final_by_k = {}
-    gaps = {}
-    # the time of the grid frame each W1 row compares: a level that runs
-    # round(T/dt) steps may end before a sample time
-    grid_times = {}
     for level in cfg.levels:
         k, h, dt = level
-        grid_times[k], gaps[k] = {}, {}
         # each W1 row is computed at the step that produces its snapshot, so
         # a cap hit stops the level there
         for t, t_grid, lam_t in _run_level(cfg, level, mu0, out):
-            grid_times[k][t] = t_grid
             try:
                 res = w1_grid_atomic(lam_t, oracle_at[t])
             except AtomCapError as exc:
                 raise ConfigError(
                     f"level k={k}, t={t:g}: W1 between {lam_t.occupied} grid atoms and "
                     f"{oracle_at[t].n_atoms} oracle atoms is over the LP cap ({exc})") from exc
-            rows.append((k, h, dt, t, res.distance, res.atomization_bound))
-            gaps[k][t] = res.upper - res.lower
-            if t == times[-1]:
-                final_by_k[k] = res.upper + res.atomization_bound
+            rows.append(W1Row(k, h, dt, t, t_grid, res))
 
-    with open(out / "metrics.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "h", "dt", "t", "w1", "atomization_bound"])
-        for k, h, dt, t, dist, bound in rows:
-            w.writerow([k, repr(h), repr(dt), repr(t), repr(dist), repr(bound)])
+    (out / "metrics.csv").write_text(csv_text(
+        [["k", "h", "dt", "t", "w1", "atomization_bound"]]
+        + [[str(r.k), *map(repr, (r.h, r.dt, r.t, r.w1.distance, r.w1.atomization_bound))]
+           for r in rows]), newline="")
 
-    ks = sorted(final_by_k)
-    vals = [final_by_k[k] for k in ks]
+    finals = [r for r in rows if r.t == times[-1]]  # one per level, in level order
+    ks = [r.k for r in finals]
+    vals = [r.w1.upper + r.w1.atomization_bound for r in finals]
     monotone = all(b < a for a, b in zip(vals, vals[1:])) if len(vals) > 1 else None
+
+    def per_level(value):
+        return {str(k): {time_label(r.t): value(r) for r in rows if r.k == k} for k in ks}
+
     summary = {"ks": ks, "t_final": times[-1],
-               "w1_plus_bound": {str(k): final_by_k[k] for k in ks},
+               "w1_plus_bound": dict(zip(map(str, ks), vals)),
                "monotone_decrease": monotone,
-               "grid_sample_times": {str(k): {f"{t:g}": tg for t, tg in grid_times[k].items()}
-                                     for k in ks},
-               "w1_gap": {str(k): {f"{t:g}": gap for t, gap in gaps[k].items()} for k in ks}}
+               "grid_sample_times": per_level(lambda r: r.t_grid),
+               "w1_gap": per_level(lambda r: r.w1.upper - r.w1.lower)}
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    early = [f"k={k} t={t:g} at t={tg!r}" for k in ks for t, tg in grid_times[k].items()
-             if tg < t]
+    early = [f"k={r.k} t={r.t:g} at t={r.t_grid!r}" for r in rows if r.t_grid < r.t]
     if early:
         print(f"warning: the grid run ends before the sample time, so W1 compares the "
               f"grid at an earlier time than the oracle: {', '.join(early)}", file=sys.stderr)

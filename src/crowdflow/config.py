@@ -39,17 +39,29 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _typed(value, kind: type = list):
+    """value, refused unless of type kind: a string must not pass for a list."""
+    if not isinstance(value, kind):
+        raise TypeError(f"expected a {kind.__name__}, got {value!r}")
+    return value
+
+
+def time_label(t: float) -> str:
+    """Sample time t as outputs name it: density_t<label>.csv, summary.json keys."""
+    return f"{t:g}"
+
+
 # Each model part's type names: the class built and its constructor's fields,
 # in order, each with the conversion its JSON value gets.
 _TYPES = {
     "desired": {"zero": (ZeroDesired, {}),
-                "constant": (ConstantDesired, {"c": tuple})},
+                "constant": (ConstantDesired, {"c": _typed})},
     "kernel": {"case_study": (CaseStudyRepulsion, {"a": float, "eps": float}),
                "attraction": (PrototypeAttraction, {"R": float})},
     "neighborhood": {"ball": (Ball, {"R": float, "b": float}),
                      "sector": (Sector, {"R": float, "alpha": float, "b": float})},
     "heading": {"from_desired": (FromDesired, {}),
-                "fixed_axis": (FixedAxis, {"axis": tuple})},
+                "fixed_axis": (FixedAxis, {"axis": _typed})},
 }
 
 
@@ -104,7 +116,7 @@ def _read_initial(block, n_agents: int) -> dict:
                 "weights": block.get("weights")}
         agents = len(init["positions"])
     elif kind == "uniform_random":
-        lo, hi = map(float, _require(block, "interval", "initial"))
+        lo, hi = map(float, _typed(_require(block, "interval", "initial")))
         if not (hi > lo):
             raise ConfigError("initial.interval must be increasing")
         init = {"type": kind, "count": _integer(_require(block, "count", "initial")),
@@ -132,7 +144,7 @@ def parse_config(data, source: str = "<config>") -> ExperimentConfig:
         if "ks" in sched:
             v_ref = float(sched["v_ref"]) if "v_ref" in sched else velocity_bound(model)
             levels = mesh_schedule(v_ref, float(_require(sched, "delta", "schedule")),
-                                   [_integer(k) for k in sched["ks"]])
+                                   [_integer(k) for k in _typed(sched["ks"])])
         elif "h" in sched and "dt" in sched:
             levels = ((0, float(sched["h"]), float(sched["dt"])),)
         else:
@@ -141,17 +153,20 @@ def parse_config(data, source: str = "<config>") -> ExperimentConfig:
             GridSpec(model.dim, h)
             step_count(T, dt)
         part = "w1_sample_times"
-        times = tuple(float(t) for t in data.get("w1_sample_times", (T / 2.0, T)))
+        times = tuple(float(t) for t in _typed(data.get("w1_sample_times", [T / 2.0, T])))
         if not times:
             raise ConfigError("w1_sample_times must be nonempty")
         for t in times:
             if not (0.0 <= t <= T):
                 raise ConfigError(f"w1 sample time {t!r} outside [0, T]")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ConfigError(f"w1_sample_times must be strictly increasing, "
-                              f"got {list(times)}")
+        # the labels of increasing times never decrease, so equal ones are adjacent
+        for a, b in zip(times, times[1:]):
+            if not (b > a and time_label(b) != time_label(a)):
+                raise ConfigError(f"w1_sample_times must be strictly increasing and differ in "
+                                  f"6 significant digits, got {a!r} then {b!r}")
+        part = "outputs"
         cfg = ExperimentConfig(model=model, initial=initial, T=T, levels=levels,
-                               outputs=str(data.get("outputs", "out")),
+                               outputs=_typed(data.get("outputs", "out"), str),
                                w1_sample_times=times)
         part = "initial"
         mu0 = cfg.initial_measure()

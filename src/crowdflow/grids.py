@@ -41,19 +41,12 @@ class GridSpec:
         return self.cell_width ** self.dim
 
 
-def cell_of(spec: GridSpec, x) -> tuple:
-    """Index of the unique cell containing x (boundary points go up)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dim,):
-        raise ValueError(f"point has shape {x.shape}, expected ({spec.dim},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("point must be finite")
-    return tuple(int(v) for v in np.floor(x / spec.cell_width + 0.5))
-
-
-def cell_center(spec: GridSpec, i) -> np.ndarray:
-    """Center i*h of cell i."""
-    return np.asarray(i, dtype=float) * spec.cell_width
+def cell_indices(spec: GridSpec, X: np.ndarray) -> np.ndarray:
+    """Indices floor(x/h + 1/2) of the cells containing the finite points x
+    of X (..., d), as int64; a point on a cell boundary lies in the cell above."""
+    if X.shape[-1:] != (spec.dim,):
+        raise ValueError(f"points of shape {X.shape} do not lie in {spec.dim}D")
+    return np.floor(X / spec.cell_width + 0.5).astype(np.int64)
 
 
 def sq_norm(z: np.ndarray) -> np.ndarray:
@@ -115,15 +108,16 @@ class GridMeasure:
         return int(self.indices.shape[0])
 
     def centers(self) -> np.ndarray:
+        """Center i*h of each occupied cell i."""
         return self.indices * self.spec.cell_width
 
     def cell_masses(self) -> np.ndarray:
         return self.rho * self.spec.cell_volume
 
-    def validate_probability(self, tol: float = MASS_TOL) -> None:
+    def validate_probability(self) -> None:
         mass = total_mass(self)
-        if abs(mass - 1.0) > tol:
-            raise ValueError(f"total mass {mass!r} differs from 1 by more than {tol}")
+        if abs(mass - 1.0) > MASS_TOL:
+            raise ValueError(f"total mass {mass!r} differs from 1 by more than {MASS_TOL}")
 
 
 class AtomicMeasure:
@@ -188,10 +182,8 @@ class AtomicMeasure:
 
 def project_atomic(mu_bar: AtomicMeasure, spec: GridSpec) -> GridMeasure:
     """Cell-average projection: rho_i = (atomic mass of cell i) / h^d."""
-    if mu_bar.dim != spec.dim:
-        raise ValueError(f"measure dim {mu_bar.dim} != grid dim {spec.dim}")
-    idx = np.floor(mu_bar.positions / spec.cell_width + 0.5).astype(np.int64)
-    return GridMeasure(spec, idx, mu_bar.weights / spec.cell_volume)
+    return GridMeasure(spec, cell_indices(spec, mu_bar.positions),
+                       mu_bar.weights / spec.cell_volume)
 
 
 def total_mass(lam: GridMeasure) -> float:
@@ -232,17 +224,24 @@ def interpolate(a: GridMeasure, b: GridMeasure, theta: float) -> GridMeasure:
     return GridMeasure(a.spec, idx, rho)
 
 
+def csv_text(rows) -> str:
+    """The text ``csv.writer`` writes for ``rows`` of preformatted fields that
+    are nonempty and need no quoting, such as ints and ``repr``'d floats."""
+    text = "\r\n".join(map(",".join, rows))
+    return text + "\r\n" if text else text
+
+
 def write_density_csv(lam: GridMeasure, path) -> None:
     """Snapshot CSV: index_*, center_*, rho; one row per occupied cell."""
     lam.validate_probability()
     d = lam.spec.dim
     header = [f"index_{l}" for l in range(d)] + [f"center_{l}" for l in range(d)] + ["rho"]
-    centers = lam.centers()
+    columns = ([map(str, c) for c in lam.indices.T.tolist()]
+               + [map(repr, c) for c in lam.centers().T.tolist()]
+               + [map(repr, lam.rho.tolist())])
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i, c, r in zip(lam.indices, centers, lam.rho):
-            w.writerow([*(int(v) for v in i), *(repr(float(v)) for v in c), repr(float(r))])
+        fh.write(csv_text([header]))
+        fh.write(csv_text(zip(*columns)))
 
 
 def read_density_csv(spec: GridSpec, path) -> GridMeasure:

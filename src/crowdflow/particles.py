@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import AtomicMeasure
+from .grids import AtomicMeasure, csv_text
+from .scheme import step_count
 from .velocity import VelocityModel, eval_atomic_many
 
 
@@ -71,32 +72,24 @@ def euler_step(state: ParticleState, model: VelocityModel, dt: float) -> Particl
 
 
 def run_particles(x0, model: VelocityModel, T: float, dt: float) -> tuple:
-    """The states at t_n = n*dt of round(T/dt) Euler steps from the initial
-    positions x0, the initial state first."""
-    if not (T > 0 and dt > 0):
-        raise ValueError("T and dt must be positive")
+    """The states at t_n = n*dt of step_count(T, dt) Euler steps from the
+    initial positions x0, the initial state first."""
     state = ParticleState(np.asarray(x0, dtype=float), 0.0)
     states = [state]
-    for _ in range(max(1, round(T / dt))):
+    for _ in range(step_count(T, dt)):
         state = euler_step(state, model, dt)
         states.append(state)
     return tuple(states)
 
 
 def write_trajectory_csv(states, path) -> None:
-    """CSV with one row per (t, particle), sorted by time then particle.
-
-    The bytes are those ``csv.writer`` writes for the row
-    ``[repr(t), particle, repr(x_0), ...]``: no value needs quoting, since
-    positions and times are finite floats, so each state's rows are joined
-    directly and written at once, with csv's default CRLF line ends.
-    """
+    """CSV with one row ``t, particle, x_0, ...`` per (t, particle), sorted by
+    time then particle; each state's rows are written at once."""
     n, d = states[0].positions.shape
     header = ["t", "particle"] + [f"x_{l}" for l in range(d)]
     particles = [str(l) for l in range(n)]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(csv_text([header]))
         for s in states:
             columns = [map(repr, c) for c in s.positions.T.tolist()]
-            rows = zip(itertools.repeat(repr(float(s.t))), particles, *columns)
-            fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
+            fh.write(csv_text(zip(itertools.repeat(repr(float(s.t))), particles, *columns)))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (GridMeasure, GridSpec, NumericalInvariantError, interpolate,
-                    sq_norm, total_mass)
+from .grids import (MASS_TOL, GridMeasure, GridSpec, NumericalInvariantError,
+                    interpolate, sq_norm, total_mass)
 from .velocity import VelocityModel, eval_grid_many, velocity_bound
 
 DEFAULT_MAX_OCCUPIED = 10 ** 7
@@ -113,9 +113,9 @@ def run(lam0: GridMeasure, model: VelocityModel, T: float, dt: float,
     lam = lam0
     for n in range(step_count(T, dt)):
         lam, rep = step(lam, model, dt)
-        if rep.mass_error > 1e-10:
+        if rep.mass_error > MASS_TOL:
             raise NumericalInvariantError(
-                f"mass error {rep.mass_error:.3e} at step {n + 1} exceeds 1e-10")
+                f"mass error {rep.mass_error:.3e} at step {n + 1} exceeds {MASS_TOL}")
         if rep.occupied_cells > max_occupied:
             raise NumericalInvariantError(
                 f"support blow-up: {rep.occupied_cells} occupied cells at "

@@ -133,12 +133,13 @@ class CustomKernel:
 # ---------------------------------------------------------------------------
 # neighborhoods and cutoffs
 
-def _radial_bump(s2: np.ndarray, radius: float, b: float) -> np.ndarray:
-    """exp(-b s^2 / (R^2 - s^2)) inside the ball, 0 outside (s2 = |z|^2)."""
-    r2 = radius * radius
-    with np.errstate(all="ignore"):  # the exponent outside the ball is never used
-        expo = -b * s2 / (r2 - s2)
-    return np.exp(expo, out=np.zeros_like(expo), where=s2 < r2)
+def _bump(s2: np.ndarray, edge: float, b: float) -> np.ndarray:
+    """exp(-b s^2 / (e^2 - s^2)) where s^2 < e^2, else 0 (s2 = s^2): the radial
+    bump at s = |z|, e = R and the angular one at s = phi, e = alpha/2."""
+    e2 = edge * edge
+    with np.errstate(all="ignore"):  # the exponent outside the edge is never used
+        expo = -b * s2 / (e2 - s2)
+    return np.exp(expo, out=np.zeros_like(expo), where=s2 < e2)
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,7 @@ class Ball:
     def cutoff(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         s2 = sq_norm(z)
-        return _radial_bump(s2, self.radius, self.cutoff_b)
+        return _bump(s2, self.radius, self.cutoff_b)
 
     def cutoff_lipschitz(self) -> float:
         """max |d/ds| of the radial bump on [0, R), in closed form. With
@@ -186,17 +187,12 @@ class Sector:
     def cutoff(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         s2 = sq_norm(z)
-        radial = _radial_bump(s2, self.radius, self.cutoff_b)
+        radial = _bump(s2, self.radius, self.cutoff_b)
         s = np.sqrt(s2)
         with np.errstate(invalid="ignore", divide="ignore"):
             cosphi = np.where(s > 0, z[..., 0] / np.where(s > 0, s, 1.0), 1.0)
         phi = np.arccos(np.clip(cosphi, -1.0, 1.0))
-        half = self.alpha / 2.0
-        phi2 = phi ** 2
-        with np.errstate(all="ignore"):  # the exponent off the sector is never used
-            expo = -self.cutoff_b * phi2 / (half * half - phi2)
-        angular = np.exp(expo, out=np.zeros_like(expo), where=phi < half)
-        angular = np.where(s == 0, 1.0, angular)
+        angular = np.where(s == 0, 1.0, _bump(phi ** 2, self.alpha / 2.0, self.cutoff_b))
         return radial * angular
 
 

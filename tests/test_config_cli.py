@@ -38,6 +38,10 @@ def write_json(tmp_path, data, name="cfg.json"):
 
 
 UNIFORM = {"type": "uniform_random", "count": 3, "interval": [0.0, 1.0], "seed": 5}
+SECTOR_2D = {"model": dict(FAST_MODEL, dim=2, desired={"type": "constant", "c": [1.0, 0.0]},
+                           neighborhood={"type": "sector", "R": 0.1, "alpha": 1.0, "b": 0.02},
+                           heading={"type": "fixed_axis", "axis": [1.0, 0.0]}),
+             "initial": {"type": "atoms", "positions": [[0.1, 0.1], [0.5, 0.5], [0.9, 0.9]]}}
 
 
 def with_raw_value(path, text, **overrides):
@@ -74,6 +78,14 @@ MALFORMED = [
     ((), "3", {}),
     (("w1_sample_times",), "0.05", {}),
     (("w1_sample_times",), "[]", {}),
+    # strings where a list belongs, which would be read character by character
+    (("schedule", "ks"), '"48"', {}),
+    (("model", "desired", "c"), '"10"', SECTOR_2D),
+    (("model", "heading", "axis"), '"10"', SECTOR_2D),
+    (("initial", "interval"), '"01"', {"initial": UNIFORM}),
+    (("w1_sample_times",), '"0"', {}),
+    (("outputs",), "null", {}),
+    (("outputs",), "5", {}),
 ]
 
 
@@ -172,6 +184,20 @@ class TestValidation:
         cfg = write_json(tmp_path, fast_config(w1_sample_times=times))
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
+
+    def test_sample_times_with_one_label_rejected(self, tmp_path):
+        # both would be written to density_t0.005.csv and keyed "0.005" in summary.json
+        times = [0.0050000001, 0.0050000002, 0.01]
+        with pytest.raises(ConfigError, match=r"got 0\.0050000001 then 0\.0050000002"):
+            parse_config(fast_config(w1_sample_times=times))
+        cfg = write_json(tmp_path, fast_config(w1_sample_times=times))
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_outputs_default(self):
+        data = fast_config()
+        del data["outputs"]
+        assert parse_config(data).outputs == "out"
 
     def test_empty_sample_times_rejected(self):
         # the verdict is the last sample time's, so there must be one

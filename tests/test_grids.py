@@ -1,33 +1,37 @@
+import csv
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from crowdflow import (AtomicMeasure, GridMeasure, GridSpec, atomize,
-                       cell_center, cell_of, interpolate, moment,
+                       cell_indices, interpolate, moment,
                        project_atomic, total_mass, w1_exact)
-from crowdflow.grids import read_density_csv, write_density_csv
+from crowdflow.grids import csv_text, read_density_csv, write_density_csv
 
 
 class TestCells:
     def test_center_of_reference_cell(self):
-        assert cell_of(GridSpec(1, 1.0), [0.0]) == (0,)
+        assert tuple(cell_indices(GridSpec(1, 1.0), np.array([0.0]))) == (0,)
 
     def test_half_open_boundary_goes_up(self):
-        assert cell_of(GridSpec(1, 1.0), [0.5]) == (1,)
+        assert tuple(cell_indices(GridSpec(1, 1.0), np.array([0.5]))) == (1,)
 
     def test_2d_mixed_signs(self):
         # 0.3 in [0.25, 0.75), -0.3 in [-0.75, -0.25)
-        assert cell_of(GridSpec(2, 0.5), [0.3, -0.3]) == (1, -1)
+        assert tuple(cell_indices(GridSpec(2, 0.5), np.array([0.3, -0.3]))) == (1, -1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            cell_of(GridSpec(2, 1.0), [0.0])
+            cell_indices(GridSpec(2, 1.0), np.array([0.0]))
 
     def test_centers(self):
-        assert cell_center(GridSpec(1, 1.0), (0,)) == 0.0
-        np.testing.assert_allclose(cell_center(GridSpec(2, 0.5), (1, -1)), [0.5, -0.5])
-        np.testing.assert_allclose(cell_center(GridSpec(1, 0.1), (7,)), 0.7)
+        assert GridMeasure(GridSpec(1, 1.0), [(0,)], [1.0]).centers() == 0.0
+        np.testing.assert_allclose(GridMeasure(GridSpec(2, 0.5), [(1, -1)], [1.0]).centers(),
+                                   [[0.5, -0.5]])
+        np.testing.assert_allclose(GridMeasure(GridSpec(1, 0.1), [(7,)], [1.0]).centers(), [[0.7]])
 
     @given(st.integers(1, 3), st.floats(0.01, 10.0),
            st.lists(st.floats(-100, 100), min_size=3, max_size=3))
@@ -35,7 +39,7 @@ class TestCells:
     def test_partition_property(self, dim, h, coords):
         spec = GridSpec(dim, h)
         x = np.array(coords[:dim])
-        i = cell_of(spec, x)
+        i = cell_indices(spec, x)
         lo = (np.array(i) - 0.5) * h
         assert np.all(x >= lo) and np.all(x < lo + h)
 
@@ -158,3 +162,53 @@ class TestValidationAndIO:
         back = AtomicMeasure.from_json(mu.to_json())
         np.testing.assert_array_equal(back.positions, mu.positions)
         np.testing.assert_array_equal(back.weights, mu.weights)
+
+
+def csv_writer_text(rows) -> str:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def write_density_csv_loop(lam, path) -> None:
+    """The csv.writer loop that write_density_csv replaced, kept as its reference."""
+    d = lam.spec.dim
+    header = [f"index_{l}" for l in range(d)] + [f"center_{l}" for l in range(d)] + ["rho"]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i, c, r in zip(lam.indices, lam.centers(), lam.rho):
+            w.writerow([*(int(v) for v in i), *(repr(float(v)) for v in c), repr(float(r))])
+
+
+FLOATS = st.one_of(st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+def csv_column(n):
+    """n fields of one column: ints, as str, or finite floats, as repr."""
+    ints = st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=n, max_size=n)
+    floats = st.lists(FLOATS, min_size=n, max_size=n)
+    return st.one_of(ints.map(lambda c: [str(v) for v in c]),
+                     floats.map(lambda c: [repr(v) for v in c]))
+
+
+class TestCsvText:
+    @given(st.integers(0, 8).flatmap(lambda n: st.lists(csv_column(n), min_size=1, max_size=6)))
+    @example([[]])
+    @example([["-0.0", "5e-324", "1e+300"], ["-3", "0", "-9223372036854775808"]])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_csv_writer(self, columns):
+        rows = list(zip(*columns))
+        assert csv_text(rows) == csv_writer_text(rows)
+
+    @given(st.integers(1, 3), st.integers(1, 60), st.floats(0.01, 10.0),
+           st.floats(1e-3, 1e3), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_density_csv_matches_csv_writer_loop(self, tmp_path, d, n, h, scale, seed):
+        rng = np.random.default_rng(seed)
+        lam = project_atomic(AtomicMeasure(scale * rng.normal(size=(n, d))), GridSpec(d, h))
+        write_density_csv(lam, tmp_path / "new.csv")
+        write_density_csv_loop(lam, tmp_path / "loop.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()

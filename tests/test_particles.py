@@ -193,6 +193,12 @@ class TestRunParticles:
         with pytest.raises(ValueError):
             ParticleState(np.array([[np.inf]]), 0.0)
 
+    @pytest.mark.parametrize("T, dt", [(math.inf, 0.1), (0.1, math.inf), (0.1, 0.0)])
+    def test_step_count_is_the_schemes(self, T, dt):
+        # the oracle takes scheme.step_count's steps, and its refusals name T and dt
+        with pytest.raises(ValueError, match=r"T=.*dt="):
+            run_particles([[0.0]], repulsion_model(1), T=T, dt=dt)
+
 
 def to_measure_loop(state):
     """The dict loop that to_measure replaced, kept as its reference."""

@@ -17,8 +17,8 @@ from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
 from crowdflow import velocity, wasserstein
 from crowdflow.config import build_model, case_study_path
 from crowdflow.grids import sq_norm
-from crowdflow.velocity import (CustomDesired, _headings, _interaction_sum,
-                                _lattice_interaction, _radial_bump)
+from crowdflow.velocity import (CustomDesired, _bump, _headings, _interaction_sum,
+                                _lattice_interaction)
 
 A, EPS, R, B = 0.01, 0.025, 0.1, 0.02
 
@@ -110,13 +110,13 @@ def sector_cutoff_compress(sector, z):
 
 def ball_cutoff_sum_form(ball, z):
     z = np.asarray(z, dtype=float)
-    return _radial_bump(np.sum(z * z, axis=-1), ball.radius, ball.cutoff_b)
+    return _bump(np.sum(z * z, axis=-1), ball.radius, ball.cutoff_b)
 
 
 def sector_cutoff_sum_form(sector, z):
     z = np.asarray(z, dtype=float)
     s2 = np.sum(z * z, axis=-1)
-    radial = _radial_bump(s2, sector.radius, sector.cutoff_b)
+    radial = _bump(s2, sector.radius, sector.cutoff_b)
     s = np.sqrt(s2)
     with np.errstate(invalid="ignore", divide="ignore"):
         cosphi = np.where(s > 0, z[..., 0] / np.where(s > 0, s, 1.0), 1.0)
@@ -200,7 +200,7 @@ class TestCutoffs:
         edges = [0.0, np.nextafter(r2, 0.0), r2, np.nextafter(r2, 1.0), 2 * r2, 1e300]
         s2 = np.concatenate([edges, rng.uniform(0.0, 2 * r2, 500)])
         for b in (B, 1e-15, 50.0):
-            assert _radial_bump(s2, R, b).tobytes() == radial_bump_compress(s2, R, b).tobytes()
+            assert _bump(s2, R, b).tobytes() == radial_bump_compress(s2, R, b).tobytes()
         # (0, y) sits at phi = arccos(0) exactly: the angular bump's edge falls
         # on it, one ulp beyond it and one ulp short of it
         edge = np.arccos(0.0)
