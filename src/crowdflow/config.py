@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grids import AtomicMeasure, GridSpec
+from .grids import AtomicMeasure, GridSpec, cell_indices
 from .scheme import mesh_schedule, step_count
 from .velocity import (Ball, CaseStudyRepulsion, ConstantDesired, FixedAxis,
                        FromDesired, PrototypeAttraction, Sector, VelocityModel,
@@ -32,9 +32,17 @@ def _require(block, key: str, where: str):
     return block[key]
 
 
+def _number(value) -> float:
+    """float(value) for a JSON number: a string or a boolean is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """int(value), refusing the non-integral floats that int() would truncate."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value) for a JSON number, refusing the non-integral floats that
+    int() would truncate."""
+    if not _number(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
@@ -46,6 +54,11 @@ def _typed(value, kind: type = list):
     return value
 
 
+def _numbers(value) -> list:
+    """A JSON list of numbers, or of such lists, as floats."""
+    return [_numbers(v) if isinstance(v, list) else _number(v) for v in _typed(value)]
+
+
 def time_label(t: float) -> str:
     """Sample time t as outputs name it: density_t<label>.csv, summary.json keys."""
     return f"{t:g}"
@@ -55,13 +68,13 @@ def time_label(t: float) -> str:
 # in order, each with the conversion its JSON value gets.
 _TYPES = {
     "desired": {"zero": (ZeroDesired, {}),
-                "constant": (ConstantDesired, {"c": _typed})},
-    "kernel": {"case_study": (CaseStudyRepulsion, {"a": float, "eps": float}),
-               "attraction": (PrototypeAttraction, {"R": float})},
-    "neighborhood": {"ball": (Ball, {"R": float, "b": float}),
-                     "sector": (Sector, {"R": float, "alpha": float, "b": float})},
+                "constant": (ConstantDesired, {"c": _numbers})},
+    "kernel": {"case_study": (CaseStudyRepulsion, {"a": _number, "eps": _number}),
+               "attraction": (PrototypeAttraction, {"R": _number})},
+    "neighborhood": {"ball": (Ball, {"R": _number, "b": _number}),
+                     "sector": (Sector, {"R": _number, "alpha": _number, "b": _number})},
     "heading": {"from_desired": (FromDesired, {}),
-                "fixed_axis": (FixedAxis, {"axis": _typed})},
+                "fixed_axis": (FixedAxis, {"axis": _numbers})},
 }
 
 
@@ -112,11 +125,12 @@ def build_model(block: dict) -> VelocityModel:
 def _read_initial(block, n_agents: int) -> dict:
     kind = _require(block, "type", "initial")
     if kind == "atoms":
-        init = {"type": kind, "positions": _require(block, "positions", "initial"),
-                "weights": block.get("weights")}
+        weights = block.get("weights")
+        init = {"type": kind, "positions": _numbers(_require(block, "positions", "initial")),
+                "weights": None if weights is None else _numbers(weights)}
         agents = len(init["positions"])
     elif kind == "uniform_random":
-        lo, hi = map(float, _typed(_require(block, "interval", "initial")))
+        lo, hi = _numbers(_require(block, "interval", "initial"))
         if not (hi > lo):
             raise ConfigError("initial.interval must be increasing")
         init = {"type": kind, "count": _integer(_require(block, "count", "initial")),
@@ -138,22 +152,22 @@ def parse_config(data, source: str = "<config>") -> ExperimentConfig:
         part = "initial"
         initial = _read_initial(_require(data, "initial", "config"), model.n_agents)
         part = "T"
-        T = float(_require(data, "T", "config"))
+        T = _number(_require(data, "T", "config"))
         part = "schedule"
         sched = _require(data, "schedule", "config")
         if "ks" in sched:
-            v_ref = float(sched["v_ref"]) if "v_ref" in sched else velocity_bound(model)
-            levels = mesh_schedule(v_ref, float(_require(sched, "delta", "schedule")),
+            v_ref = _number(sched["v_ref"]) if "v_ref" in sched else velocity_bound(model)
+            levels = mesh_schedule(v_ref, _number(_require(sched, "delta", "schedule")),
                                    [_integer(k) for k in _typed(sched["ks"])])
         elif "h" in sched and "dt" in sched:
-            levels = ((0, float(sched["h"]), float(sched["dt"])),)
+            levels = ((0, _number(sched["h"]), _number(sched["dt"])),)
         else:
             raise ConfigError("schedule needs either {delta, ks} or {h, dt}")
         for _, h, dt in levels:  # what every command builds per level
             GridSpec(model.dim, h)
             step_count(T, dt)
         part = "w1_sample_times"
-        times = tuple(float(t) for t in _typed(data.get("w1_sample_times", [T / 2.0, T])))
+        times = tuple(_numbers(data.get("w1_sample_times", [T / 2.0, T])))
         if not times:
             raise ConfigError("w1_sample_times must be nonempty")
         for t in times:
@@ -173,6 +187,12 @@ def parse_config(data, source: str = "<config>") -> ExperimentConfig:
         if mu0.dim != model.dim:
             raise ConfigError(f"initial atoms have dimension {mu0.dim}, "
                               f"expected model.dim = {model.dim}")
+        # every level's cells must index the atoms, or the interval's corners,
+        # whatever seed draws them
+        extremes = (mu0.positions if initial["type"] == "atoms"
+                    else np.outer(initial["interval"], np.ones(model.dim)))
+        for _, h, _ in levels:
+            cell_indices(GridSpec(model.dim, h), extremes)
     except (TypeError, ValueError, OverflowError) as exc:
         hint = ""
         if "vanishing desired" in str(exc):

@@ -42,11 +42,16 @@ class GridSpec:
 
 
 def cell_indices(spec: GridSpec, X: np.ndarray) -> np.ndarray:
-    """Indices floor(x/h + 1/2) of the cells containing the finite points x
-    of X (..., d), as int64; a point on a cell boundary lies in the cell above."""
+    """Indices floor(x/h + 1/2) of the cells containing the points x of X
+    (..., d), as int64; a point on a cell boundary lies in the cell above.
+    Points must lie within 2^53 cells of 0, where int64 and float agree."""
     if X.shape[-1:] != (spec.dim,):
         raise ValueError(f"points of shape {X.shape} do not lie in {spec.dim}D")
-    return np.floor(X / spec.cell_width + 0.5).astype(np.int64)
+    q = X / spec.cell_width
+    if not np.all(np.abs(q) < 2.0 ** 53):  # NaN fails too
+        raise ValueError(f"a point lies 2^53 or more cells of width "
+                         f"{spec.cell_width!r} from the origin")
+    return np.floor(q + 0.5).astype(np.int64)
 
 
 def sq_norm(z: np.ndarray) -> np.ndarray:

@@ -106,20 +106,20 @@ def step_count(T: float, dt: float) -> int:
     return max(1, round(T / dt))
 
 
-def run(lam0: GridMeasure, model: VelocityModel, T: float, dt: float,
-        max_occupied: int = DEFAULT_MAX_OCCUPIED):
+def run(lam0: GridMeasure, model: VelocityModel, T: float, dt: float):
     """Iterate the scheme for step_count(T, dt) steps from lam0, yielding
-    ``(lam, report)`` after each step; no frame is kept."""
+    ``(lam, report)`` after each step; no frame is kept. More occupied cells
+    than DEFAULT_MAX_OCCUPIED break the run."""
     lam = lam0
     for n in range(step_count(T, dt)):
         lam, rep = step(lam, model, dt)
         if rep.mass_error > MASS_TOL:
             raise NumericalInvariantError(
                 f"mass error {rep.mass_error:.3e} at step {n + 1} exceeds {MASS_TOL}")
-        if rep.occupied_cells > max_occupied:
+        if rep.occupied_cells > DEFAULT_MAX_OCCUPIED:
             raise NumericalInvariantError(
                 f"support blow-up: {rep.occupied_cells} occupied cells at "
-                f"step {n + 1} exceed the cap {max_occupied}")
+                f"step {n + 1} exceed the cap {DEFAULT_MAX_OCCUPIED}")
         yield lam, rep
 
 

@@ -5,7 +5,7 @@ The field evaluated against a measure mu is
     v[mu](x) = v_d(x) + N * sum_l w_l * F(x_l - x) * sigma_{U_x}(x_l),
 
 with a pairwise kernel F, a bounded interaction neighborhood U_x (ball, or a
-sector rotated to face the agent's heading in 2D), and a smooth cutoff sigma
+sector turned to face the agent's heading in 2D), and a smooth cutoff sigma
 that vanishes on the neighborhood boundary.
 """
 
@@ -40,12 +40,6 @@ _EVAL_CHUNK = 1 << 14
 # at n = 64, as before; the 1D crossover lies between n = 48 and 64, the 2D
 # one below 32 (2-CPU x86 VM, numpy 2.4, one thread).
 _DENSE_MAX_PAIRS = 63 * 63
-# The pair sum's window reaches R * (1 + _WINDOW_SLACK) from the query's
-# first coordinate. A ball needs no slack: rounding is monotone, so a computed
-# |y - x|^2 below R^2 implies |y_0 - x_0| < R exactly. A sector's frame
-# rotation may shorten an offset by 5e-13 relative, as Rotation2 admits
-# cos^2 + sin^2 within 1e-12 of 1, plus a few ulps of rounding.
-_WINDOW_SLACK = 1e-11
 # Memory ceiling on the padded box of the lattice correlation: at 2^22 cells a
 # real array takes 32 MB, and the correlation peaks at about 150 MB. Past it
 # the pair sum runs instead, in blocks of _EVAL_CHUNK pairs.
@@ -171,8 +165,8 @@ class Ball:
 
 @dataclass(frozen=True)
 class Sector:
-    """Circular sector of angular width alpha about the +x reference axis,
-    with a radial bump times an angular bump vanishing at the sector edge."""
+    """Circular sector of angular width alpha about a unit heading (by default
+    +x), with a radial bump times an angular bump vanishing at the sector edge."""
 
     radius: float
     alpha: float
@@ -184,13 +178,17 @@ class Sector:
         if not (0 < self.alpha <= 2 * math.pi):
             raise ValueError(f"alpha must lie in (0, 2*pi], got {self.alpha!r}")
 
-    def cutoff(self, z: np.ndarray) -> np.ndarray:
+    def cutoff(self, z: np.ndarray, heading=(1.0, 0.0)) -> np.ndarray:
+        """Cutoff at the offsets z (..., 2) of the sector facing the unit headings
+        u, which broadcast against z: at the angle phi to u, cos(phi) = u.z / |z|."""
         z = np.asarray(z, dtype=float)
+        u = np.asarray(heading, dtype=float)
         s2 = sq_norm(z)
         radial = _bump(s2, self.radius, self.cutoff_b)
         s = np.sqrt(s2)
+        dot = u[..., 0] * z[..., 0] + u[..., 1] * z[..., 1]
         with np.errstate(invalid="ignore", divide="ignore"):
-            cosphi = np.where(s > 0, z[..., 0] / np.where(s > 0, s, 1.0), 1.0)
+            cosphi = np.where(s > 0, dot / np.where(s > 0, s, 1.0), 1.0)
         phi = np.arccos(np.clip(cosphi, -1.0, 1.0))
         angular = np.where(s == 0, 1.0, _bump(phi ** 2, self.alpha / 2.0, self.cutoff_b))
         return radial * angular
@@ -242,6 +240,12 @@ class CustomDesired:
         return _call_vectorised(self.func, X)
 
 
+def _check_unit(sq, what: str) -> None:
+    """The one unit-vector rule: each squared length in sq is within 1e-12 of 1."""
+    if not np.all(np.abs(sq - 1.0) <= 1e-12):  # NaN fails too
+        raise ValueError(f"{what} must be a unit vector, |a|^2 within 1e-12 of 1")
+
+
 class VanishingHeadingError(NumericalInvariantError, ValueError):
     """The desired velocity vanishes where a sector needs its heading."""
 
@@ -259,9 +263,7 @@ class FixedAxis:
 
     def __post_init__(self):
         object.__setattr__(self, "axis", tuple(float(v) for v in self.axis))
-        a = np.asarray(self.axis, dtype=float)
-        if not abs(float(np.linalg.norm(a)) - 1.0) <= 1e-9:  # NaN fails too
-            raise ValueError("FixedAxis axis must be a unit vector")
+        _check_unit(sq_norm(np.asarray(self.axis, dtype=float)), "FixedAxis axis")
 
 
 @dataclass(frozen=True)
@@ -273,8 +275,7 @@ class Rotation2:
     sin_t: np.ndarray | float
 
     def __post_init__(self):
-        if np.any(np.abs(self.cos_t ** 2 + self.sin_t ** 2 - 1.0) > 1e-12):
-            raise ValueError("cos_t^2 + sin_t^2 must equal 1")
+        _check_unit(self.cos_t * self.cos_t + self.sin_t * self.sin_t, "(cos_t, sin_t)")
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -358,19 +359,16 @@ def _frame_cutoff(model: VelocityModel, X: np.ndarray, Z: np.ndarray,
                   rows=None) -> np.ndarray:
     """sigma_{U_x}(x + z) for the offsets Z (..., d) seen from the points X,
     which broadcast against Z, or seen from X[rows] when ``rows`` is given:
-    a sector is first rotated into each heading's reference frame, which is
-    computed once per point of X."""
-    if isinstance(model.neighborhood, Sector):
-        rot = rotation_at(model, X)
-        if rows is not None:
-            rot = Rotation2(rot.cos_t[rows], rot.sin_t[rows])
-        Z = rot.inverse_apply(Z)
-    return model.neighborhood.cutoff(Z)
+    a sector faces the heading at each point of X, computed once per point."""
+    if not isinstance(model.neighborhood, Sector):
+        return model.neighborhood.cutoff(Z)
+    u = _headings(model, X)
+    return model.neighborhood.cutoff(Z, u if rows is None else u[rows])
 
 
 def cutoff_at(model: VelocityModel, X, Y) -> np.ndarray:
     """sigma_{U_x}(y) for the points x of X and y of Y, which broadcast: the
-    reference cutoff pulled back through the isometry at x."""
+    reference cutoff pulled back through the isometry at x, rotation_at."""
     X = np.asarray(X, dtype=float)
     return _frame_cutoff(model, X, np.asarray(Y, dtype=float) - X)
 
@@ -380,12 +378,13 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
     """N * sum_j w_j F(y_j - x) sigma_{U_x}(y_j) for each row x of X.
 
     U_x lies inside B_R(x), so only the atoms whose first coordinate lies
-    within R of x's can contribute. Below _DENSE_MAX_PAIRS pairs (counted
-    without one query row and one atom column) every pair is evaluated in
-    dense blocks. Above it the atoms are sorted by first coordinate and each
-    query sees only its window of them; each query's terms are summed in that
-    sorted order by ``bincount``. In either form a row gets the same bits
-    whether it is evaluated alone or in a batch.
+    within R of x's can contribute (rounding is monotone, so a computed
+    |y - x|^2 below R^2 implies |y_0 - x_0| < R exactly). Below
+    _DENSE_MAX_PAIRS pairs (counted without one query row and one atom
+    column) every pair is evaluated in dense blocks. Above it the atoms are
+    sorted by first coordinate and each query sees only its window of them;
+    each query's terms are summed in that sorted order by ``bincount``. In
+    either form a row gets the same bits whether alone or in a batch.
     """
     q, d = X.shape
     m = Y.shape[0]
@@ -402,9 +401,9 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
 
     order = np.argsort(Y[:, 0], kind="stable")
     Y, w = Y[order], w[order]
-    reach = model.neighborhood.radius * (1 + _WINDOW_SLACK)
-    first = np.searchsorted(Y[:, 0], X[:, 0] - reach, "left")
-    count = np.searchsorted(Y[:, 0], X[:, 0] + reach, "right") - first
+    R = model.neighborhood.radius
+    first = np.searchsorted(Y[:, 0], X[:, 0] - R, "left")
+    count = np.searchsorted(Y[:, 0], X[:, 0] + R, "right") - first
     ends = np.cumsum(count)  # the pairs of query i are ends[i] - count[i] ... ends[i] - 1
     out = np.empty((q, d))
     lo = 0

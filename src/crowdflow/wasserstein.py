@@ -81,8 +81,7 @@ def w1_1d(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     return float(np.dot(cdf_gap, np.diff(x)))
 
 
-def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure,
-             max_pairs: int = DEFAULT_MAX_PAIRS) -> TransportCost:
+def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure) -> TransportCost:
     """Kantorovich W1 via the transportation LP on the bipartite atom graph,
     solved by column generation and returned with its certified interval.
 
@@ -90,15 +89,15 @@ def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure,
     The last column constraint is left out of the LP, as it is redundant, so
     the last atom of ``nu`` takes the mass the others leave; the bounds hold
     for those marginals. Raises :class:`AtomCapError` when the m * n atom
-    pairs exceed ``max_pairs``; callers may then subsample or fall back to
-    :func:`w1_1d`.
+    pairs exceed DEFAULT_MAX_PAIRS; callers may then subsample or fall back
+    to :func:`w1_1d`.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    if mu.n_atoms * nu.n_atoms > max_pairs:
+    if mu.n_atoms * nu.n_atoms > DEFAULT_MAX_PAIRS:
         raise AtomCapError(
             f"atom counts ({mu.n_atoms}, {nu.n_atoms}) give "
-            f"{mu.n_atoms * nu.n_atoms} pairs, over max_pairs={max_pairs}")
+            f"{mu.n_atoms * nu.n_atoms} pairs, over the cap {DEFAULT_MAX_PAIRS}")
     xs, a = merge_duplicates(mu.positions, mu.weights)
     ys, b = merge_duplicates(nu.positions, nu.weights)
     # the marginals the LP enforces, with equal totals, as the bounds need
@@ -209,15 +208,14 @@ def _rounded_cost(xs, a, ys, b, pairs, cost, plan) -> float:
     return upper
 
 
-def w1_grid_atomic(lam: GridMeasure, mu: AtomicMeasure,
-                   max_pairs: int = DEFAULT_MAX_PAIRS) -> W1Result:
+def w1_grid_atomic(lam: GridMeasure, mu: AtomicMeasure) -> W1Result:
     """Distance between a grid measure (atomized at cell centers) and mu:
     the exact CDF sweep in 1D, the certified transport LP (capped at
-    ``max_pairs`` atom pairs) otherwise."""
+    DEFAULT_MAX_PAIRS atom pairs) otherwise."""
     d = lam.spec.dim
     bound = math.sqrt(d) * lam.spec.cell_width / 2.0
     if d == 1:
         dist = w1_1d(atomize(lam), mu)
         return W1Result(dist, bound, dist, dist)
-    dist = w1_exact(atomize(lam), mu, max_pairs=max_pairs)
+    dist = w1_exact(atomize(lam), mu)
     return W1Result(float(dist), bound, dist.lower, dist.upper)

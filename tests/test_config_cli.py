@@ -1,14 +1,13 @@
 import dataclasses
-import functools
 import json
 import math
 
 import pytest
 
-from crowdflow import CaseStudyRepulsion, CustomDesired, Sector, VelocityModel, scheme
+from crowdflow import (CaseStudyRepulsion, CustomDesired, Sector, VelocityModel, scheme,
+                       wasserstein)
 from crowdflow.cli import main
 from crowdflow.config import ConfigError, case_study_path, load_config, parse_config
-from crowdflow.wasserstein import w1_grid_atomic
 
 FAST_MODEL = {
     "dim": 1,
@@ -86,6 +85,12 @@ MALFORMED = [
     (("w1_sample_times",), '"0"', {}),
     (("outputs",), "null", {}),
     (("outputs",), "5", {}),
+    # booleans where numbers belong (test_config_property refuses every
+    # number written as a string)
+    (("schedule", "delta"), "true", {}),
+    (("model", "dim"), "true", {}),
+    (("model", "heading", "axis"), "[1, false]", SECTOR_2D),
+    (("initial", "seed"), "true", {"initial": UNIFORM}),
 ]
 
 
@@ -231,6 +236,25 @@ class TestValidation:
         assert len(err) == 1 and err[0].startswith(f"error: {cfg}: invalid ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, path, text, overrides, part", [
+        ("converge", ("model", "heading", "axis"), "[0.9999999999, 0.0]", SECTOR_2D, "model"),
+        ("particles", ("model", "heading", "axis"), "[0.9999999999, 0.0]", SECTOR_2D, "model"),
+        ("converge", ("T",), '"0.01"', {}, "T"),
+        ("converge", ("schedule", "ks"), '["100", "200"]', {}, "schedule"),
+        ("project", ("initial", "positions"), "[[1e300], [-1e300], [0.5]]", {}, "initial"),
+        ("project", ("initial", "interval"), "[-1e300, 1e300]", {"initial": UNIFORM}, "initial"),
+    ], ids=["axis-converge", "axis-particles", "T", "ks", "positions", "interval"])
+    def test_refused_value_names_its_part(self, tmp_path, capsys, command, path, text,
+                                          overrides, part):
+        # a heading axis 1e-10 short of unit length, numbers written as strings,
+        # and atoms or an interval 2^53 or more cells from the origin
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(with_raw_value(path, text, **overrides))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}: invalid {part}: ")
+        assert not (tmp_path / "o").exists()
+
     def test_explicit_level_schedule(self):
         cfg = parse_config(fast_config(schedule={"h": 0.25, "dt": 0.005}))
         assert cfg.levels == ((0, 0.25, 0.005),)
@@ -357,8 +381,7 @@ class TestCli:
         assert all(-1e-12 <= gap <= 1e-8 for row in gaps.values() for gap in row.values())
 
     def test_w1_cap_hit_is_config_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("crowdflow.cli.w1_grid_atomic",
-                            lambda lam, mu: w1_grid_atomic(lam, mu, max_pairs=8))
+        monkeypatch.setattr(wasserstein, "DEFAULT_MAX_PAIRS", 8)
         data = fast_config(model=dict(FAST_MODEL, dim=2))
         data["initial"] = {"type": "atoms",
                            "positions": [[0.1, 0.1], [0.5, 0.5], [0.9, 0.1]]}
@@ -370,8 +393,7 @@ class TestCli:
         assert "3 grid atoms and 3 oracle atoms" in err
 
     def test_w1_cap_hit_stops_level_at_sample_step(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("crowdflow.cli.w1_grid_atomic",
-                            lambda lam, mu: w1_grid_atomic(lam, mu, max_pairs=8))
+        monkeypatch.setattr(wasserstein, "DEFAULT_MAX_PAIRS", 8)
         # 8 steps of 0.0012 to T = 0.01: t = T/2 lies between frames 4 and 5
         data = fast_config(model=dict(FAST_MODEL, dim=2), schedule={"h": 0.05, "dt": 0.0012},
                            w1_sample_times=[0.005, 0.01])
@@ -397,7 +419,7 @@ class TestCli:
         full_lines = (full / "level_0" / "steps.jsonl").read_text().splitlines()
         assert [json.loads(line)["occupied"] for line in full_lines[:5]] == [5, 7, 9, 11, 13]
 
-        monkeypatch.setattr("crowdflow.cli.run", functools.partial(scheme.run, max_occupied=12))
+        monkeypatch.setattr(scheme, "DEFAULT_MAX_OCCUPIED", 12)
         out = tmp_path / "o"
         assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 3
         assert "13 occupied cells at step 5" in capsys.readouterr().err

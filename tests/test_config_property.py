@@ -2,8 +2,10 @@
 with a named error (2 or 3), whatever the value; it never raises."""
 
 import copy
+import functools
 import json
 import math
+import operator
 import tempfile
 from pathlib import Path
 
@@ -35,7 +37,9 @@ SMALL_SECTOR_2D = {
     "w1_sample_times": [0.01],
 }
 
-VALUES = [None, "x", -1, 0, 0.5, math.nan, math.inf, [], {}, True]
+# with numbers written as strings, and an axis 1e-10 short of unit length
+VALUES = [None, "x", "0.01", "4", -1, 0, 0.5, math.nan, math.inf, [], {}, True,
+          [0.9999999999, 0.0]]
 DELETE = object()
 
 
@@ -75,7 +79,7 @@ def exit_code(base, command, mutation=None):
 
 
 # A fixed sequence of examples, so every run tests the same mutations: 400 of
-# the 682 and 968 (leaf, value, command) cases, about 4 s per config.
+# the 868 and 1232 (leaf, value, command) cases, about 2 s per config.
 PROPERTY = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
 
@@ -89,6 +93,15 @@ def test_one_bad_leaf_1d_exits_cleanly(mutation, command):
 @given(mutations(SMALL_SECTOR_2D), st.sampled_from(["particles", "converge"]))
 def test_one_bad_leaf_sector_2d_exits_cleanly(mutation, command):
     assert exit_code(SMALL_SECTOR_2D, command, mutation) in (0, 2, 3)
+
+
+def test_every_number_written_as_a_string_is_refused():
+    for base in (SMALL_1D, SMALL_SECTOR_2D):
+        at = {path: functools.reduce(operator.getitem, path, base) for path in leaves(base)}
+        numbers = [(path, value) for path, value in at.items() if type(value) in (int, float)]
+        assert len(numbers) > 10
+        for path, value in numbers:
+            assert exit_code(base, "particles", (path, str(value))) == 2, path
 
 
 def test_base_configs_run():

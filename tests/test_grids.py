@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,16 @@ class TestCells:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             cell_indices(GridSpec(2, 1.0), np.array([0.0]))
+
+    def test_points_beyond_2_53_cells_refused(self):
+        # int64 would take them, but as the most negative index, with a warning
+        spec = GridSpec(1, 0.25)
+        edge = 2.0 ** 53 * 0.25
+        inside = cell_indices(spec, np.array([-np.nextafter(edge, 0.0)]))[0]
+        assert -(2 ** 53) < inside < -(2 ** 53 - 3)
+        for x in ([1e300], [-1e300], [edge], [-edge], [math.nan]):
+            with pytest.raises(ValueError, match="2\\^53 or more cells"):
+                cell_indices(spec, np.array([[0.5], x]))
 
     def test_centers(self):
         assert GridMeasure(GridSpec(1, 1.0), [(0,)], [1.0]).centers() == 0.0

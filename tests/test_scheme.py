@@ -9,6 +9,7 @@ from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
                        box_overlap_fractions, cfl_ratio, mesh_schedule, moment,
                        project_atomic, run, sample_at, step, total_mass,
                        velocity_bound)
+from crowdflow import scheme
 from crowdflow.scheme import step_count
 from crowdflow.velocity import eval_grid_many
 
@@ -197,10 +198,11 @@ class TestRun:
         for n, lam in enumerate(frames):
             assert moment(lam, 1) <= m0 + (V + 2 * beta) * n * dt + h + 1e-12
 
-    def test_support_cap_triggers(self):
+    def test_support_cap_triggers(self, monkeypatch):
+        monkeypatch.setattr(scheme, "DEFAULT_MAX_OCCUPIED", 1)
         lam = GridMeasure(GridSpec(1, 0.01), [[0]], [100.0])
         with pytest.raises(NumericalInvariantError, match="support"):
-            list(run(lam, drift_model((0.5,)), T=0.1, dt=0.003, max_occupied=1))
+            list(run(lam, drift_model((0.5,)), T=0.1, dt=0.003))
 
     def test_nonpositive_inputs_rejected(self):
         lam = GridMeasure(GridSpec(1, 0.1), [[0]], [10.0])

@@ -277,6 +277,11 @@ class TestCutoffs:
             Sector(R, 2 * math.pi + 0.1, B)
 
 
+# coordinates in [-1, 1] that are 0 or at least 1e-100 in size, so that no
+# offset between two of them has a squared length below the normal range
+NOT_TINY = st.floats(-1.0, 1.0).filter(lambda v: v == 0 or abs(v) >= 1e-100)
+
+
 class TestRotation:
     def test_unit_invariant(self):
         with pytest.raises(ValueError):
@@ -344,6 +349,40 @@ class TestRotation:
     def test_fixed_axis_must_be_unit(self):
         with pytest.raises(ValueError):
             FixedAxis((1.0, 1.0))
+
+    @pytest.mark.parametrize("axis, unit", [((1 - 4.5e-13, 0.0), True), ((0.6, 0.8), True),
+                                            ((1 - 1e-10, 0.0), False), ((math.nan, 1.0), False)])
+    def test_one_unit_rule(self, axis, unit):
+        # FixedAxis takes the axes, and only those, that Rotation2 takes
+        for build in (FixedAxis, lambda a: Rotation2(*a)):
+            if unit:
+                build(axis)
+            else:
+                with pytest.raises(ValueError, match="unit vector"):
+                    build(axis)
+
+    @given(st.sampled_from(["fixed_axis", "constant", "custom"]),
+           st.floats(-math.pi, math.pi), st.floats(0.5, 3.0),
+           st.sampled_from([math.pi / 2, math.pi, 2 * math.pi]),
+           st.lists(NOT_TINY, min_size=2, max_size=2),
+           st.lists(NOT_TINY.map(lambda v: 1.5 * R * v), min_size=2, max_size=2))
+    @settings(max_examples=300, deadline=None)
+    def test_cutoff_matches_rotated_reference(self, heading, theta, speed, alpha, x, offset):
+        # the pair sum's cutoff, from the heading's dot product, against the
+        # reference sector's cutoff of the offset turned back by rotation_at
+        c = (speed * math.cos(theta), speed * math.sin(theta))
+        kind = {"fixed_axis": dict(desired=ZeroDesired(),
+                                   heading=FixedAxis((math.cos(theta), math.sin(theta)))),
+                "constant": dict(desired=ConstantDesired(c)),
+                "custom": dict(desired=CustomDesired(
+                    lambda p: np.stack([2.0 + np.sin(3 * p[..., 1]),
+                                        np.cos(3 * p[..., 0])], axis=-1), 3.0, 3.0))}
+        model = VelocityModel(dim=2, n_agents=1, kernel=CaseStudyRepulsion(A, EPS),
+                              neighborhood=Sector(R, alpha, B), **kind[heading])
+        x = np.array(x)
+        y = x + np.array(offset)
+        reference = model.neighborhood.cutoff(rotation_at(model, x).inverse_apply(y - x))
+        assert abs(cutoff_at(model, x, y) - reference) <= 1e-12
 
     def test_sector_cutoff_rotates_with_heading(self):
         # with heading +y, a point straight above x is inside the sector
@@ -763,18 +802,28 @@ class TestWindowedPairSum:
             assert 0 < sig < 0.1
             np.testing.assert_allclose(got[0, 0], 2.0 * sig * inner, rtol=1e-15)
 
-    def test_sector_frame_slack(self):
-        # a FixedAxis 4.5e-13 short of unit length (inside Rotation2's 1e-12
-        # tolerance) shrinks the rotated offsets, so an atom 2e-13 beyond R
-        # along the axis still lies inside the sector
-        axis = (1 - 4.5e-13, 0.0)
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("heading", [(1.0, 0.0), (-1.0, 0.0)], ids=["+x", "-x"])
+    def test_sector_window_edge(self, shift, heading):
+        # atoms at exactly R and one ulp inside R on either side of the query,
+        # along the heading and against it: the half-plane sector sees only
+        # the one inside R along the heading. Shifted by 1e6 the offsets round
+        # to within an ulp of 1e6 of R, and both atoms along the heading count.
+        inner = np.nextafter(R, 0.0)
         model = VelocityModel(dim=2, n_agents=1, desired=ZeroDesired(),
-                              kernel=PrototypeAttraction(R), heading=FixedAxis(axis),
+                              kernel=PrototypeAttraction(R), heading=FixedAxis(heading),
                               neighborhood=Sector(R, math.pi, 1e-15))
-        Y, w, X = np.array([[R * (1 + 2e-13), 0.0]]), np.ones(1), np.zeros((1, 2))
+        Y = np.array([[-R, 0.0], [-inner, 0.0], [inner, 0.0], [R, 0.0]]) + shift
+        X = np.array([[0.0, 0.0]]) + shift
+        w = np.array([1.0, 2.0, 4.0, 8.0])
         dense = pair_sum("dense", model, Y, w, X)
-        assert dense[0, 0] > 0.09
+        assert dense[0, 0] != 0 and dense[0, 1] == 0
         np.testing.assert_array_equal(pair_sum("windowed", model, Y, w, X), dense)
+        if shift == 0.0:
+            sig = model.neighborhood.cutoff(np.array([inner, 0.0]))
+            assert 0 < sig < 0.1
+            along = 4.0 * inner if heading[0] > 0 else -2.0 * inner
+            np.testing.assert_allclose(dense[0, 0], sig * along, rtol=1e-15)
 
     def test_only_pairs_in_the_window_are_evaluated(self, monkeypatch):
         offsets = []

@@ -76,11 +76,13 @@ class TestW1Exact:
         with pytest.raises(ValueError):
             w1_exact(AtomicMeasure([[0.0]]), AtomicMeasure([[0.0, 0.0]]))
 
-    def test_max_atoms_guard(self):
+    def test_max_atoms_guard(self, monkeypatch):
         mu = AtomicMeasure(np.arange(10, dtype=float)[:, None], np.full(10, 0.1))
+        monkeypatch.setattr(wasserstein, "DEFAULT_MAX_PAIRS", 99)
         with pytest.raises(ValueError):
-            w1_exact(mu, mu, max_pairs=99)
-        assert w1_exact(mu, mu, max_pairs=100) <= 1e-12
+            w1_exact(mu, mu)
+        monkeypatch.setattr(wasserstein, "DEFAULT_MAX_PAIRS", 100)
+        assert w1_exact(mu, mu) <= 1e-12
 
 
 def dense_w1(mu, nu) -> float:
