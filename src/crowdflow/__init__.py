@@ -10,8 +10,7 @@ __version__ = "0.1.0"
 
 from .grids import (AtomicMeasure, GridMeasure, GridSpec, atomize, cell_indices,
                     interpolate, moment, project_atomic, total_mass)
-from .particles import (ParticleState, euler_step, push_forward_atoms,
-                        run_particles, to_measure)
+from .particles import euler_step, push_forward_atoms, run_particles, to_measure
 from .scheme import (NumericalInvariantError, StepReport, box_overlap_fractions,
                      cfl_ratio, mesh_schedule, run, sample_at, step)
 from .velocity import (Ball, CaseStudyRepulsion, ConstantDesired, CustomDesired,
@@ -24,8 +23,7 @@ from .wasserstein import W1Result, w1_1d, w1_exact, w1_grid_atomic
 __all__ = [
     "AtomicMeasure", "GridMeasure", "GridSpec", "atomize", "cell_indices",
     "interpolate", "moment", "project_atomic", "total_mass",
-    "ParticleState", "euler_step", "push_forward_atoms", "run_particles",
-    "to_measure",
+    "euler_step", "push_forward_atoms", "run_particles", "to_measure",
     "NumericalInvariantError", "StepReport", "box_overlap_fractions",
     "cfl_ratio", "mesh_schedule", "run", "sample_at", "step",
     "Ball", "CaseStudyRepulsion", "ConstantDesired", "CustomDesired",

@@ -42,12 +42,6 @@ def _level_dir(out: Path, k: int) -> Path:
     return _mkdir(out / f"level_{k}")
 
 
-def _oracle_dt(cfg: ExperimentConfig) -> float:
-    # finest level's step, refined 10x so oracle error stays negligible;
-    # never longer than the horizon itself
-    return min(min(dt for _, _, dt in cfg.levels) / 10.0, cfg.T)
-
-
 def cmd_project(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     mu0 = cfg.initial_measure(args.seed)
@@ -60,10 +54,9 @@ def cmd_project(cfg: ExperimentConfig, args) -> int:
 
 def cmd_particles(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
-    mu0 = cfg.initial_measure(args.seed)
-    states = run_particles(mu0.positions, cfg.model, cfg.T, _oracle_dt(cfg))
-    write_trajectory_csv(states, out / "particles.csv")
-    (out / "particles_final.json").write_text(to_measure(states[-1]).to_json() + "\n")
+    agents = run_particles(cfg.initial_measure(args.seed), cfg.model, cfg.T, cfg.oracle_dt)
+    write_trajectory_csv(agents, cfg.oracle_dt, out / "particles.csv")
+    (out / "particles_final.json").write_text(to_measure(agents[-1]).to_json() + "\n")
     return EXIT_OK
 
 
@@ -116,13 +109,11 @@ def cmd_converge(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     mu0 = cfg.initial_measure(args.seed)
 
-    oracle_dt = _oracle_dt(cfg)
-    oracle = run_particles(mu0.positions, cfg.model, cfg.T, oracle_dt)
-    write_trajectory_csv(oracle, out / "particles.csv")
+    oracle = run_particles(mu0, cfg.model, cfg.T, cfg.oracle_dt)
+    write_trajectory_csv(oracle, cfg.oracle_dt, out / "particles.csv")
     times = cfg.w1_sample_times
-    oracle_at = {}
-    for t in times:
-        oracle_at[t] = to_measure(oracle[min(round(t / oracle_dt), len(oracle) - 1)])
+    oracle_at = {t: to_measure(oracle[min(round(t / cfg.oracle_dt), len(oracle) - 1)])
+                 for t in times}
 
     rows = []
     for level in cfg.levels:

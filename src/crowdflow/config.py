@@ -96,6 +96,12 @@ class ExperimentConfig:
     outputs: str
     w1_sample_times: tuple
 
+    @property
+    def oracle_dt(self) -> float:
+        """The particle oracle's step: the finest level's, refined 10x so the
+        oracle's error stays negligible, and never longer than the horizon."""
+        return min(min(dt for _, _, dt in self.levels) / 10.0, self.T)
+
     def initial_measure(self, seed_override: int | None = None) -> AtomicMeasure:
         init = self.initial
         if init["type"] == "atoms":
@@ -182,6 +188,8 @@ def parse_config(data, source: str = "<config>") -> ExperimentConfig:
         cfg = ExperimentConfig(model=model, initial=initial, T=T, levels=levels,
                                outputs=_typed(data.get("outputs", "out"), str),
                                w1_sample_times=times)
+        part = "schedule"
+        step_count(T, cfg.oracle_dt)  # the oracle's steps, as each level's above
         part = "initial"
         mu0 = cfg.initial_measure()
         if mu0.dim != model.dim:
@@ -193,6 +201,14 @@ def parse_config(data, source: str = "<config>") -> ExperimentConfig:
                     else np.outer(initial["interval"], np.ones(model.dim)))
         for _, h, _ in levels:
             cell_indices(GridSpec(model.dim, h), extremes)
+        # and every point the run looks at: no agent moves farther than V times
+        # the run's duration, and the lattice looks R beyond that
+        V, R = velocity_bound(model), model.neighborhood.radius
+        for _, h, dt in levels:
+            reach = V * max(T, step_count(T, dt) * dt) + R
+            part = f"model, T or schedule: the agents' reach V*T + R = {reach:.3g}"
+            cell_indices(GridSpec(model.dim, h),
+                         np.concatenate([extremes - reach, extremes + reach]))
     except (TypeError, ValueError, OverflowError) as exc:
         hint = ""
         if "vanishing desired" in str(exc):

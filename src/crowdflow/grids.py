@@ -35,6 +35,13 @@ class GridSpec:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         if not (self.cell_width > 0 and math.isfinite(self.cell_width)):
             raise ValueError(f"cell_width must be positive, got {self.cell_width!r}")
+        try:
+            volume = self.cell_volume
+        except OverflowError:  # a float power raises where it would pass the largest float
+            volume = math.inf
+        if not (0 < volume < math.inf):
+            raise ValueError(f"cell volume h^d = {self.cell_width!r}^{self.dim} "
+                             f"is not a positive finite float")
 
     @property
     def cell_volume(self) -> float:
@@ -142,14 +149,18 @@ class AtomicMeasure:
         if weights is None:
             weights = np.full(n, 1.0 / n)
         else:
-            weights = np.asarray(weights, dtype=float).reshape(-1)
+            weights = np.asarray(weights, dtype=float)
+            if weights.ndim != 1:  # a 1-D array is kept as it is, to be shared if frozen
+                weights = weights.reshape(-1)
         if weights.shape[0] != n:
             raise ValueError("positions and weights must have the same length")
         lightest = weights.min()
         if not (lightest >= 0 and weights.max() < math.inf):  # NaN fails both
             raise ValueError("weights must be finite and nonnegative")
-        if lightest > 0:  # no atom to drop; copy, since the arrays are frozen below
-            positions, weights = positions.copy(), weights.copy()
+        if lightest > 0:  # no atom to drop; copy, since the arrays are frozen below,
+            # but share weights frozen already, such as another measure's
+            positions = positions.copy()
+            weights = weights.copy() if weights.flags.writeable else weights
         else:
             keep = weights > 0
             positions, weights = positions[keep], weights[keep]

@@ -20,6 +20,7 @@ from .grids import (MASS_TOL, GridMeasure, GridSpec, NumericalInvariantError,
 from .velocity import VelocityModel, eval_grid_many, velocity_bound
 
 DEFAULT_MAX_OCCUPIED = 10 ** 7
+DEFAULT_MAX_STEPS = 10 ** 7
 
 
 def mesh_schedule(v_ref: float, delta: float, ks) -> tuple:
@@ -100,9 +101,13 @@ def step(lam: GridMeasure, model: VelocityModel, dt: float):
 
 
 def step_count(T: float, dt: float) -> int:
-    """Number of steps a run of horizon T takes: round(T/dt), at least one."""
+    """Number of steps a run of horizon T takes: round(T/dt), at least one.
+    More than DEFAULT_MAX_STEPS are refused."""
     if not (0 < T < math.inf and 0 < dt < math.inf):
         raise ValueError(f"T and dt must be positive and finite, got T={T!r}, dt={dt!r}")
+    if not (T / dt <= DEFAULT_MAX_STEPS):
+        raise ValueError(f"T/dt = {T / dt:.3g} steps exceed the cap {DEFAULT_MAX_STEPS} "
+                         f"(T={T!r}, dt={dt!r})")
     return max(1, round(T / dt))
 
 

@@ -250,6 +250,12 @@ class VanishingHeadingError(NumericalInvariantError, ValueError):
     """The desired velocity vanishes where a sector needs its heading."""
 
 
+def _vanishes(v: np.ndarray) -> np.ndarray:
+    """The one vanishing-heading rule: a desired velocity v (..., d) with
+    |v| below 1e-12 gives a sector no heading; |v| has sq_norm's bits."""
+    return np.sqrt(sq_norm(v)) < 1e-12
+
+
 @dataclass(frozen=True)
 class FromDesired:
     """Heading taken from the normalized desired velocity."""
@@ -318,7 +324,7 @@ class VelocityModel:
             if isinstance(self.heading, FromDesired) and (
                     isinstance(self.desired, ZeroDesired)
                     or (isinstance(self.desired, ConstantDesired)
-                        and np.linalg.norm(self.desired.c) == 0)):
+                        and _vanishes(np.asarray(self.desired.c)))):
                 raise ValueError(
                     "sector orientation is undefined with a vanishing desired "
                     "velocity; use a FixedAxis heading instead")
@@ -340,10 +346,9 @@ def _headings(model: VelocityModel, X: np.ndarray) -> np.ndarray:
         axis = np.asarray(model.heading.axis, dtype=float)
         return np.broadcast_to(axis, X.shape).copy()
     vd = model.desired(X)
-    norms = np.sqrt(sq_norm(vd))[..., None]
-    if np.any(norms < 1e-12):
+    if np.any(_vanishes(vd)):
         raise VanishingHeadingError("desired velocity vanishes: heading undefined")
-    return vd / norms
+    return vd / np.sqrt(sq_norm(vd))[..., None]
 
 
 def rotation_at(model: VelocityModel, X) -> Rotation2:

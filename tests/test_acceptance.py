@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
-                       CustomKernel, GridMeasure, GridSpec, ParticleState,
-                       VelocityModel, ZeroDesired, atomize,
+                       CustomKernel, GridMeasure, GridSpec, VelocityModel,
+                       ZeroDesired, atomize,
                        box_overlap_fractions, euler_step, lipschitz_constants,
                        project_atomic, push_forward_atoms, run, to_measure,
                        velocity_bound, w1_1d, w1_exact)
@@ -226,8 +226,8 @@ def test_criterion_7_oracle_equivalence():
                               neighborhood=Ball(0.1, 0.02))
         pos = rng.uniform(size=(n, dim))
         dt = float(rng.uniform(0.001, 0.02))
-        stepped = euler_step(ParticleState(pos, 0.0), model, dt)
-        pushed = push_forward_atoms(to_measure(ParticleState(pos, 0.0)), model, dt)
+        stepped = euler_step(AtomicMeasure(pos), model, dt)
+        pushed = push_forward_atoms(to_measure(AtomicMeasure(pos)), model, dt)
         assert np.array_equal(stepped.positions, pushed.positions)
 
     # the two independent exact W1 routes agree in 1D

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -243,17 +244,44 @@ class TestValidation:
         ("converge", ("schedule", "ks"), '["100", "200"]', {}, "schedule"),
         ("project", ("initial", "positions"), "[[1e300], [-1e300], [0.5]]", {}, "initial"),
         ("project", ("initial", "interval"), "[-1e300, 1e300]", {"initial": UNIFORM}, "initial"),
-    ], ids=["axis-converge", "axis-particles", "T", "ks", "positions", "interval"])
+        ("converge", ("model", "neighborhood", "R"), "1e300", {}, "model, T or schedule"),
+        ("converge", ("schedule", "h"), "1e300",
+         dict(SECTOR_2D, schedule={"h": 0.25, "dt": 0.005}), "schedule"),
+    ], ids=["axis-converge", "axis-particles", "T", "ks", "positions", "interval",
+            "reach", "cell-volume"])
     def test_refused_value_names_its_part(self, tmp_path, capsys, command, path, text,
                                           overrides, part):
         # a heading axis 1e-10 short of unit length, numbers written as strings,
-        # and atoms or an interval 2^53 or more cells from the origin
+        # atoms or an interval 2^53 or more cells from the origin, a radius that
+        # takes the run as far, and a cell volume past the largest float
         cfg = tmp_path / "cfg.json"
         cfg.write_text(with_raw_value(path, text, **overrides))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {cfg}: invalid {part}: ")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["particles", "converge"])
+    @pytest.mark.parametrize("c", [[0.0, 0.0], [1e-13, 0.0]])
+    def test_sector_facing_a_vanishing_constant_gives_remedy(self, tmp_path, capsys, command,
+                                                             c):
+        # one rule for a vanishing heading: |v_d| below 1e-12, at load as in the run
+        model = dict(SECTOR_2D["model"], desired={"type": "constant", "c": c},
+                     heading={"type": "from_desired"})
+        cfg = write_json(tmp_path, fast_config(model=model, initial=SECTOR_2D["initial"]))
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}: invalid model: ")
+        assert "fixed_axis" in err[0]
+
+    def test_oracle_step_count_checked_at_load(self, monkeypatch):
+        # the level takes 5 steps of 0.02, the oracle 50 of 0.002
+        data = fast_config(T=0.1, schedule={"h": 0.25, "dt": 0.02})
+        monkeypatch.setattr(scheme, "DEFAULT_MAX_STEPS", 50)
+        assert parse_config(data).oracle_dt == 0.002
+        monkeypatch.setattr(scheme, "DEFAULT_MAX_STEPS", 20)
+        with pytest.raises(ConfigError, match="invalid schedule: T/dt = 50 steps exceed the cap"):
+            parse_config(data)
 
     def test_explicit_level_schedule(self):
         cfg = parse_config(fast_config(schedule={"h": 0.25, "dt": 0.005}))
@@ -275,6 +303,26 @@ class TestCli:
         final = json.loads((tmp_path / "o" / "particles_final.json").read_text())
         assert len(final) == 3
         assert all(set(atom) == {"x", "w"} for atom in final)
+
+    def test_oracle_keeps_the_initial_weights(self, tmp_path):
+        # two agents weighted 0.9 and 0.1, farther apart than R: at t = 0 the
+        # grid and the oracle are the same measure up to atomization
+        data = fast_config(model=dict(FAST_MODEL, n_agents=2), T=0.01,
+                           initial={"type": "atoms", "positions": [[0.2], [0.8]],
+                                    "weights": [0.9, 0.1]},
+                           schedule={"delta": 0.9, "ks": [10, 100], "v_ref": 4.0},
+                           w1_sample_times=[0, 0.01])
+        cfg = write_json(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "metrics.csv", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if float(r["t"]) == 0.0]
+        assert [r["k"] for r in rows] == ["10", "100"]
+        for r in rows:
+            assert float(r["w1"]) <= float(r["atomization_bound"])
+        assert main(["particles", "--config", str(cfg), "--out", str(out)]) == 0
+        final = json.loads((out / "particles_final.json").read_text())
+        assert [a["w"] for a in final] == [0.9, 0.1]
 
     def test_simulate_level(self, tmp_path):
         cfg = write_json(tmp_path, fast_config())

@@ -6,9 +6,11 @@ import functools
 import json
 import math
 import operator
+import signal
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,13 +97,39 @@ def test_one_bad_leaf_sector_2d_exits_cleanly(mutation, command):
     assert exit_code(SMALL_SECTOR_2D, command, mutation) in (0, 2, 3)
 
 
+def numeric_leaves(base):
+    """(path, value) of every number in a config."""
+    at = {path: functools.reduce(operator.getitem, path, base) for path in leaves(base)}
+    return [(path, value) for path, value in at.items() if type(value) in (int, float)]
+
+
 def test_every_number_written_as_a_string_is_refused():
     for base in (SMALL_1D, SMALL_SECTOR_2D):
-        at = {path: functools.reduce(operator.getitem, path, base) for path in leaves(base)}
-        numbers = [(path, value) for path, value in at.items() if type(value) in (int, float)]
+        numbers = numeric_leaves(base)
         assert len(numbers) > 10
         for path, value in numbers:
             assert exit_code(base, "particles", (path, str(value))) == 2, path
+
+
+@pytest.fixture
+def wall_clock_guard():
+    """Fail a test that runs past 20 s, where a stalled run would hang the suite."""
+    def stalled(signum, frame):
+        raise TimeoutError("still running after 20 s")
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("command", ["particles", "converge"])
+@pytest.mark.parametrize("base, path", [
+    pytest.param(base, path, id=f"{base['model']['dim']}d-" + ".".join(map(str, path)))
+    for base in (SMALL_1D, SMALL_SECTOR_2D) for path, _ in numeric_leaves(base)])
+def test_every_number_at_1e300_exits_cleanly(wall_clock_guard, base, path, command):
+    # about 1e302 steps, or a reach that overflows in the run, is refused at load
+    assert exit_code(base, command, (path, 1e300)) in (0, 2, 3)
 
 
 def test_base_configs_run():

@@ -38,6 +38,12 @@ class TestCells:
             with pytest.raises(ValueError, match="2\\^53 or more cells"):
                 cell_indices(spec, np.array([[0.5], x]))
 
+    @pytest.mark.parametrize("dim, h", [(2, 1e300), (3, 1e103), (2, 1e-200)])
+    def test_cell_volume_must_be_a_positive_float(self, dim, h):
+        # h^d past the largest float, or below the smallest, has no density rho = m / h^d
+        with pytest.raises(ValueError, match="cell volume"):
+            GridSpec(dim, h)
+
     def test_centers(self):
         assert GridMeasure(GridSpec(1, 1.0), [(0,)], [1.0]).centers() == 0.0
         np.testing.assert_allclose(GridMeasure(GridSpec(2, 0.5), [(1, -1)], [1.0]).centers(),
@@ -156,6 +162,16 @@ class TestValidationAndIO:
     def test_zero_weight_atoms_dropped(self):
         mu = AtomicMeasure([[0.0], [1.0]], [1.0, 0.0])
         assert mu.n_atoms == 1
+
+    def test_frozen_weights_are_shared_and_others_copied(self):
+        # a moved measure keeps the weights array it moved with, frozen as it is
+        mu = AtomicMeasure([[0.0], [1.0]], [0.25, 0.75])
+        assert AtomicMeasure([[0.5], [1.5]], mu.weights).weights is mu.weights
+        w = np.array([0.25, 0.75])
+        nu = AtomicMeasure([[0.0], [1.0]], w)
+        w[0] = 0.5
+        assert nu.weights.tolist() == [0.25, 0.75]
+        assert not nu.weights.flags.writeable
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
-                       CustomDesired, CustomKernel, NumericalInvariantError,
-                       ParticleState, Sector, VelocityModel, ZeroDesired,
+                       CustomDesired, CustomKernel, NumericalInvariantError, Sector,
+                       VelocityModel, ZeroDesired,
                        eval_atomic_many, euler_step, push_forward_atoms, run_particles,
                        to_measure, velocity)
 from crowdflow.particles import write_trajectory_csv
@@ -25,22 +25,24 @@ def repulsion_model(n_agents, dim=1):
 
 
 class TestEulerStep:
-    def test_lone_particle_stationary(self):
-        s = ParticleState(np.array([[0.3]]), 0.0)
+    def test_lone_particle_stationary(self, tmp_path):
+        s = AtomicMeasure(np.array([[0.3]]))
         out = euler_step(s, repulsion_model(1), 0.01)
         np.testing.assert_array_equal(out.positions, s.positions)
-        assert out.t == pytest.approx(0.01)
+        write_trajectory_csv((s, out), 0.01, tmp_path / "traj.csv")
+        rows = np.loadtxt(tmp_path / "traj.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows[-1, 0] == pytest.approx(0.01)
 
     def test_pure_drift_exact(self):
         model = VelocityModel(dim=2, n_agents=1, desired=ConstantDesired((1.0, -2.0)),
                               kernel=CustomKernel(lambda z: np.zeros_like(z), 0.0, 0.0),
                               neighborhood=Ball(R, B))
-        s = ParticleState(np.array([[0.0, 0.0]]), 0.0)
+        s = AtomicMeasure(np.array([[0.0, 0.0]]))
         out = euler_step(s, model, 0.25)
         np.testing.assert_array_equal(out.positions, [[0.25, -0.5]])
 
     def test_two_particle_frozen_displacement(self):
-        s = ParticleState(np.array([[0.0], [0.05]]), 0.0)
+        s = AtomicMeasure(np.array([[0.0], [0.05]]))
         out = euler_step(s, repulsion_model(2), 0.01)
         assert out.positions[0, 0] == pytest.approx(0.01 * TWO_ATOM_VEL, abs=1e-17)
         assert out.positions[1, 0] == pytest.approx(0.05 - 0.01 * TWO_ATOM_VEL, abs=1e-17)
@@ -50,13 +52,13 @@ class TestEulerStep:
         model = VelocityModel(dim=2, n_agents=2, desired=CustomDesired(lambda x: -x, 1.0, 1.0),
                               kernel=CaseStudyRepulsion(A, EPS),
                               neighborhood=Sector(R, np.pi, B))
-        s = ParticleState(np.array([[0.0, 0.0], [0.05, 0.0]]), 0.0)
+        s = AtomicMeasure(np.array([[0.0, 0.0], [0.05, 0.0]]))
         with pytest.raises(NumericalInvariantError, match="heading"):
             euler_step(s, model, 0.01)
 
     def test_synchronous_update(self):
         # both particles see the pre-step configuration: mirror pair stays mirrored
-        s = ParticleState(np.array([[-0.02], [0.02]]), 0.0)
+        s = AtomicMeasure(np.array([[-0.02], [0.02]]))
         out = euler_step(s, repulsion_model(2), 0.01)
         assert out.positions[0, 0] == pytest.approx(-out.positions[1, 0], abs=1e-12)
 
@@ -66,14 +68,22 @@ class TestPushForwardEquivalence:
         rng = np.random.default_rng(6)
         pos = rng.uniform(size=(6, 1))
         model = repulsion_model(6)
-        stepped = euler_step(ParticleState(pos, 0.0), model, 0.01)
-        pushed = push_forward_atoms(to_measure(ParticleState(pos, 0.0)), model, 0.01)
+        stepped = euler_step(AtomicMeasure(pos), model, 0.01)
+        pushed = push_forward_atoms(to_measure(AtomicMeasure(pos)), model, 0.01)
         np.testing.assert_array_equal(stepped.positions, pushed.positions)
 
     def test_weights_carried_through(self):
         mu = AtomicMeasure([[0.0], [0.05]], [0.25, 0.75])
         out = push_forward_atoms(mu, repulsion_model(2), 0.01)
         np.testing.assert_array_equal(out.weights, mu.weights)
+
+    def test_weighted_step_is_push_forward(self):
+        # each agent keeps its own weight, and moves against the weighted measure
+        mu = AtomicMeasure([[0.0], [0.05], [0.08]], [0.25, 0.7, 0.05])
+        stepped = euler_step(mu, repulsion_model(3), 0.01)
+        pushed = push_forward_atoms(mu, repulsion_model(3), 0.01)
+        assert stepped.positions.tobytes() == pushed.positions.tobytes()
+        assert stepped.weights.tobytes() == mu.weights.tobytes()
 
 
 def stacked_models(dim):
@@ -109,7 +119,7 @@ class TestStackedStep:
     @given(stacked_positions())
     @settings(max_examples=150, deadline=None)
     def test_bit_equal_to_evaluation_per_agent(self, pos):
-        state = ParticleState(pos, 0.0)
+        state = AtomicMeasure(pos)
         mu = to_measure(state)
         assert mu.n_atoms < len(pos)
         for form, threshold in (("dense", math.inf), ("windowed", 0)):
@@ -133,27 +143,29 @@ class TestStackedStep:
         # 12 agents stacked on 3 points: the dense form evaluates 3 x 3 atom pairs
         pos = np.repeat([[0.0], [0.03], [0.06]], 4, axis=0)
         pairs.clear()
-        out = euler_step(ParticleState(pos, 0.0), model, 0.01)
+        out = euler_step(AtomicMeasure(pos), model, 0.01)
         assert sum(pairs) == 3 * 3
         assert len(np.unique(out.positions)) == 3
 
 
 class TestRunParticles:
     def test_zero_velocity_constant_states(self):
-        states = run_particles([[0.1], [0.9]], repulsion_model(2), T=0.1, dt=0.01)
+        states = run_particles(AtomicMeasure([[0.1], [0.9]]), repulsion_model(2), T=0.1, dt=0.01)
         # atoms out of interaction range: nothing moves, ever
         for s in states:
             np.testing.assert_array_equal(s.positions, states[0].positions)
 
-    def test_step_count_and_times(self):
-        states = run_particles([[0.0]], repulsion_model(1), T=0.1, dt=0.01)
+    def test_step_count_and_times(self, tmp_path):
+        states = run_particles(AtomicMeasure([[0.0]]), repulsion_model(1), T=0.1, dt=0.01)
         assert len(states) == 11
-        assert states[-1].t == pytest.approx(0.1)
+        write_trajectory_csv(states, 0.01, tmp_path / "traj.csv")
+        rows = np.loadtxt(tmp_path / "traj.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert rows[-1, 0] == pytest.approx(0.1)
 
     def test_repulsion_spreads_particles(self):
         rng = np.random.default_rng(12345)
         x0 = rng.uniform(0, 1, size=(10, 1))
-        final = run_particles(x0, repulsion_model(10), T=0.1, dt=0.001)[-1]
+        final = run_particles(AtomicMeasure(x0), repulsion_model(10), T=0.1, dt=0.001)[-1]
 
         def min_gap(p):
             x = np.sort(p[:, 0])
@@ -166,54 +178,53 @@ class TestRunParticles:
         x0 = rng.uniform(size=(5, 1))
         perm = rng.permutation(5)
         model = repulsion_model(5)
-        a = run_particles(x0, model, T=0.05, dt=0.005)[-1].positions
-        b = run_particles(x0[perm], model, T=0.05, dt=0.005)[-1].positions
+        a = run_particles(AtomicMeasure(x0), model, T=0.05, dt=0.005)[-1].positions
+        b = run_particles(AtomicMeasure(x0[perm]), model, T=0.05, dt=0.005)[-1].positions
         np.testing.assert_allclose(b, a[perm], atol=1e-15)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(3)
         x0 = rng.uniform(size=(4, 1))
         model = repulsion_model(4)
-        base = run_particles(x0, model, T=0.05, dt=0.005)[-1].positions
-        moved = run_particles(x0 + 7.25, model, T=0.05, dt=0.005)[-1].positions
+        base = run_particles(AtomicMeasure(x0), model, T=0.05, dt=0.005)[-1].positions
+        moved = run_particles(AtomicMeasure(x0 + 7.25), model, T=0.05, dt=0.005)[-1].positions
         np.testing.assert_allclose(moved, base + 7.25, atol=1e-12)
 
     def test_step_halving_reduces_error(self):
         rng = np.random.default_rng(12345)
         x0 = rng.uniform(0, 1, size=(10, 1))
         model = repulsion_model(10)
-        ref = run_particles(x0, model, T=0.1, dt=1e-5)[-1].positions
-        err = [np.max(np.abs(run_particles(x0, model, T=0.1, dt=dt)[-1].positions - ref))
+        mu0 = AtomicMeasure(x0)
+        ref = run_particles(mu0, model, T=0.1, dt=1e-5)[-1].positions
+        err = [np.max(np.abs(run_particles(mu0, model, T=0.1, dt=dt)[-1].positions - ref))
                for dt in (0.01, 0.005, 0.0025)]
         assert err[1] < err[0] and err[2] < err[1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_particles([[0.0]], repulsion_model(1), T=-1.0, dt=0.1)
+            run_particles(AtomicMeasure([[0.0]]), repulsion_model(1), T=-1.0, dt=0.1)
         with pytest.raises(ValueError):
-            ParticleState(np.array([[np.inf]]), 0.0)
+            AtomicMeasure(np.array([[np.inf]]))
 
     @pytest.mark.parametrize("T, dt", [(math.inf, 0.1), (0.1, math.inf), (0.1, 0.0)])
     def test_step_count_is_the_schemes(self, T, dt):
         # the oracle takes scheme.step_count's steps, and its refusals name T and dt
         with pytest.raises(ValueError, match=r"T=.*dt="):
-            run_particles([[0.0]], repulsion_model(1), T=T, dt=dt)
+            run_particles(AtomicMeasure([[0.0]]), repulsion_model(1), T=T, dt=dt)
 
 
-def to_measure_loop(state):
+def to_measure_loop(agents):
     """The dict loop that to_measure replaced, kept as its reference."""
-    pos = state.positions
-    n = pos.shape[0]
     seen: dict = {}
     stacked: list = []
-    for row in map(tuple, pos):
+    for row, w in zip(map(tuple, agents.positions), agents.weights.tolist()):
         if row in seen:
-            stacked[seen[row]] += 1.0 / n
+            stacked[seen[row]] += w
         else:
             seen[row] = len(stacked)
-            stacked.append(1.0 / n)
-    if len(stacked) == n:
-        return AtomicMeasure(pos, np.full(n, 1.0 / n))
+            stacked.append(w)
+    if len(stacked) == agents.n_atoms:
+        return agents
     return AtomicMeasure(np.array(list(seen), dtype=float), np.array(stacked))
 
 
@@ -221,12 +232,22 @@ def to_measure_loop(state):
 COORDS = st.sampled_from([0.0, -0.0, 0.5, -1.25, 1e-300, 3.0])
 
 
+@st.composite
+def agent_measures(draw):
+    """Agents on a few distinct coordinates, equally or unequally weighted."""
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(COORDS, min_size=d, max_size=d), min_size=1, max_size=60))
+    if draw(st.booleans()):
+        return AtomicMeasure(np.array(rows))
+    w = np.array(draw(st.lists(st.integers(1, 9), min_size=len(rows), max_size=len(rows))),
+                 dtype=float)
+    return AtomicMeasure(np.array(rows), w / w.sum())
+
+
 class TestToMeasure:
-    @given(st.integers(1, 3).flatmap(
-        lambda d: st.lists(st.lists(COORDS, min_size=d, max_size=d), min_size=1, max_size=60)))
+    @given(agent_measures())
     @settings(max_examples=200, deadline=None)
-    def test_matches_dict_loop(self, rows):
-        state = ParticleState(np.array(rows), 0.0)
+    def test_matches_dict_loop(self, state):
         got, ref = to_measure(state), to_measure_loop(state)
         assert got.positions.shape == ref.positions.shape
         assert got.positions.tobytes() == ref.positions.tobytes()
@@ -237,30 +258,42 @@ class TestToMeasure:
         assert np.array_equal(mu.positions[atom], state.positions)
 
     def test_uniform_weights(self):
-        mu = to_measure(ParticleState(np.array([[0.0], [1.0]]), 0.0))
+        mu = to_measure(AtomicMeasure(np.array([[0.0], [1.0]])))
         np.testing.assert_array_equal(mu.weights, [0.5, 0.5])
 
+    def test_distinct_agents_are_their_own_measure(self):
+        agents = AtomicMeasure([[0.0], [1.0]], [0.9, 0.1])
+        assert to_measure(agents) is agents
+
     def test_coincident_particles_stack(self):
-        mu = to_measure(ParticleState(np.array([[0.5], [0.5], [0.5]]), 0.0))
+        mu = to_measure(AtomicMeasure(np.array([[0.5], [0.5], [0.5]])))
         assert mu.n_atoms == 1
         assert mu.weights[0] == pytest.approx(1.0)
 
     def test_partial_stacking_keeps_order(self):
-        mu = to_measure(ParticleState(np.array([[1.0], [0.0], [1.0], [2.0]]), 0.0))
+        mu = to_measure(AtomicMeasure(np.array([[1.0], [0.0], [1.0], [2.0]])))
         assert mu.positions[:, 0].tolist() == [1.0, 0.0, 2.0]
         np.testing.assert_allclose(mu.weights, [0.5, 0.25, 0.25])
 
+    def test_stacking_sums_the_agents_weights(self):
+        agents = AtomicMeasure([[1.0], [0.0], [1.0], [2.0]], [0.4, 0.1, 0.2, 0.3])
+        mu = to_measure(agents)
+        assert mu.positions[:, 0].tolist() == [1.0, 0.0, 2.0]
+        np.testing.assert_allclose(mu.weights, [0.6, 0.1, 0.3])
 
-def write_trajectory_csv_writer(states, path):
+
+def write_trajectory_csv_writer(states, dt, path):
     """The csv.writer loop that write_trajectory_csv replaced, kept as its reference."""
     d = states[0].positions.shape[1]
     header = ["t", "particle"] + [f"x_{l}" for l in range(d)]
+    t = 0.0
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for s in states:
             for l, p in enumerate(s.positions):
-                w.writerow([repr(float(s.t)), l, *(repr(float(v)) for v in p)])
+                w.writerow([repr(float(t)), l, *(repr(float(v)) for v in p)])
+            t += dt
 
 
 # signed zeros, exponent forms, subnormals and large magnitudes, plus arbitrary finite floats
@@ -272,10 +305,10 @@ CSV_VALUES = st.one_of(
 
 class TestTrajectoryCsv:
     def test_layout(self, tmp_path):
-        states = run_particles([[0.1, 0.2], [0.9, 0.4]], repulsion_model(2, dim=2),
-                               T=0.02, dt=0.01)
+        states = run_particles(AtomicMeasure([[0.1, 0.2], [0.9, 0.4]]),
+                               repulsion_model(2, dim=2), T=0.02, dt=0.01)
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(states, path)
+        write_trajectory_csv(states, 0.01, path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "particle", "x_0", "x_1"]
@@ -283,14 +316,13 @@ class TestTrajectoryCsv:
         assert float(rows[1][0]) == 0.0
         assert [r[1] for r in rows[1:3]] == ["0", "1"]
 
-    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
-               st.tuples(st.floats(0.0, 10.0), st.lists(st.lists(
-                   CSV_VALUES, min_size=d, max_size=d), min_size=3, max_size=3)),
+    @given(st.floats(0.0, 10.0), st.integers(1, 3).flatmap(lambda d: st.lists(
+               st.lists(st.lists(CSV_VALUES, min_size=d, max_size=d), min_size=3, max_size=3),
                min_size=1, max_size=4)))
     @settings(max_examples=100, deadline=None)
-    def test_bytes_match_csv_writer(self, tmp_path_factory, states):
-        states = tuple(ParticleState(np.array(p), t) for t, p in states)
+    def test_bytes_match_csv_writer(self, tmp_path_factory, dt, states):
+        states = tuple(AtomicMeasure(np.array(p)) for p in states)
         d = tmp_path_factory.mktemp("csv")
-        write_trajectory_csv(states, d / "got.csv")
-        write_trajectory_csv_writer(states, d / "ref.csv")
+        write_trajectory_csv(states, dt, d / "got.csv")
+        write_trajectory_csv_writer(states, dt, d / "ref.csv")
         assert (d / "got.csv").read_bytes() == (d / "ref.csv").read_bytes()

@@ -204,6 +204,15 @@ class TestRun:
         with pytest.raises(NumericalInvariantError, match="support"):
             list(run(lam, drift_model((0.5,)), T=0.1, dt=0.003))
 
+    def test_step_count_cap(self, monkeypatch):
+        # a horizon of about 1e302 steps is refused before any step runs
+        with pytest.raises(ValueError, match="exceed the cap"):
+            step_count(1e300, 0.005)
+        monkeypatch.setattr(scheme, "DEFAULT_MAX_STEPS", 20)
+        assert step_count(0.1, 0.005) == 20
+        with pytest.raises(ValueError, match="T/dt = 21 steps exceed the cap 20"):
+            step_count(0.105, 0.005)
+
     def test_nonpositive_inputs_rejected(self):
         lam = GridMeasure(GridSpec(1, 0.1), [[0]], [10.0])
         with pytest.raises(ValueError):

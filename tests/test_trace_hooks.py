@@ -57,22 +57,36 @@ TINY_2D = dict(TINY_1D, model=dict(TINY_1D["model"], dim=2, n_agents=12), T=0.02
                schedule={"delta": 0.5, "ks": [8, 16]})
 
 
-@pytest.mark.parametrize("config", [TINY_1D, TINY_2D], ids=["1d", "2d"])
-def test_traced_converge_runs_every_observer(tmp_path, config):
-    """The observers unpack their hooks' arguments, which the name check above
-    does not reach: a traced run must finish with every hook present and time
-    both CSV writers."""
+def traced_run(tmp_path, config, command):
+    """The tracer's result of one traced run of ``command`` on ``config``."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     result = tmp_path / "result.json"
     paths = [str(Path(crowdflow.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run([sys.executable, str(TRACER), str(result), str(tmp_path / "spans.jsonl"),
-                           "0", "--", "converge", "--config", str(cfg),
+                           "0", "--", command, "--config", str(cfg),
                            "--out", str(tmp_path / "out")],
                           env=env, timeout=120, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     traced = json.loads(result.read_text())
     assert traced["rc"] == 0 and traced["absent"] == []
+    return traced
+
+
+@pytest.mark.parametrize("config", [TINY_1D, TINY_2D], ids=["1d", "2d"])
+def test_traced_converge_runs_every_observer(tmp_path, config):
+    """The observers unpack their hooks' arguments, which the name check above
+    does not reach: a traced run must finish with every hook present and time
+    both CSV writers."""
+    traced = traced_run(tmp_path, config, "converge")
     assert traced["metrics"]["grids.write_csv_s"] > 0
+    assert traced["metrics"]["particles.write_csv_s"] > 0
+
+
+def test_traced_particles_runs(tmp_path):
+    """The oracle alone under the tracer: its steps are counted and its CSV
+    writer, called with the oracle's step, is timed."""
+    traced = traced_run(tmp_path, TINY_1D, "particles")
+    assert traced["metrics"]["particles.steps"] > 0
     assert traced["metrics"]["particles.write_csv_s"] > 0
