@@ -44,23 +44,22 @@ def _level_dir(out: Path, k: int) -> Path:
 
 def cmd_project(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
-    mu0 = cfg.initial_measure(args.seed)
-    (out / "initial_atoms.json").write_text(mu0.to_json() + "\n")
+    (out / "initial_atoms.json").write_text(cfg.initial.to_json() + "\n")
     for k, h, _ in cfg.levels:
-        lam0 = project_atomic(mu0, GridSpec(cfg.model.dim, h))
+        lam0 = project_atomic(cfg.initial, GridSpec(cfg.model.dim, h))
         write_density_csv(lam0, _level_dir(out, k) / "density_t0.csv")
     return EXIT_OK
 
 
 def cmd_particles(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
-    agents = run_particles(cfg.initial_measure(args.seed), cfg.model, cfg.T, cfg.oracle_dt)
+    agents = run_particles(cfg.initial, cfg.model, cfg.T, cfg.oracle_dt)
     write_trajectory_csv(agents, cfg.oracle_dt, out / "particles.csv")
     (out / "particles_final.json").write_text(to_measure(agents[-1]).to_json() + "\n")
     return EXIT_OK
 
 
-def _run_level(cfg: ExperimentConfig, level, mu0, out: Path):
+def _run_level(cfg: ExperimentConfig, level, out: Path):
     """Step one level, keeping only the previous frame.
 
     Each step's line of ``steps.jsonl`` is written and flushed when the step
@@ -71,7 +70,7 @@ def _run_level(cfg: ExperimentConfig, level, mu0, out: Path):
     ``(t, t', snapshot)``, in the order of the (increasing) sample times.
     """
     k, h, dt = level
-    lam = project_atomic(mu0, GridSpec(cfg.model.dim, h))
+    lam = project_atomic(cfg.initial, GridSpec(cfg.model.dim, h))
     n_steps = step_count(cfg.T, dt)
     pending = [(t, min(t, n_steps * dt)) for t in cfg.w1_sample_times]
     ldir = _level_dir(out, k)
@@ -96,7 +95,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
         raise ConfigError(f"level {args.level} not in schedule "
                           f"(available: {sorted(levels)})")
     out = _out_dir(cfg, args)
-    for _ in _run_level(cfg, levels[args.level], cfg.initial_measure(args.seed), out):
+    for _ in _run_level(cfg, levels[args.level], out):
         pass
     return EXIT_OK
 
@@ -107,9 +106,7 @@ W1Row = namedtuple("W1Row", "k h dt t t_grid w1")
 
 def cmd_converge(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
-    mu0 = cfg.initial_measure(args.seed)
-
-    oracle = run_particles(mu0, cfg.model, cfg.T, cfg.oracle_dt)
+    oracle = run_particles(cfg.initial, cfg.model, cfg.T, cfg.oracle_dt)
     write_trajectory_csv(oracle, cfg.oracle_dt, out / "particles.csv")
     times = cfg.w1_sample_times
     oracle_at = {t: to_measure(oracle[min(round(t / cfg.oracle_dt), len(oracle) - 1)])
@@ -120,7 +117,7 @@ def cmd_converge(cfg: ExperimentConfig, args) -> int:
         k, h, dt = level
         # each W1 row is computed at the step that produces its snapshot, so
         # a cap hit stops the level there
-        for t, t_grid, lam_t in _run_level(cfg, level, mu0, out):
+        for t, t_grid, lam_t in _run_level(cfg, level, out):
             try:
                 res = w1_grid_atomic(lam_t, oracle_at[t])
             except AtomCapError as exc:
@@ -161,17 +158,6 @@ def cmd_converge(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-def _seed(text: str) -> int:
-    """A --seed value: an integer >= 0, as numpy's default_rng takes."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return seed
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="crowdflow",
                                      description="Measure-transport crowd/swarm simulations")
@@ -179,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="experiment config (JSON)")
     common.add_argument("--out", default=None, help="output directory override")
-    common.add_argument("--seed", type=_seed, default=None, help="RNG seed override")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("project", parents=[common],

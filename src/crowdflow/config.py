@@ -32,6 +32,16 @@ def _require(block, key: str, where: str):
     return block[key]
 
 
+def _known(block, keys, where: str) -> None:
+    """Refuse a block that holds a key the parser does not read: a misspelled
+    key must not fall back to its default."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {block!r}")
+    unknown = [key for key in block if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown field '{unknown[0]}' in {where} (expected {', '.join(keys)})")
+
+
 def _number(value) -> float:
     """float(value) for a JSON number: a string or a boolean is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -84,13 +94,14 @@ def _build(part: str, block) -> object:
     if kind not in _TYPES[part]:
         raise ConfigError(f"unknown {part} type '{kind}'")
     cls, fields = _TYPES[part][kind]
+    _known(block, ("type", *fields), where)
     return cls(*(convert(_require(block, name, where)) for name, convert in fields.items()))
 
 
 @dataclass
 class ExperimentConfig:
     model: VelocityModel
-    initial: dict
+    initial: AtomicMeasure
     T: float
     levels: tuple  # ((k, h, dt), ...)
     outputs: str
@@ -102,70 +113,78 @@ class ExperimentConfig:
         oracle's error stays negligible, and never longer than the horizon."""
         return min(min(dt for _, _, dt in self.levels) / 10.0, self.T)
 
-    def initial_measure(self, seed_override: int | None = None) -> AtomicMeasure:
-        init = self.initial
-        if init["type"] == "atoms":
-            return AtomicMeasure(init["positions"], init["weights"])
-        seed = seed_override if seed_override is not None else init["seed"]
-        rng = np.random.default_rng(seed)
-        lo, hi = init["interval"]
-        pos = rng.uniform(lo, hi, size=(init["count"], self.model.dim))
-        return AtomicMeasure(pos)
-
 
 def build_model(block: dict) -> VelocityModel:
     """The model a config's ``model`` object describes; a value its
     constructors refuse raises their TypeError or ValueError."""
+    _known(block, ("dim", "n_agents", "desired", "kernel", "neighborhood", "heading"),
+           "model")
     return VelocityModel(
         dim=_integer(_require(block, "dim", "model")),
         n_agents=_integer(_require(block, "n_agents", "model")),
         desired=_build("desired", _require(block, "desired", "model")),
         kernel=_build("kernel", _require(block, "kernel", "model")),
         neighborhood=_build("neighborhood", _require(block, "neighborhood", "model")),
-        # read last: the fields above have checked that block is an object
         heading=(FromDesired() if block.get("heading") is None
                  else _build("heading", block["heading"])),
     )
 
 
-def _read_initial(block, n_agents: int) -> dict:
+def _equal_agents(count: int, model: VelocityModel) -> int:
+    """count, refused unless equally weighted agents number model.n_agents."""
+    if count != model.n_agents:
+        raise ConfigError(f"initial data has {count} equally weighted agents, "
+                          f"but model.n_agents = {model.n_agents}")
+    return count
+
+
+def _read_initial(block, model: VelocityModel) -> AtomicMeasure:
+    """The initial measure: the config's atoms, or its seed's uniform draw."""
     kind = _require(block, "type", "initial")
     if kind == "atoms":
+        _known(block, ("type", "positions", "weights"), "initial")
+        positions = _numbers(_require(block, "positions", "initial"))
         weights = block.get("weights")
-        init = {"type": kind, "positions": _numbers(_require(block, "positions", "initial")),
-                "weights": None if weights is None else _numbers(weights)}
-        agents = len(init["positions"])
+        if weights is None:
+            _equal_agents(len(positions), model)
+        mu0 = AtomicMeasure(positions, None if weights is None else _numbers(weights))
     elif kind == "uniform_random":
+        _known(block, ("type", "count", "interval", "seed"), "initial")
         lo, hi = _numbers(_require(block, "interval", "initial"))
         if not (hi > lo):
             raise ConfigError("initial.interval must be increasing")
-        init = {"type": kind, "count": _integer(_require(block, "count", "initial")),
-                "interval": [lo, hi], "seed": _integer(_require(block, "seed", "initial"))}
-        agents = init["count"]
+        # checked before the draw, so a mistyped count allocates nothing
+        count = _equal_agents(_integer(_require(block, "count", "initial")), model)
+        rng = np.random.default_rng(_integer(_require(block, "seed", "initial")))
+        mu0 = AtomicMeasure(rng.uniform(lo, hi, size=(count, model.dim)))
     else:
         raise ConfigError(f"unknown initial data type '{kind}'")
-    # checked before the measure is drawn, so a mistyped count allocates nothing
-    if init.get("weights") is None and agents != n_agents:
-        raise ConfigError(f"initial data has {agents} equally weighted agents, "
-                          f"but model.n_agents = {n_agents}")
-    return init
+    if mu0.dim != model.dim:
+        raise ConfigError(f"initial atoms have dimension {mu0.dim}, "
+                          f"expected model.dim = {model.dim}")
+    return mu0
 
 
 def parse_config(data, source: str = "<config>") -> ExperimentConfig:
-    part = "model"  # the part being read, named in the error
+    part = "config"  # the part being read, named in the error
     try:
+        _known(data, ("model", "initial", "T", "schedule", "w1_sample_times", "outputs"),
+               "config")
+        part = "model"
         model = build_model(_require(data, "model", "config"))
         part = "initial"
-        initial = _read_initial(_require(data, "initial", "config"), model.n_agents)
+        mu0 = _read_initial(_require(data, "initial", "config"), model)
         part = "T"
         T = _number(_require(data, "T", "config"))
         part = "schedule"
         sched = _require(data, "schedule", "config")
         if "ks" in sched:
+            _known(sched, ("delta", "ks", "v_ref"), "schedule")
             v_ref = _number(sched["v_ref"]) if "v_ref" in sched else velocity_bound(model)
             levels = mesh_schedule(v_ref, _number(_require(sched, "delta", "schedule")),
                                    [_integer(k) for k in _typed(sched["ks"])])
         elif "h" in sched and "dt" in sched:
+            _known(sched, ("h", "dt"), "schedule")
             levels = ((0, _number(sched["h"]), _number(sched["dt"])),)
         else:
             raise ConfigError("schedule needs either {delta, ks} or {h, dt}")
@@ -185,22 +204,15 @@ def parse_config(data, source: str = "<config>") -> ExperimentConfig:
                 raise ConfigError(f"w1_sample_times must be strictly increasing and differ in "
                                   f"6 significant digits, got {a!r} then {b!r}")
         part = "outputs"
-        cfg = ExperimentConfig(model=model, initial=initial, T=T, levels=levels,
+        cfg = ExperimentConfig(model=model, initial=mu0, T=T, levels=levels,
                                outputs=_typed(data.get("outputs", "out"), str),
                                w1_sample_times=times)
         part = "schedule"
         step_count(T, cfg.oracle_dt)  # the oracle's steps, as each level's above
         part = "initial"
-        mu0 = cfg.initial_measure()
-        if mu0.dim != model.dim:
-            raise ConfigError(f"initial atoms have dimension {mu0.dim}, "
-                              f"expected model.dim = {model.dim}")
-        # every level's cells must index the atoms, or the interval's corners,
-        # whatever seed draws them
-        extremes = (mu0.positions if initial["type"] == "atoms"
-                    else np.outer(initial["interval"], np.ones(model.dim)))
+        # every level's cells must index the initial atoms
         for _, h, _ in levels:
-            cell_indices(GridSpec(model.dim, h), extremes)
+            cell_indices(GridSpec(model.dim, h), mu0.positions)
         # and every point the run looks at: no agent moves farther than V times
         # the run's duration, and the lattice looks R beyond that
         V, R = velocity_bound(model), model.neighborhood.radius
@@ -208,7 +220,7 @@ def parse_config(data, source: str = "<config>") -> ExperimentConfig:
             reach = V * max(T, step_count(T, dt) * dt) + R
             part = f"model, T or schedule: the agents' reach V*T + R = {reach:.3g}"
             cell_indices(GridSpec(model.dim, h),
-                         np.concatenate([extremes - reach, extremes + reach]))
+                         np.concatenate([mu0.positions - reach, mu0.positions + reach]))
     except (TypeError, ValueError, OverflowError) as exc:
         hint = ""
         if "vanishing desired" in str(exc):

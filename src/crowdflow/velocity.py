@@ -69,8 +69,9 @@ class CaseStudyRepulsion:
     eps: float
 
     def __post_init__(self):
-        if not (0 < self.a < math.inf and self.eps > 0):
-            raise ValueError("repulsion needs finite a > 0 and eps > 0")
+        # the field divides by max^2(|z|, eps), which must neither overflow nor vanish
+        if not (0 < self.a < math.inf and self.eps > 0 and 0 < self.eps * self.eps < math.inf):
+            raise ValueError("repulsion needs finite a > 0, and eps > 0 with finite eps^2 > 0")
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -221,7 +222,7 @@ class ConstantDesired:
 
     @property
     def vmax(self) -> float:
-        return float(np.linalg.norm(self.c))
+        return math.hypot(*self.c)  # |c| does not overflow where |c|^2 would
 
     lip: float = field(default=0.0, init=False)
 
@@ -252,8 +253,9 @@ class VanishingHeadingError(NumericalInvariantError, ValueError):
 
 def _vanishes(v: np.ndarray) -> np.ndarray:
     """The one vanishing-heading rule: a desired velocity v (..., d) with
-    |v| below 1e-12 gives a sector no heading; |v| has sq_norm's bits."""
-    return np.sqrt(sq_norm(v)) < 1e-12
+    |v| below 1e-12 gives a sector no heading; |v| has sq_norm's bits (inf on overflow)."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(sq_norm(v)) < 1e-12
 
 
 @dataclass(frozen=True)
@@ -269,7 +271,7 @@ class FixedAxis:
 
     def __post_init__(self):
         object.__setattr__(self, "axis", tuple(float(v) for v in self.axis))
-        _check_unit(sq_norm(np.asarray(self.axis, dtype=float)), "FixedAxis axis")
+        _check_unit(sum(v * v for v in self.axis), "FixedAxis axis")  # no numpy overflow
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from crowdflow.velocity import CustomDesired, eval_atomic_many, rotation_at
 @pytest.fixture(scope="module")
 def case_study():
     cfg = load_config(case_study_path())
-    return cfg, cfg.initial_measure()
+    return cfg, cfg.initial
 
 
 def _passline(n, msg, t0, budget):

@@ -124,14 +124,15 @@ class TestLoadConfig:
         assert main(["converge", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "latin1.json" in capsys.readouterr().err
 
-    def test_seeded_initial_measure_reproducible(self):
-        cfg = load_config(case_study_path())
-        a = cfg.initial_measure()
-        b = cfg.initial_measure()
+    def test_seeded_initial_measure_reproducible(self, tmp_path):
+        a = load_config(case_study_path()).initial
+        b = load_config(case_study_path()).initial
         assert (a.positions == b.positions).all()
         assert a.n_atoms == 10
         assert a.positions.min() >= 0.0 and a.positions.max() < 1.0
-        c = cfg.initial_measure(seed_override=999)
+        data = json.loads(case_study_path().read_text())
+        data["initial"]["seed"] = 999
+        c = load_config(write_json(tmp_path, data)).initial
         assert (c.positions != a.positions).any()
 
 
@@ -261,6 +262,27 @@ class TestValidation:
         assert len(err) == 1 and err[0].startswith(f"error: {cfg}: invalid {part}: ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("path, overrides, part", [
+        (("initial", "weight"), {}, "initial"),
+        (("initial", "weights"), {"initial": UNIFORM}, "initial"),
+        (("schedule", "vref"), {}, "schedule"),
+        (("schedule", "v_ref"), {"schedule": {"h": 0.25, "dt": 0.005}}, "schedule"),
+        (("w1_sample_time",), {}, "config"),
+        (("model", "headings"), {}, "model"),
+        (("model", "kernel", "R"), {}, "model"),
+        (("model", "heading", "c"), SECTOR_2D, "model"),
+    ], ids=["atoms", "uniform_random", "ks", "h", "config", "model", "kernel", "heading"])
+    def test_unknown_field_exits_2_naming_it(self, tmp_path, capsys, path, overrides, part):
+        # a misspelled key must not fall back to its default: "weight" would
+        # run on equal weights, "vref" on a derived v_ref, "w1_sample_time" at [T/2, T]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(with_raw_value(path, "1", **overrides))
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {cfg}: invalid {part}: unknown field '{path[-1]}' in ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["particles", "converge"])
     @pytest.mark.parametrize("c", [[0.0, 0.0], [1e-13, 0.0]])
     def test_sector_facing_a_vanishing_constant_gives_remedy(self, tmp_path, capsys, command,
@@ -346,14 +368,15 @@ class TestCli:
         cfg = write_json(tmp_path, fast_config(T=-1.0))
         assert main(["project", "--config", str(cfg)]) == 2
 
-    def test_negative_seed_exits_2(self, tmp_path, capsys):
+    def test_seed_flag_exits_2(self, tmp_path, capsys):
+        # the config's initial.seed is the only seed: another draw is another config
         cfg = write_json(tmp_path, fast_config(initial=UNIFORM))
         with pytest.raises(SystemExit) as exc:
-            main(["particles", "--config", str(cfg), "--seed", "-1",
+            main(["particles", "--config", str(cfg), "--seed", "5",
                   "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
         err = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-        assert len(err) == 1 and "argument --seed: must be an integer >= 0" in err[0]
+        assert len(err) == 1 and "unrecognized arguments: --seed 5" in err[0]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("out, blocker, named", [("taken", "taken", "taken"),

@@ -127,8 +127,10 @@ def wall_clock_guard():
 @pytest.mark.parametrize("base, path", [
     pytest.param(base, path, id=f"{base['model']['dim']}d-" + ".".join(map(str, path)))
     for base in (SMALL_1D, SMALL_SECTOR_2D) for path, _ in numeric_leaves(base)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_every_number_at_1e300_exits_cleanly(wall_clock_guard, base, path, command):
-    # about 1e302 steps, or a reach that overflows in the run, is refused at load
+    # about 1e302 steps, or a reach that overflows in the run, is refused at
+    # load; a numpy overflow on the way fails the test
     assert exit_code(base, command, (path, 1e300)) in (0, 2, 3)
 
 

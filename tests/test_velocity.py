@@ -72,8 +72,10 @@ class TestKernels:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             CaseStudyRepulsion(0.0, EPS)
-        with pytest.raises(ValueError):
-            CaseStudyRepulsion(A, -1.0)
+        # eps^2 must be a positive finite float: the field divides by it
+        for eps in (-1.0, 1e300, 1e-170):
+            with pytest.raises(ValueError):
+                CaseStudyRepulsion(A, eps)
         with pytest.raises(ValueError):
             PrototypeAttraction(0.0)
 

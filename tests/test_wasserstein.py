@@ -85,16 +85,29 @@ class TestW1Exact:
         assert w1_exact(mu, mu) <= 1e-12
 
 
-def dense_w1(mu, nu) -> float:
-    """The full transport LP: the column-generation helper over all m * n pairs."""
+def dense_w1(mu, nu) -> wasserstein.TransportCost:
+    """The full transport LP: the column-generation helper over all m * n pairs,
+    certified on the marginals w1_exact enforces: the c-transform of its duals
+    below, its plan rounded onto those marginals above."""
     xs, a = merge_duplicates(mu.positions, mu.weights)
     ys, b = merge_duplicates(nu.positions, nu.weights)
-    return wasserstein._restricted_lp(xs, a, ys, b, np.arange(len(a) * len(b)))[0]
+    b[-1] = a.sum() - b[:-1].sum()
+    pairs = np.arange(len(a) * len(b))
+    value, plan, cost, f, g = wasserstein._restricted_lp(xs, a, ys, b, pairs)
+    lower = a @ f + b @ wasserstein._price(xs, ys, f, g)[1]
+    return wasserstein.TransportCost(
+        value, lower, wasserstein._rounded_cost(xs, a, ys, b, pairs, cost, plan))
+
+
+def meet(res, dense) -> bool:
+    """Whether two certified intervals meet, as two intervals that hold the
+    same optimum must, up to the 1e-12 their sums may round by."""
+    return res.lower <= dense.upper + 1e-12 and dense.lower <= res.upper + 1e-12
 
 
 def assert_certified(res, dense):
     assert abs(res - dense) <= 1e-9
-    assert res.lower <= dense + 1e-12 and dense <= res.upper + 1e-12
+    assert meet(res, dense)
     assert res.lower <= res + 1e-12 and res <= res.upper + 1e-12
 
 
@@ -131,7 +144,18 @@ class TestColumnGeneration:
             mp.setattr(wasserstein, "_price",
                        lambda *args: (np.empty(0, dtype=np.int64), price(*args)[1]))
             res = w1_exact(mu, nu)
-        assert res.lower <= dense + 1e-12 and dense <= res.upper + 1e-12
+        assert meet(res, dense)
+
+    def test_dense_value_above_the_certified_interval(self, monkeypatch):
+        # W1 = 1/3 exactly; HiGHS reports the dense optimum 1.5e-12 above the
+        # upper bound w1_exact certifies, so only the intervals can be compared
+        mu = AtomicMeasure([[0, 0]] * 9 + [[1e-10, 0], [1, -1]], np.full(11, 1 / 11))
+        nu = AtomicMeasure([[0, 0]] * 4 + [[0, 1], [0, -1]], np.full(6, 1 / 6))
+        monkeypatch.setattr(wasserstein, "_NEAREST", 1)
+        res, dense = w1_exact(mu, nu), dense_w1(mu, nu)
+        exact = wasserstein.TransportCost(1 / 3, 1 / 3, 1 / 3)
+        assert meet(res, exact) and meet(dense, exact)
+        assert_certified(res, dense)
 
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
