@@ -20,6 +20,12 @@ from .velocity import (Ball, CaseStudyRepulsion, ConstantDesired, FixedAxis,
                        ZeroDesired, velocity_bound)
 
 
+# The particle oracle keeps every state, (step_count(T, oracle_dt) + 1) x
+# agents x dim float64 positions; a config whose oracle would need more is
+# refused at load, before its initial atoms are drawn.
+MAX_ORACLE_BYTES = 1 << 30
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
@@ -109,9 +115,13 @@ class ExperimentConfig:
 
     @property
     def oracle_dt(self) -> float:
-        """The particle oracle's step: the finest level's, refined 10x so the
-        oracle's error stays negligible, and never longer than the horizon."""
-        return min(min(dt for _, _, dt in self.levels) / 10.0, self.T)
+        return _oracle_dt(self.levels, self.T)
+
+
+def _oracle_dt(levels, T: float) -> float:
+    """The particle oracle's step: the finest level's, refined 10x so the
+    oracle's error stays negligible, and never longer than the horizon."""
+    return min(min(dt for _, _, dt in levels) / 10.0, T)
 
 
 def build_model(block: dict) -> VelocityModel:
@@ -138,12 +148,23 @@ def _equal_agents(count: int, model: VelocityModel) -> int:
     return count
 
 
-def _read_initial(block, model: VelocityModel) -> AtomicMeasure:
-    """The initial measure: the config's atoms, or its seed's uniform draw."""
+def _oracle_fits(count: int, model: VelocityModel, states: int, field: str) -> None:
+    """Refuse ``count`` agents whose oracle states would exceed MAX_ORACLE_BYTES."""
+    size = states * count * model.dim * 8
+    if size > MAX_ORACLE_BYTES:
+        raise ConfigError(f"{field} = {count}: the oracle would keep {states} states of "
+                          f"{count} agents in {model.dim}D, {size:.3g} bytes, over its "
+                          f"{MAX_ORACLE_BYTES}-byte budget")
+
+
+def _read_initial(block, model: VelocityModel, states: int) -> AtomicMeasure:
+    """The initial measure: the config's atoms, or its seed's uniform draw,
+    refused if the oracle's ``states`` of it would not fit in memory."""
     kind = _require(block, "type", "initial")
     if kind == "atoms":
         _known(block, ("type", "positions", "weights"), "initial")
         positions = _numbers(_require(block, "positions", "initial"))
+        _oracle_fits(len(positions), model, states, "initial.positions")
         weights = block.get("weights")
         if weights is None:
             _equal_agents(len(positions), model)
@@ -155,6 +176,7 @@ def _read_initial(block, model: VelocityModel) -> AtomicMeasure:
             raise ConfigError("initial.interval must be increasing")
         # checked before the draw, so a mistyped count allocates nothing
         count = _equal_agents(_integer(_require(block, "count", "initial")), model)
+        _oracle_fits(count, model, states, "initial.count")
         rng = np.random.default_rng(_integer(_require(block, "seed", "initial")))
         mu0 = AtomicMeasure(rng.uniform(lo, hi, size=(count, model.dim)))
     else:
@@ -172,8 +194,6 @@ def parse_config(data, source: str = "<config>") -> ExperimentConfig:
                "config")
         part = "model"
         model = build_model(_require(data, "model", "config"))
-        part = "initial"
-        mu0 = _read_initial(_require(data, "initial", "config"), model)
         part = "T"
         T = _number(_require(data, "T", "config"))
         part = "schedule"
@@ -191,6 +211,9 @@ def parse_config(data, source: str = "<config>") -> ExperimentConfig:
         for _, h, dt in levels:  # what every command builds per level
             GridSpec(model.dim, h)
             step_count(T, dt)
+        oracle_steps = step_count(T, _oracle_dt(levels, T))  # as each level's above
+        part = "initial"
+        mu0 = _read_initial(_require(data, "initial", "config"), model, oracle_steps + 1)
         part = "w1_sample_times"
         times = tuple(_numbers(data.get("w1_sample_times", [T / 2.0, T])))
         if not times:
@@ -207,8 +230,6 @@ def parse_config(data, source: str = "<config>") -> ExperimentConfig:
         cfg = ExperimentConfig(model=model, initial=mu0, T=T, levels=levels,
                                outputs=_typed(data.get("outputs", "out"), str),
                                w1_sample_times=times)
-        part = "schedule"
-        step_count(T, cfg.oracle_dt)  # the oracle's steps, as each level's above
         part = "initial"
         # every level's cells must index the initial atoms
         for _, h, _ in levels:

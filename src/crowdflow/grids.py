@@ -8,7 +8,6 @@ reproducible summation order.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -182,6 +181,9 @@ class AtomicMeasure:
     def n_atoms(self) -> int:
         return int(self.positions.shape[0])
 
+    def __len__(self) -> int:
+        return self.n_atoms
+
     def translated(self, shift) -> "AtomicMeasure":
         return AtomicMeasure(self.positions + np.asarray(shift, dtype=float), self.weights)
 
@@ -189,11 +191,6 @@ class AtomicMeasure:
         atoms = [{"x": [float(v) for v in p], "w": float(w)}
                  for p, w in zip(self.positions, self.weights)]
         return json.dumps(atoms)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AtomicMeasure":
-        atoms = json.loads(text)
-        return cls([a["x"] for a in atoms], [a["w"] for a in atoms])
 
 
 def project_atomic(mu_bar: AtomicMeasure, spec: GridSpec) -> GridMeasure:
@@ -258,12 +255,3 @@ def write_density_csv(lam: GridMeasure, path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(csv_text([header]))
         fh.write(csv_text(zip(*columns)))
-
-
-def read_density_csv(spec: GridSpec, path) -> GridMeasure:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    d = spec.dim
-    idx = [[int(row[f"index_{l}"]) for l in range(d)] for row in rows]
-    rho = [float(row["rho"]) for row in rows]
-    return GridMeasure(spec, np.asarray(idx, dtype=np.int64).reshape(-1, d), rho)

@@ -380,19 +380,54 @@ def cutoff_at(model: VelocityModel, X, Y) -> np.ndarray:
     return _frame_cutoff(model, X, np.asarray(Y, dtype=float) - X)
 
 
+# The kernels with F(-z) = -F(z) bit for bit. Under a ball, whose cutoff reads
+# only |z|^2, their pair term g(z) = F(z) sigma(z) is odd as well.
+_ODD_KERNELS = (CaseStudyRepulsion, PrototypeAttraction)
+
+
+def _window_blocks(first: np.ndarray, count: np.ndarray):
+    """The pairs of a windowed pair sum in blocks: row i pairs with the
+    sorted atoms first[i] ... first[i] + count[i] - 1. Yields (lo, hi, row,
+    col) for the rows lo..hi-1, which hold at most _EVAL_CHUNK pairs (or row
+    lo alone), with each pair's row counted from lo and its atom's index;
+    rows are never split, and pairs come row by row, atoms in order."""
+    ends = np.cumsum(count)  # the pairs of row i are ends[i] - count[i] ... ends[i] - 1
+    lo = 0
+    while lo < len(count):
+        base = ends[lo] - count[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _EVAL_CHUNK, "right")))
+        n = count[lo:hi]
+        start = ends[lo:hi] - n - base  # each row's first pair in the block
+        row = np.repeat(np.arange(hi - lo), n)
+        yield lo, hi, row, np.arange(ends[hi - 1] - base) + np.repeat(first[lo:hi] - start, n)
+        lo = hi
+
+
 def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
-                     X: np.ndarray) -> np.ndarray:
-    """N * sum_j w_j F(y_j - x) sigma_{U_x}(y_j) for each row x of X.
+                     X: np.ndarray | None = None) -> np.ndarray:
+    """N * sum_j w_j F(y_j - x) sigma_{U_x}(y_j) for each row x of X, or for
+    each atom y_i when X is omitted.
 
     U_x lies inside B_R(x), so only the atoms whose first coordinate lies
     within R of x's can contribute (rounding is monotone, so a computed
-    |y - x|^2 below R^2 implies |y_0 - x_0| < R exactly). Below
-    _DENSE_MAX_PAIRS pairs (counted without one query row and one atom
-    column) every pair is evaluated in dense blocks. Above it the atoms are
-    sorted by first coordinate and each query sees only its window of them;
-    each query's terms are summed in that sorted order by ``bincount``. In
-    either form a row gets the same bits whether alone or in a batch.
+    |y - x|^2 below R^2 implies |y_0 - x_0| < R exactly). The sum takes one
+    of three forms:
+
+    - dense: below _DENSE_MAX_PAIRS pairs (counted without one query row and
+      one atom column), every pair is evaluated in dense blocks;
+    - windowed: above it, the atoms are sorted by first coordinate, each
+      query sees only its window of them, and each query's terms are summed
+      in that sorted order by ``bincount``;
+    - half: above it, with X omitted and an odd pair term (see
+      :func:`_half_interaction_sum`), each pair of atoms is evaluated once.
+
+    In the dense and windowed forms a row gets the same bits whether alone or
+    in a batch. The half form gives the windowed form's bits, so a row at an
+    atom gets the bits of that point queried alone.
     """
+    at_atoms = X is None
+    if at_atoms:
+        X = Y
     q, d = X.shape
     m = Y.shape[0]
     if (q - 1) * (m - 1) < _DENSE_MAX_PAIRS:
@@ -405,23 +440,17 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
             F = kernel_F(model.kernel, Z)
             out[lo:lo + block] = np.einsum("j,bj,bjd->bd", w, sig, F)
         return model.n_agents * out
+    if (at_atoms and isinstance(model.neighborhood, Ball)
+            and isinstance(model.kernel, _ODD_KERNELS)):
+        return _half_interaction_sum(model, Y, w)
 
     order = np.argsort(Y[:, 0], kind="stable")
     Y, w = Y[order], w[order]
     R = model.neighborhood.radius
     first = np.searchsorted(Y[:, 0], X[:, 0] - R, "left")
     count = np.searchsorted(Y[:, 0], X[:, 0] + R, "right") - first
-    ends = np.cumsum(count)  # the pairs of query i are ends[i] - count[i] ... ends[i] - 1
     out = np.empty((q, d))
-    lo = 0
-    while lo < q:
-        # the queries lo..hi-1 hold at most _EVAL_CHUNK pairs (or lo alone)
-        base = ends[lo] - count[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, base + _EVAL_CHUNK, "right")))
-        n = count[lo:hi]
-        start = ends[lo:hi] - n - base  # each query's first pair in the block
-        row = np.repeat(np.arange(hi - lo), n)
-        col = np.arange(ends[hi - 1] - base) + np.repeat(first[lo:hi] - start, n)
+    for lo, hi, row, col in _window_blocks(first, count):
         # take gathers rows several times faster than fancy indexing
         Z = Y.take(col, axis=0) - X[lo:hi].take(row, axis=0)
         sig = _frame_cutoff(model, X[lo:hi], Z, row)
@@ -429,8 +458,42 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
         terms = (w.take(col) * sig)[:, None] * F
         for l in range(d):
             out[lo:hi, l] = np.bincount(row, terms[:, l], hi - lo)
-        lo = hi
     return model.n_agents * out
+
+
+def _half_interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The windowed pair sum at the atoms themselves for an odd pair term g,
+    each pair of atoms evaluated once.
+
+    With the atoms sorted by first coordinate, atom i pairs only with the
+    atoms after it, up to y_0 + R. A pair (i, j), i < j, gives w_j g(z) to
+    row i and -w_i g(z) to row j, z = y_j - y_i: the windowed form's terms,
+    since negation is exact. ``np.add.at`` adds in order, a block's terms
+    to the rows j first, then those to the rows i, and a row is never split
+    across blocks. So each row sums its terms in sorted atom order, as the
+    windowed form does, and gets its bits: the terms the two windows do not
+    share are zeros (their first coordinates lie R or more apart), which
+    change no sum.
+    """
+    m, d = Y.shape
+    order = np.argsort(Y[:, 0], kind="stable")
+    Y, w = Y[order], w[order]
+    after = np.arange(1, m + 1)
+    count = np.searchsorted(Y[:, 0], Y[:, 0] + model.neighborhood.radius, "right") - after
+    out = np.zeros((d, m))
+    for lo, _, row, col in _window_blocks(after, count):
+        row += lo
+        Z = Y.take(col, axis=0) - Y.take(row, axis=0)
+        sig = model.neighborhood.cutoff(Z)
+        F = kernel_F(model.kernel, Z)
+        to_j = -(w.take(row) * sig)[:, None] * F
+        to_i = (w.take(col) * sig)[:, None] * F
+        for l in range(d):
+            np.add.at(out[l], col, to_j[:, l])
+            np.add.at(out[l], row, to_i[:, l])
+    unsorted = np.empty((m, d))
+    unsorted[order] = out.T
+    return model.n_agents * unsorted
 
 
 @functools.lru_cache(maxsize=16)
@@ -525,8 +588,12 @@ def eval_grid_many(model: VelocityModel, lam: GridMeasure, X: np.ndarray) -> np.
     return model.desired(X) + inter
 
 
-def eval_atomic_many(model: VelocityModel, mu: AtomicMeasure, X: np.ndarray) -> np.ndarray:
-    """v[mu](x) at each row x of X for an atomic measure mu."""
+def eval_atomic_many(model: VelocityModel, mu: AtomicMeasure, X=None) -> np.ndarray:
+    """v[mu](x) at each row x of X for an atomic measure mu. With X omitted,
+    or given as mu itself, the points are mu's own atoms, and the pair sum
+    may evaluate each pair of atoms once; the bits are the same."""
+    if X is None or X is mu:
+        return model.desired(mu.positions) + _interaction_sum(model, mu.positions, mu.weights)
     X = np.asarray(X, dtype=float)
     return model.desired(X) + _interaction_sum(model, mu.positions, mu.weights, X)
 

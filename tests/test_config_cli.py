@@ -2,11 +2,13 @@ import csv
 import dataclasses
 import json
 import math
+import time
+import tracemalloc
 
 import pytest
 
-from crowdflow import (CaseStudyRepulsion, CustomDesired, Sector, VelocityModel, scheme,
-                       wasserstein)
+from crowdflow import (CaseStudyRepulsion, CustomDesired, Sector, VelocityModel, config,
+                       scheme, wasserstein)
 from crowdflow.cli import main
 from crowdflow.config import ConfigError, case_study_path, load_config, parse_config
 
@@ -303,6 +305,40 @@ class TestValidation:
         assert parse_config(data).oracle_dt == 0.002
         monkeypatch.setattr(scheme, "DEFAULT_MAX_STEPS", 20)
         with pytest.raises(ConfigError, match="invalid schedule: T/dt = 50 steps exceed the cap"):
+            parse_config(data)
+
+    @pytest.mark.parametrize("count", [10 ** 15, 10 ** 9])
+    def test_oracle_too_large_exits_2_before_the_draw(self, tmp_path, capsys, count):
+        # the case study's oracle keeps 1746 states: 14 GB of them at 10^9
+        # agents; the draw alone would take 8 GB, and an allocation error at 10^15
+        data = json.loads(case_study_path().read_text())
+        data["model"]["n_agents"] = count
+        data["initial"] = dict(UNIFORM, count=count)
+        cfg = write_json(tmp_path, data)
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            rc = main(["particles", "--config", str(cfg), "--out", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2 and time.perf_counter() - t0 < 5.0 and peak < 2 ** 20
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}: invalid initial: "
+                                                   f"initial.count = {count}: ")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("initial, field", [(UNIFORM, "initial.count"),
+                                                (None, "initial.positions")])
+    def test_oracle_budget_is_its_states_times_agents(self, monkeypatch, initial, field):
+        # T = 0.01 and ks [4, 8]: step_count(T, oracle_dt) + 1 states of 3 agents in 1D
+        data = fast_config(**({"initial": initial} if initial else {}))
+        cfg = parse_config(data)
+        size = (scheme.step_count(cfg.T, cfg.oracle_dt) + 1) * 3 * 1 * 8
+        monkeypatch.setattr(config, "MAX_ORACLE_BYTES", size)
+        parse_config(data)
+        monkeypatch.setattr(config, "MAX_ORACLE_BYTES", size - 1)
+        with pytest.raises(ConfigError, match=f"invalid initial: {field} = 3: "):
             parse_config(data)
 
     def test_explicit_level_schedule(self):

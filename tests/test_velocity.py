@@ -33,12 +33,14 @@ def ball_model(n_agents=2, dim=1):
 
 
 def pair_sum(form, model, Y, w, X, chunk=velocity._EVAL_CHUNK):
-    """_interaction_sum forced into its dense block form or its windowed form."""
+    """_interaction_sum forced into its dense block form or its windowed form;
+    X = None asks for the sum at the atoms, where the windowed form may be
+    the half form."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(velocity, "_DENSE_MAX_PAIRS", {"dense": math.inf, "windowed": 0}[form])
         mp.setattr(velocity, "_EVAL_CHUNK", chunk)
         return _interaction_sum(model, np.asarray(Y, float), np.asarray(w, float),
-                                np.asarray(X, float))
+                                None if X is None else np.asarray(X, float))
 
 
 class TestKernels:
@@ -848,14 +850,138 @@ class TestWindowedPairSum:
 
     def test_pair_sum_memory_stays_in_blocks(self):
         # 1000 uniform 1D atoms on [0, 1] seen from themselves: about 190k
-        # pairs in the window, 1.5 MB a temporary if evaluated in one block
+        # pairs in the window, 1.5 MB a temporary if evaluated in one block;
+        # the half form, at the atoms, holds half of them
         model = ball_model(n_agents=1000)
         Y = np.random.default_rng(13).uniform(0.0, 1.0, size=(1000, 1))
         w = np.full(1000, 1e-3)
-        tracemalloc.start()
-        try:
-            _interaction_sum(model, Y, w, Y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2 ** 20
+        for X in (Y, None):
+            tracemalloc.start()
+            try:
+                _interaction_sum(model, Y, w, X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# the half form at the atoms, each pair evaluated once
+
+def odd_models(dim):
+    """Ball models with an odd pair term: both odd kernels, and cutoffs with
+    b = 1e-15, which stay near 1 up to an ulp inside R."""
+    kernels = {"repulsion": CaseStudyRepulsion(A, EPS), "attraction": PrototypeAttraction(R)}
+    return {f"{name}_b{b:g}": VelocityModel(dim=dim, n_agents=7, desired=ZeroDesired(),
+                                           kernel=kern, neighborhood=Ball(R, b))
+            for name, kern in kernels.items() for b in (B, 1e-15)}
+
+
+@st.composite
+def self_sum_inputs(draw):
+    """Atoms with duplicates and with atoms at an offset of exactly R and of
+    one ulp inside R from another along the first axis, and their weights;
+    all optionally shifted by 1e6."""
+    dim = draw(st.integers(1, 3))
+    coord = st.floats(-0.4, 0.4) | st.sampled_from([0.0, R, -R])
+    Y = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=40))
+    Y = np.array(Y + [Y[i] for i in draw(st.lists(st.integers(0, len(Y) - 1), max_size=5))])
+    edge = []
+    for i in draw(st.lists(st.integers(0, len(Y) - 1), max_size=4)):
+        for r in (R, np.nextafter(R, 0.0), -R, -np.nextafter(R, 0.0)):
+            y = Y[i].copy()
+            y[0] += r
+            edge.append(y)
+    Y = np.vstack([Y, np.reshape(edge, (-1, dim))])
+    w = draw(st.lists(st.floats(0.01, 10.0), min_size=len(Y), max_size=len(Y)))
+    shift = draw(st.sampled_from([0.0, 1e6]))
+    return Y + shift, np.array(w)
+
+
+def all_terms_zero(model, Y, w):
+    """Rows whose every term w_j F(y_j - y_i) sigma(y_j - y_i) is 0."""
+    Z = Y[None, :, :] - Y[:, None, :]
+    terms = (w * model.neighborhood.cutoff(Z))[..., None] * model.kernel(Z)
+    return np.all(terms == 0, axis=(1, 2))
+
+
+class TestHalfPairSum:
+    @given(self_sum_inputs(), st.sampled_from(CHUNKS))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_dense_and_windowed_forms(self, inputs, chunk):
+        Y, w = inputs
+        for name, model in odd_models(Y.shape[1]).items():
+            dense = pair_sum("dense", model, Y, w, Y, chunk)
+            half = pair_sum("windowed", model, Y, w, None, chunk)
+            assert np.max(np.abs(half - dense)) <= 1e-12 * np.max(np.abs(dense)), name
+            assert np.all(half[all_terms_zero(model, Y, w)] == 0), name
+            # the windowed form's bits, with any block size
+            assert half.tobytes() == pair_sum("windowed", model, Y, w, Y, chunk).tobytes(), name
+            for other in CHUNKS:
+                assert pair_sum("windowed", model, Y, w, None, other).tobytes() == half.tobytes()
+
+    def test_each_pair_is_evaluated_once(self, monkeypatch):
+        # 300 atoms with distinct first coordinates: the windowed form sees
+        # each atom's self pair and both orders of every other pair in range,
+        # the half form each unordered pair once, through kernel_F and the cutoff
+        model = ball_model(n_agents=300, dim=2)
+        Y = np.random.default_rng(14).uniform(0.0, 10 * R, size=(300, 2))
+        w = np.full(300, 1 / 300)
+        seen = {"kernel": [], "cutoff": []}
+        kernel_F, cutoff = velocity.kernel_F, Ball.cutoff
+        monkeypatch.setattr(velocity, "kernel_F", lambda k, z: (
+            seen["kernel"].append(len(z)), kernel_F(k, z))[1])
+        monkeypatch.setattr(Ball, "cutoff", lambda self, z: (
+            seen["cutoff"].append(len(z)), cutoff(self, z))[1])
+        windowed = _interaction_sum(model, Y, w, Y)
+        full = sum(seen["kernel"])
+        assert sum(seen["cutoff"]) == full
+        seen["kernel"].clear()
+        seen["cutoff"].clear()
+        half = _interaction_sum(model, Y, w)
+        assert 2 * sum(seen["kernel"]) + 300 == full
+        assert sum(seen["cutoff"]) == sum(seen["kernel"])
+        assert half.tobytes() == windowed.tobytes()
+
+    def test_dispatch(self, monkeypatch):
+        # only the sum at the atoms with an odd term under a ball takes the
+        # half form; a sector, a custom kernel (whose F(0) may be nonzero) and
+        # explicit query points take the windowed form
+        calls = []
+        half_sum = velocity._half_interaction_sum
+        monkeypatch.setattr(velocity, "_half_interaction_sum",
+                            lambda *args: (calls.append(1), half_sum(*args))[1])
+        rng = np.random.default_rng(15)
+        mu1 = AtomicMeasure(rng.uniform(0.0, 1.0, size=(100, 1)))
+        mu2 = AtomicMeasure(rng.uniform(0.0, 1.0, size=(100, 2)))
+
+        for model in odd_models(1).values():
+            calls.clear()
+            at_atoms = eval_atomic_many(model, mu1)
+            assert calls == [1]
+            assert eval_atomic_many(model, mu1, mu1).tobytes() == at_atoms.tobytes()
+            assert calls == [1, 1]
+            assert eval_atomic_many(model, mu1, mu1.positions).tobytes() == at_atoms.tobytes()
+            off_atoms = eval_atomic_many(model, mu1, mu1.positions + 0.0)
+            assert off_atoms.tobytes() == at_atoms.tobytes()
+            assert calls == [1, 1]
+        few = AtomicMeasure(mu1.positions[:8])  # the dense form
+        eval_atomic_many(ball_model(n_agents=8), few)
+        assert calls == [1, 1]
+
+        calls.clear()
+        sector = window_models(2, 0.3)["sector_custom"]
+        dense = pair_sum("dense", sector, mu2.positions, mu2.weights, mu2.positions)
+        got = eval_atomic_many(sector, mu2) - sector.desired(mu2.positions)
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+        with pytest.warns(UserWarning, match="lone agent"):
+            pushy = VelocityModel(dim=1, n_agents=100, desired=ZeroDesired(),
+                                  kernel=CustomKernel(lambda z: z + 1.0, 1.0 + R, 1.0),
+                                  neighborhood=Ball(R, B))
+        got = eval_atomic_many(pushy, mu1)
+        dense = pair_sum("dense", pushy, mu1.positions, mu1.weights, mu1.positions)
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+        # the self term w_i F(0) sigma(0) = 1/100 is in every row
+        no_self = dense - pushy.n_agents * mu1.weights[:, None]
+        assert np.all(np.abs(got - no_self) > 0.5)
+        assert calls == []
