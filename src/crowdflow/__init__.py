@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 from .grids import (AtomicMeasure, GridMeasure, GridSpec, atomize, cell_indices,
                     interpolate, moment, project_atomic, total_mass)
 from .particles import euler_step, push_forward_atoms, run_particles, to_measure
-from .scheme import (NumericalInvariantError, StepReport, box_overlap_fractions,
-                     cfl_ratio, mesh_schedule, run, sample_at, step)
+from .scheme import (NumericalInvariantError, StepReport, cfl_ratio, mesh_schedule,
+                     run, sample_at, step)
 from .velocity import (Ball, CaseStudyRepulsion, ConstantDesired, CustomDesired,
                        CustomKernel, FixedAxis, FromDesired, PrototypeAttraction,
                        Rotation2, Sector, VelocityModel, ZeroDesired, cutoff_at,
@@ -24,8 +24,8 @@ __all__ = [
     "AtomicMeasure", "GridMeasure", "GridSpec", "atomize", "cell_indices",
     "interpolate", "moment", "project_atomic", "total_mass",
     "euler_step", "push_forward_atoms", "run_particles", "to_measure",
-    "NumericalInvariantError", "StepReport", "box_overlap_fractions",
-    "cfl_ratio", "mesh_schedule", "run", "sample_at", "step",
+    "NumericalInvariantError", "StepReport", "cfl_ratio", "mesh_schedule",
+    "run", "sample_at", "step",
     "Ball", "CaseStudyRepulsion", "ConstantDesired", "CustomDesired",
     "CustomKernel", "FixedAxis", "FromDesired", "PrototypeAttraction",
     "Rotation2", "Sector", "VelocityModel", "ZeroDesired", "cutoff_at",

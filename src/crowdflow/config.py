@@ -129,7 +129,7 @@ def build_model(block: dict) -> VelocityModel:
     constructors refuse raises their TypeError or ValueError."""
     _known(block, ("dim", "n_agents", "desired", "kernel", "neighborhood", "heading"),
            "model")
-    return VelocityModel(
+    model = VelocityModel(
         dim=_integer(_require(block, "dim", "model")),
         n_agents=_integer(_require(block, "n_agents", "model")),
         desired=_build("desired", _require(block, "desired", "model")),
@@ -138,6 +138,9 @@ def build_model(block: dict) -> VelocityModel:
         heading=(FromDesired() if block.get("heading") is None
                  else _build("heading", block["heading"])),
     )
+    if block.get("heading") is not None and not isinstance(model.neighborhood, Sector):
+        raise ConfigError("model.heading: only a sector neighborhood reads a heading")
+    return model
 
 
 def _equal_agents(count: int, model: VelocityModel) -> int:

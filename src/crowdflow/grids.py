@@ -14,12 +14,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the one tolerance of "sums to one", for grid and atomic measures alike
 MASS_TOL = 1e-10
-WEIGHT_TOL = 1e-12
 
 
 class NumericalInvariantError(RuntimeError):
     """A runtime invariant of the scheme was violated (mass, support, ...)."""
+
+
+class MassError(NumericalInvariantError, ValueError):
+    """A measure's total mass differs from 1 by more than MASS_TOL: a
+    configuration error at load, a numerical invariant violation in a run."""
+
+
+def check_mass(total: float, what: str) -> None:
+    """The one mass rule of a probability measure: |total - 1| <= MASS_TOL."""
+    if not abs(total - 1.0) <= MASS_TOL:  # NaN fails too
+        raise MassError(f"the mass {total!r} of {what} differs from 1 by more than {MASS_TOL}")
+
+
+def _positive_part(rows: np.ndarray, values: np.ndarray, what: str):
+    """``(rows, values)`` without the rows whose value is 0, both returned as
+    given when none is; the values must be finite and nonnegative."""
+    lightest = values.min(initial=math.inf)
+    if not (lightest >= 0 and values.max(initial=0.0) < math.inf):  # NaN fails both
+        raise ValueError(f"{what} must be finite and nonnegative")
+    if lightest > 0:
+        return rows, values
+    keep = values > 0
+    return rows[keep], values[keep]
 
 
 @dataclass(frozen=True)
@@ -98,12 +121,7 @@ class GridMeasure:
         rho = np.asarray(rho, dtype=float).reshape(-1)
         if indices.shape[0] != rho.shape[0]:
             raise ValueError("indices and rho must have the same length")
-        if not np.all(np.isfinite(rho)):
-            raise ValueError("densities must be finite")
-        if np.any(rho < 0):
-            raise ValueError("densities must be nonnegative")
-        keep = rho > 0
-        indices, rho = merge_duplicates(indices[keep], rho[keep])
+        indices, rho = merge_duplicates(*_positive_part(indices, rho, "densities"))
         self.spec = spec
         self.indices = indices
         self.rho = rho
@@ -126,9 +144,7 @@ class GridMeasure:
         return self.rho * self.spec.cell_volume
 
     def validate_probability(self) -> None:
-        mass = total_mass(self)
-        if abs(mass - 1.0) > MASS_TOL:
-            raise ValueError(f"total mass {mass!r} differs from 1 by more than {MASS_TOL}")
+        check_mass(total_mass(self), "the grid measure")
 
 
 class AtomicMeasure:
@@ -153,23 +169,12 @@ class AtomicMeasure:
                 weights = weights.reshape(-1)
         if weights.shape[0] != n:
             raise ValueError("positions and weights must have the same length")
-        lightest = weights.min()
-        if not (lightest >= 0 and weights.max() < math.inf):  # NaN fails both
-            raise ValueError("weights must be finite and nonnegative")
-        if lightest > 0:  # no atom to drop; copy, since the arrays are frozen below,
-            # but share weights frozen already, such as another measure's
-            positions = positions.copy()
-            weights = weights.copy() if weights.flags.writeable else weights
-        else:
-            keep = weights > 0
-            positions, weights = positions[keep], weights[keep]
-            if positions.shape[0] == 0:
-                raise ValueError("measure has no positive-weight atoms")
-        total = float(weights.sum())
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise ValueError(f"weights sum to {total!r}, expected 1")
-        self.positions = positions
-        self.weights = weights
+        positions, weights = _positive_part(positions, weights, "weights")
+        check_mass(float(weights.sum()), "the weights")
+        # frozen below: copy the caller's arrays, but share read-only ones that
+        # own their data, such as another measure's weights
+        self.positions, self.weights = (a if a.base is None and not a.flags.writeable
+                                        else a.copy() for a in (positions, weights))
         self.positions.setflags(write=False)
         self.weights.setflags(write=False)
 
@@ -180,9 +185,6 @@ class AtomicMeasure:
     @property
     def n_atoms(self) -> int:
         return int(self.positions.shape[0])
-
-    def __len__(self) -> int:
-        return self.n_atoms
 
     def translated(self, shift) -> "AtomicMeasure":
         return AtomicMeasure(self.positions + np.asarray(shift, dtype=float), self.weights)

@@ -43,7 +43,7 @@ def to_measure(agents: AtomicMeasure, return_inverse: bool = False):
 
 def push_forward_atoms(mu: AtomicMeasure, model: VelocityModel, dt: float) -> AtomicMeasure:
     """Push mu forward through the one-step flow map x + v[mu](x) dt."""
-    moved = mu.positions + dt * eval_atomic_many(model, mu, mu)
+    moved = mu.positions + dt * eval_atomic_many(model, mu, mu.positions)
     return AtomicMeasure(moved, mu.weights)
 
 
@@ -51,13 +51,10 @@ def euler_step(agents: AtomicMeasure, model: VelocityModel, dt: float) -> Atomic
     """Synchronous Euler update of every agent against the pre-step measure.
 
     The velocity is evaluated once per distinct position, at the atoms of the
-    stacked measure, and each agent moves with its atom's velocity. Both
-    here and in :func:`push_forward_atoms` the points are passed as mu
-    itself rather than omitted: the benchmark tracer (``bench/tracer.py``)
-    counts the points as ``len`` of a third argument.
+    stacked measure, and each agent moves with its atom's velocity.
     """
     mu, atom = to_measure(agents, return_inverse=True)
-    vel = eval_atomic_many(model, mu, mu)
+    vel = eval_atomic_many(model, mu, mu.positions)
     return AtomicMeasure(agents.positions + dt * vel.take(atom, axis=0), agents.weights)
 
 

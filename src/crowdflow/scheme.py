@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (MASS_TOL, GridMeasure, GridSpec, NumericalInvariantError,
+from .grids import (GridMeasure, GridSpec, NumericalInvariantError, check_mass,
                     interpolate, sq_norm, total_mass)
 from .velocity import VelocityModel, eval_grid_many, velocity_bound
 
@@ -38,10 +38,14 @@ def mesh_schedule(v_ref: float, delta: float, ks) -> tuple:
 
 @dataclass(frozen=True)
 class StepReport:
-    mass_error: float
+    mass: float
     max_displacement: float
     cfl_alpha: float
     occupied_cells: int
+
+    @property
+    def mass_error(self) -> float:
+        return abs(self.mass - 1.0)
 
 
 def cfl_ratio(model: VelocityModel, dt: float, h: float) -> float:
@@ -75,12 +79,6 @@ def overlap_fractions(spec: GridSpec, J, W):
     return targets.reshape(-1, d), fractions.reshape(-1)
 
 
-def box_overlap_fractions(spec: GridSpec, j, w):
-    """Nonzero ``(target cell, fraction)`` pairs of cell j translated by w."""
-    targets, fractions = overlap_fractions(spec, j, w)
-    return [(tuple(t), f) for t, f in zip(targets.tolist(), fractions.tolist()) if f > 0]
-
-
 def step(lam: GridMeasure, model: VelocityModel, dt: float):
     """One push-forward step; returns the new measure and a StepReport."""
     if not (dt > 0):
@@ -92,7 +90,7 @@ def step(lam: GridMeasure, model: VelocityModel, dt: float):
     new = GridMeasure(spec, targets, np.tile(lam.rho, 2 ** spec.dim) * fractions)
 
     report = StepReport(
-        mass_error=abs(total_mass(new) - 1.0),
+        mass=total_mass(new),
         max_displacement=float(np.max(np.sqrt(sq_norm(disp)))) if lam.occupied else 0.0,
         cfl_alpha=cfl_ratio(model, dt, spec.cell_width),
         occupied_cells=new.occupied,
@@ -118,9 +116,7 @@ def run(lam0: GridMeasure, model: VelocityModel, T: float, dt: float):
     lam = lam0
     for n in range(step_count(T, dt)):
         lam, rep = step(lam, model, dt)
-        if rep.mass_error > MASS_TOL:
-            raise NumericalInvariantError(
-                f"mass error {rep.mass_error:.3e} at step {n + 1} exceeds {MASS_TOL}")
+        check_mass(rep.mass, f"the grid after step {n + 1}")
         if rep.occupied_cells > DEFAULT_MAX_OCCUPIED:
             raise NumericalInvariantError(
                 f"support blow-up: {rep.occupied_cells} occupied cells at "

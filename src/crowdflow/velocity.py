@@ -404,9 +404,9 @@ def _window_blocks(first: np.ndarray, count: np.ndarray):
 
 
 def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
-                     X: np.ndarray | None = None) -> np.ndarray:
-    """N * sum_j w_j F(y_j - x) sigma_{U_x}(y_j) for each row x of X, or for
-    each atom y_i when X is omitted.
+                     X: np.ndarray) -> np.ndarray:
+    """N * sum_j w_j F(y_j - x) sigma_{U_x}(y_j) for each row x of X; X given
+    as Y itself asks for the sum at the atoms.
 
     U_x lies inside B_R(x), so only the atoms whose first coordinate lies
     within R of x's can contribute (rounding is monotone, so a computed
@@ -418,16 +418,13 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
     - windowed: above it, the atoms are sorted by first coordinate, each
       query sees only its window of them, and each query's terms are summed
       in that sorted order by ``bincount``;
-    - half: above it, with X omitted and an odd pair term (see
+    - half: above it, with X given as Y itself and an odd pair term (see
       :func:`_half_interaction_sum`), each pair of atoms is evaluated once.
 
     In the dense and windowed forms a row gets the same bits whether alone or
     in a batch. The half form gives the windowed form's bits, so a row at an
     atom gets the bits of that point queried alone.
     """
-    at_atoms = X is None
-    if at_atoms:
-        X = Y
     q, d = X.shape
     m = Y.shape[0]
     if (q - 1) * (m - 1) < _DENSE_MAX_PAIRS:
@@ -440,7 +437,7 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
             F = kernel_F(model.kernel, Z)
             out[lo:lo + block] = np.einsum("j,bj,bjd->bd", w, sig, F)
         return model.n_agents * out
-    if (at_atoms and isinstance(model.neighborhood, Ball)
+    if (X is Y and isinstance(model.neighborhood, Ball)
             and isinstance(model.kernel, _ODD_KERNELS)):
         return _half_interaction_sum(model, Y, w)
 
@@ -589,12 +586,11 @@ def eval_grid_many(model: VelocityModel, lam: GridMeasure, X: np.ndarray) -> np.
 
 
 def eval_atomic_many(model: VelocityModel, mu: AtomicMeasure, X=None) -> np.ndarray:
-    """v[mu](x) at each row x of X for an atomic measure mu. With X omitted,
-    or given as mu itself, the points are mu's own atoms, and the pair sum
-    may evaluate each pair of atoms once; the bits are the same."""
-    if X is None or X is mu:
-        return model.desired(mu.positions) + _interaction_sum(model, mu.positions, mu.weights)
-    X = np.asarray(X, dtype=float)
+    """v[mu](x) at each row x of the points X, mu's own atoms when X is
+    omitted. X given as ``mu.positions`` itself lets the pair sum evaluate
+    each pair of atoms once; the bits are those of any other array of the
+    same points."""
+    X = mu.positions if X is None else np.asarray(X, dtype=float)
     return model.desired(X) + _interaction_sum(model, mu.positions, mu.weights, X)
 
 

@@ -17,12 +17,12 @@ import pytest
 
 from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
                        CustomKernel, GridMeasure, GridSpec, VelocityModel,
-                       ZeroDesired, atomize,
-                       box_overlap_fractions, euler_step, lipschitz_constants,
+                       ZeroDesired, atomize, euler_step, lipschitz_constants,
                        project_atomic, push_forward_atoms, run, to_measure,
                        velocity_bound, w1_1d, w1_exact)
 from crowdflow.cli import main
 from crowdflow.config import case_study_path, load_config
+from crowdflow.scheme import overlap_fractions
 from crowdflow.velocity import CustomDesired, eval_atomic_many, rotation_at
 
 
@@ -69,10 +69,9 @@ def test_criterion_2_scatter_partition_of_unity():
             spec = GridSpec(dim, float(h))
             j = tuple(int(v) for v in rng.integers(-50, 51, size=dim))
             w = rng.uniform(-3 * h, 3 * h, size=dim)
-            out = box_overlap_fractions(spec, j, w)
-            fr = [f for _, f in out]
-            assert min(fr) >= 0.0
-            worst = max(worst, abs(sum(fr) - 1.0))
+            _, fractions = overlap_fractions(spec, j, w)
+            assert fractions.min() >= 0.0
+            worst = max(worst, abs(sum(fractions[fractions > 0].tolist()) - 1.0))
             n_total += 1
     assert n_total >= 100_000
     assert worst <= 1e-14

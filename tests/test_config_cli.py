@@ -7,8 +7,8 @@ import tracemalloc
 
 import pytest
 
-from crowdflow import (CaseStudyRepulsion, CustomDesired, Sector, VelocityModel, config,
-                       scheme, wasserstein)
+from crowdflow import (CaseStudyRepulsion, CustomDesired, GridMeasure, Sector,
+                       VelocityModel, config, scheme, wasserstein)
 from crowdflow.cli import main
 from crowdflow.config import ConfigError, case_study_path, load_config, parse_config
 
@@ -250,13 +250,16 @@ class TestValidation:
         ("converge", ("model", "neighborhood", "R"), "1e300", {}, "model, T or schedule"),
         ("converge", ("schedule", "h"), "1e300",
          dict(SECTOR_2D, schedule={"h": 0.25, "dt": 0.005}), "schedule"),
+        ("converge", ("model", "heading"), '{"type": "fixed_axis", "axis": [1.0]}', {},
+         "model: model.heading"),
     ], ids=["axis-converge", "axis-particles", "T", "ks", "positions", "interval",
-            "reach", "cell-volume"])
+            "reach", "cell-volume", "heading-under-ball"])
     def test_refused_value_names_its_part(self, tmp_path, capsys, command, path, text,
                                           overrides, part):
         # a heading axis 1e-10 short of unit length, numbers written as strings,
         # atoms or an interval 2^53 or more cells from the origin, a radius that
-        # takes the run as far, and a cell volume past the largest float
+        # takes the run as far, a cell volume past the largest float, and a
+        # heading under a ball, which nothing would read
         cfg = tmp_path / "cfg.json"
         cfg.write_text(with_raw_value(path, text, **overrides))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -340,6 +343,18 @@ class TestValidation:
         monkeypatch.setattr(config, "MAX_ORACLE_BYTES", size - 1)
         with pytest.raises(ConfigError, match=f"invalid initial: {field} = 3: "):
             parse_config(data)
+
+    def test_weights_follow_the_one_mass_rule(self, tmp_path, capsys):
+        # |sum w - 1| <= 1e-10, the grid's tolerance: 5e-11 over loads, 2e-10 exits 2
+        atoms = {"type": "atoms", "positions": [[0.1], [0.5], [0.9]]}
+        cfg = parse_config(fast_config(initial=dict(atoms, weights=[0.25, 0.25, 0.5 + 5e-11])))
+        assert cfg.initial.weights.tolist() == [0.25, 0.25, 0.5 + 5e-11]
+        path = write_json(tmp_path, fast_config(initial=dict(atoms,
+                                                             weights=[0.25, 0.25, 0.5 + 2e-10])))
+        assert main(["converge", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: invalid initial: the mass ")
+        assert not (tmp_path / "o").exists()
 
     def test_explicit_level_schedule(self):
         cfg = parse_config(fast_config(schedule={"h": 0.25, "dt": 0.005}))
@@ -532,6 +547,25 @@ class TestCli:
         assert "13 occupied cells at step 5" in capsys.readouterr().err
         lines = (out / "level_0" / "steps.jsonl").read_text().splitlines()
         assert lines == full_lines[:4]
+
+    @pytest.mark.parametrize("where", ["step", "snapshot", "w1"])
+    def test_mass_violation_exits_3(self, tmp_path, monkeypatch, capsys, where):
+        # wherever a run finds a mass 2e-10 off 1 (a step's total, a snapshot
+        # write, or W1's atomization of the snapshot) it ends with exit 3 and
+        # one named line, never a traceback
+        if where == "w1":
+            def w1_of_heavier_grid(lam, mu):
+                heavier = GridMeasure(lam.spec, lam.indices, lam.rho * (1 + 2e-10))
+                return wasserstein.w1_grid_atomic(heavier, mu)
+            monkeypatch.setattr("crowdflow.cli.w1_grid_atomic", w1_of_heavier_grid)
+        else:
+            module = {"step": "crowdflow.scheme", "snapshot": "crowdflow.grids"}[where]
+            monkeypatch.setattr(f"{module}.total_mass", lambda lam: 1 + 2e-10)
+        cfg = write_json(tmp_path, fast_config())
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical invariant violated: the mass 1.0000000002 of ")
 
     @pytest.mark.parametrize("command", ["particles", "converge"])
     def test_vanishing_heading_exit_code(self, tmp_path, monkeypatch, command):

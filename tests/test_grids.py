@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from crowdflow import (AtomicMeasure, GridMeasure, GridSpec, atomize,
                        cell_indices, interpolate, moment,
                        project_atomic, total_mass, w1_exact)
-from crowdflow.grids import csv_text, write_density_csv
+from crowdflow.grids import (MASS_TOL, MassError, NumericalInvariantError, csv_text,
+                             write_density_csv)
 
 
 def read_density_csv(spec: GridSpec, path) -> GridMeasure:
@@ -193,6 +194,36 @@ class TestValidationAndIO:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             AtomicMeasure([[0.0]], [0.5])
+
+    def test_one_mass_rule_for_grid_and_atomic_measures(self):
+        # |total - 1| <= MASS_TOL for both kinds of measure, one error type for
+        # both: a ValueError at load and a numerical invariant in a run
+        assert MASS_TOL == 1e-10
+        for excess in (5e-11, -5e-11):
+            AtomicMeasure([[0.0], [1.0]], [0.5, 0.5 + excess])
+            GridMeasure(GridSpec(1, 0.5), [[0], [1]], [1.0, 1.0 + 2 * excess]
+                        ).validate_probability()
+        for excess in (2e-10, -2e-10):
+            with pytest.raises(MassError, match="the weights"):
+                AtomicMeasure([[0.0], [1.0]], [0.5, 0.5 + excess])
+            with pytest.raises(MassError, match="the grid measure"):
+                GridMeasure(GridSpec(1, 0.5), [[0], [1]], [1.0, 1.0 + 2 * excess]
+                            ).validate_probability()
+        assert issubclass(MassError, NumericalInvariantError)
+        assert issubclass(MassError, ValueError)
+
+    @pytest.mark.parametrize("values", [[0.5, -0.1, 0.6], [0.5, math.nan, 0.5],
+                                        [0.5, math.inf, 0.5]])
+    def test_one_weight_check_for_grid_and_atomic_measures(self, values):
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            AtomicMeasure([[0.0], [1.0], [2.0]], values)
+        with pytest.raises(ValueError, match="densities must be finite and nonnegative"):
+            GridMeasure(GridSpec(1, 1.0), [[0], [1], [2]], values)
+
+    def test_zero_densities_dropped(self):
+        lam = GridMeasure(GridSpec(1, 1.0), [[2], [0], [1]], [0.5, 0.0, 0.5])
+        assert lam.indices.tolist() == [[1], [2]]
+        assert GridMeasure(GridSpec(1, 1.0), [[0]], [0.0]).occupied == 0
 
     def test_density_csv_roundtrip(self, tmp_path):
         lam = project_atomic(AtomicMeasure([[0.1, 0.2], [0.8, -0.4]]), GridSpec(2, 0.25))

@@ -34,13 +34,15 @@ def ball_model(n_agents=2, dim=1):
 
 def pair_sum(form, model, Y, w, X, chunk=velocity._EVAL_CHUNK):
     """_interaction_sum forced into its dense block form or its windowed form;
-    X = None asks for the sum at the atoms, where the windowed form may be
-    the half form."""
+    X = None asks for the sum at the atoms, passing Y itself as the points,
+    where the windowed form may be the half form. Points given are copied,
+    so they never take the half form."""
+    Y = np.asarray(Y, float)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(velocity, "_DENSE_MAX_PAIRS", {"dense": math.inf, "windowed": 0}[form])
         mp.setattr(velocity, "_EVAL_CHUNK", chunk)
-        return _interaction_sum(model, np.asarray(Y, float), np.asarray(w, float),
-                                None if X is None else np.asarray(X, float))
+        return _interaction_sum(model, Y, np.asarray(w, float),
+                                Y if X is None else np.array(X, float))
 
 
 class TestKernels:
@@ -855,7 +857,7 @@ class TestWindowedPairSum:
         model = ball_model(n_agents=1000)
         Y = np.random.default_rng(13).uniform(0.0, 1.0, size=(1000, 1))
         w = np.full(1000, 1e-3)
-        for X in (Y, None):
+        for X in (Y.copy(), Y):  # the windowed form, then the half form
             tracemalloc.start()
             try:
                 _interaction_sum(model, Y, w, X)
@@ -933,20 +935,21 @@ class TestHalfPairSum:
             seen["kernel"].append(len(z)), kernel_F(k, z))[1])
         monkeypatch.setattr(Ball, "cutoff", lambda self, z: (
             seen["cutoff"].append(len(z)), cutoff(self, z))[1])
-        windowed = _interaction_sum(model, Y, w, Y)
+        windowed = _interaction_sum(model, Y, w, Y.copy())
         full = sum(seen["kernel"])
         assert sum(seen["cutoff"]) == full
         seen["kernel"].clear()
         seen["cutoff"].clear()
-        half = _interaction_sum(model, Y, w)
+        half = _interaction_sum(model, Y, w, Y)
         assert 2 * sum(seen["kernel"]) + 300 == full
         assert sum(seen["cutoff"]) == sum(seen["kernel"])
         assert half.tobytes() == windowed.tobytes()
 
     def test_dispatch(self, monkeypatch):
-        # only the sum at the atoms with an odd term under a ball takes the
-        # half form; a sector, a custom kernel (whose F(0) may be nonzero) and
-        # explicit query points take the windowed form
+        # only the sum at the atoms (X omitted or given as mu.positions itself)
+        # with an odd term under a ball takes the half form; a sector, a custom
+        # kernel (whose F(0) may be nonzero) and other arrays of points, a copy
+        # of the atoms included, take the windowed form, with the same bits
         calls = []
         half_sum = velocity._half_interaction_sum
         monkeypatch.setattr(velocity, "_half_interaction_sum",
@@ -959,11 +962,10 @@ class TestHalfPairSum:
             calls.clear()
             at_atoms = eval_atomic_many(model, mu1)
             assert calls == [1]
-            assert eval_atomic_many(model, mu1, mu1).tobytes() == at_atoms.tobytes()
-            assert calls == [1, 1]
             assert eval_atomic_many(model, mu1, mu1.positions).tobytes() == at_atoms.tobytes()
-            off_atoms = eval_atomic_many(model, mu1, mu1.positions + 0.0)
-            assert off_atoms.tobytes() == at_atoms.tobytes()
+            assert calls == [1, 1]
+            copied = eval_atomic_many(model, mu1, mu1.positions.copy())
+            assert copied.tobytes() == at_atoms.tobytes()
             assert calls == [1, 1]
         few = AtomicMeasure(mu1.positions[:8])  # the dense form
         eval_atomic_many(ball_model(n_agents=8), few)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from crowdflow import (AtomicMeasure, GridMeasure, GridSpec, atomize,
                        project_atomic, w1_1d, w1_exact, w1_grid_atomic, wasserstein)
-from crowdflow.grids import merge_duplicates
+from crowdflow.grids import MassError, merge_duplicates
 
 
 def _random_1d_pair(rng, n_max=12):
@@ -277,3 +277,21 @@ class TestGridAtomic:
         assert res.distance == w1_exact(atomize(lam), mu)
         assert res.lower <= res.distance + 1e-12 and res.distance <= res.upper + 1e-12
         assert res.upper - res.lower <= 1e-8
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_grid_the_scheme_accepts_atomizes(self, dim):
+        # one mass rule: a grid 5e-11 over mass 1 passes the scheme's check and
+        # gets its W1 row; 2e-10 over fails both, with the same error
+        rng = np.random.default_rng(37)
+        mu = AtomicMeasure(rng.uniform(size=(20, dim)))
+        lam = project_atomic(mu, GridSpec(dim, 0.1))
+        heavy = GridMeasure(lam.spec, lam.indices, lam.rho * (1 + 5e-11))
+        heavy.validate_probability()
+        res = w1_grid_atomic(heavy, mu)
+        assert res.distance <= res.atomization_bound + 1e-9
+        assert res.lower <= res.distance + 1e-12 and res.distance <= res.upper + 1e-12
+        heavier = GridMeasure(lam.spec, lam.indices, lam.rho * (1 + 2e-10))
+        with pytest.raises(MassError):
+            heavier.validate_probability()
+        with pytest.raises(MassError):
+            w1_grid_atomic(heavier, mu)
