@@ -3,7 +3,8 @@
 Subcommands: ``project`` (initial data onto each grid level), ``particles``
 (characteristics oracle), ``simulate`` (grid scheme at one level), and
 ``converge`` (oracle vs. every level with W1 metrics). Exit codes: 0 success,
-2 configuration error, 3 numerical-invariant violation.
+2 configuration error or a path that cannot be read or written, 3
+numerical-invariant violation.
 """
 
 from __future__ import annotations
@@ -27,10 +28,7 @@ EXIT_NUMERIC = 3
 
 
 def _mkdir(path: Path) -> Path:
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"cannot make output directory {path}: {exc.strerror}") from exc
+    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -194,6 +192,10 @@ def main(argv=None) -> int:
     except NumericalInvariantError as exc:
         print(f"numerical invariant violated: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # a path the run cannot read, make or write
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -112,16 +112,7 @@ class ExperimentConfig:
     levels: tuple  # ((k, h, dt), ...)
     outputs: str
     w1_sample_times: tuple
-
-    @property
-    def oracle_dt(self) -> float:
-        return _oracle_dt(self.levels, self.T)
-
-
-def _oracle_dt(levels, T: float) -> float:
-    """The particle oracle's step: the finest level's, refined 10x so the
-    oracle's error stays negligible, and never longer than the horizon."""
-    return min(min(dt for _, _, dt in levels) / 10.0, T)
+    oracle_dt: float
 
 
 def build_model(block: dict) -> VelocityModel:
@@ -214,7 +205,10 @@ def parse_config(data, source: str = "<config>") -> ExperimentConfig:
         for _, h, dt in levels:  # what every command builds per level
             GridSpec(model.dim, h)
             step_count(T, dt)
-        oracle_steps = step_count(T, _oracle_dt(levels, T))  # as each level's above
+        # the particle oracle's step: the finest level's, refined 10x so the
+        # oracle's error stays negligible, and never longer than the horizon
+        oracle_dt = min(min(dt for _, _, dt in levels) / 10.0, T)
+        oracle_steps = step_count(T, oracle_dt)  # as each level's above
         part = "initial"
         mu0 = _read_initial(_require(data, "initial", "config"), model, oracle_steps + 1)
         part = "w1_sample_times"
@@ -232,7 +226,7 @@ def parse_config(data, source: str = "<config>") -> ExperimentConfig:
         part = "outputs"
         cfg = ExperimentConfig(model=model, initial=mu0, T=T, levels=levels,
                                outputs=_typed(data.get("outputs", "out"), str),
-                               w1_sample_times=times)
+                               w1_sample_times=times, oracle_dt=oracle_dt)
         part = "initial"
         # every level's cells must index the initial atoms
         for _, h, _ in levels:

@@ -127,9 +127,11 @@ def run(lam0: GridMeasure, model: VelocityModel, T: float, dt: float):
 def sample_at(before: GridMeasure, after: GridMeasure, n: int, dt: float,
               t: float) -> GridMeasure:
     """Linear-in-time interpolant at time t of frames n (``before``, at n*dt)
-    and n + 1 (``after``)."""
+    and n + 1 (``after``). t may lie outside their interval by 1e-12 relative
+    to |t| (at least 1e-12), the rounding of a frame picked as int(t/dt)."""
     t0 = n * dt
-    if t < t0 - 1e-12 or t > t0 + dt + 1e-12:
+    slack = 1e-12 * max(1.0, abs(t))
+    if t < t0 - slack or t > t0 + dt + slack:
         raise ValueError(f"t={t!r} outside [{t0!r}, {t0 + dt!r}]")
     theta = (t - t0) / dt
     return interpolate(before, after, min(max(theta, 0.0), 1.0))

@@ -200,8 +200,8 @@ class Sector:
 
 @dataclass(frozen=True)
 class ZeroDesired:
-    vmax: float = 0.0
-    lip: float = 0.0
+    vmax: float = field(default=0.0, init=False)
+    lip: float = field(default=0.0, init=False)
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         return np.zeros_like(np.asarray(X, dtype=float))
@@ -405,8 +405,7 @@ def _window_blocks(first: np.ndarray, count: np.ndarray):
 
 def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
                      X: np.ndarray) -> np.ndarray:
-    """N * sum_j w_j F(y_j - x) sigma_{U_x}(y_j) for each row x of X; X given
-    as Y itself asks for the sum at the atoms.
+    """N * sum_j w_j F(y_j - x) sigma_{U_x}(y_j) for each row x of X.
 
     U_x lies inside B_R(x), so only the atoms whose first coordinate lies
     within R of x's can contribute (rounding is monotone, so a computed
@@ -418,8 +417,9 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
     - windowed: above it, the atoms are sorted by first coordinate, each
       query sees only its window of them, and each query's terms are summed
       in that sorted order by ``bincount``;
-    - half: above it, with X given as Y itself and an odd pair term (see
-      :func:`_half_interaction_sum`), each pair of atoms is evaluated once.
+    - half: above it, with X equal to Y (the same points in the same order)
+      and an odd pair term (see :func:`_half_interaction_sum`), each pair of
+      atoms is evaluated once.
 
     In the dense and windowed forms a row gets the same bits whether alone or
     in a batch. The half form gives the windowed form's bits, so a row at an
@@ -437,8 +437,8 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
             F = kernel_F(model.kernel, Z)
             out[lo:lo + block] = np.einsum("j,bj,bjd->bd", w, sig, F)
         return model.n_agents * out
-    if (X is Y and isinstance(model.neighborhood, Ball)
-            and isinstance(model.kernel, _ODD_KERNELS)):
+    if (isinstance(model.neighborhood, Ball) and isinstance(model.kernel, _ODD_KERNELS)
+            and np.array_equal(X, Y)):
         return _half_interaction_sum(model, Y, w)
 
     order = np.argsort(Y[:, 0], kind="stable")
@@ -585,12 +585,9 @@ def eval_grid_many(model: VelocityModel, lam: GridMeasure, X: np.ndarray) -> np.
     return model.desired(X) + inter
 
 
-def eval_atomic_many(model: VelocityModel, mu: AtomicMeasure, X=None) -> np.ndarray:
-    """v[mu](x) at each row x of the points X, mu's own atoms when X is
-    omitted. X given as ``mu.positions`` itself lets the pair sum evaluate
-    each pair of atoms once; the bits are those of any other array of the
-    same points."""
-    X = mu.positions if X is None else np.asarray(X, dtype=float)
+def eval_atomic_many(model: VelocityModel, mu: AtomicMeasure, X) -> np.ndarray:
+    """v[mu](x) at each row x of the points X."""
+    X = np.asarray(X, dtype=float)
     return model.desired(X) + _interaction_sum(model, mu.positions, mu.weights, X)
 
 

@@ -441,7 +441,30 @@ class TestCli:
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith(f"error: cannot make output directory {tmp_path / named}:")
+        assert err[0].startswith(f"error: {tmp_path / named}:")
+
+    @pytest.mark.parametrize("command, blocker", [
+        (["project"], "initial_atoms.json"), (["particles"], "particles.csv"),
+        (["simulate", "--level", "4"], "level_4/steps.jsonl"),
+        (["converge"], "metrics.csv")])
+    def test_output_file_taken_by_a_directory_exits_2(self, tmp_path, capsys, command,
+                                                      blocker):
+        cfg = write_json(tmp_path, fast_config())
+        (tmp_path / "o" / blocker).mkdir(parents=True)
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {tmp_path / 'o' / blocker}: Is a directory"]
+
+    def test_sample_one_ulp_below_a_step_boundary(self, tmp_path):
+        # 23946.03 / 16.983 rounds up to 1410.0, but 1410 * 16.983 lies
+        # 3.6e-12 above 23946.03: the level reads that sample between frames
+        # 1410 and 1411, and sample_at's slack, relative to t, admits it
+        data = json.loads(case_study_path().read_text())
+        data.update(T=24000.0, schedule={"h": 1.0, "dt": 16.983}, w1_sample_times=[23946.03])
+        cfg = write_json(tmp_path, data)
+        assert main(["simulate", "--config", str(cfg), "--level", "0",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "level_0" / "density_t23946.csv").is_file()
 
     def test_converge_outputs_and_summary(self, tmp_path, capsys):
         cfg = write_json(tmp_path, fast_config())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,3 +255,18 @@ class TestSampleAt:
             self.sample(0, -0.01)
         with pytest.raises(ValueError):
             self.sample(1, 0.21)
+
+    @given(st.data(), st.floats(1e-3, 20.0), st.integers(0, 2), st.sampled_from([-1, 0, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_the_frame_the_level_loop_picks(self, data, dt, extra, side):
+        # a level of n_steps steps reads sample time t at t' = min(t, n_steps dt)
+        # between frames n and n + 1, n = min(int(t'/dt), n_steps - 1). At
+        # t = k dt, or one ulp to either side, t'/dt may round up to k while
+        # k dt lies above t', by about 1e-16 relative to t
+        k = data.draw(st.integers(1, int(1e7 / dt)))
+        t = k * dt if side == 0 else float(np.nextafter(k * dt, side * math.inf))
+        n_steps = k + extra
+        t_grid = min(t, n_steps * dt)
+        n = min(int(t_grid / dt), n_steps - 1)
+        lam = self.frames[0]
+        assert abs(total_mass(sample_at(lam, lam, n, dt, t_grid)) - 1.0) <= 1e-12

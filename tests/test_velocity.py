@@ -33,16 +33,17 @@ def ball_model(n_agents=2, dim=1):
 
 
 def pair_sum(form, model, Y, w, X, chunk=velocity._EVAL_CHUNK):
-    """_interaction_sum forced into its dense block form or its windowed form;
-    X = None asks for the sum at the atoms, passing Y itself as the points,
-    where the windowed form may be the half form. Points given are copied,
-    so they never take the half form."""
-    Y = np.asarray(Y, float)
+    """_interaction_sum forced into one of its forms: "dense", "windowed"
+    (with the half form turned off, so it is the half form's reference), or
+    "half" (the windowed size with the half form allowed, which it takes for
+    X equal to Y under a ball with an odd kernel)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(velocity, "_DENSE_MAX_PAIRS", {"dense": math.inf, "windowed": 0}[form])
+        mp.setattr(velocity, "_DENSE_MAX_PAIRS", math.inf if form == "dense" else 0)
+        if form == "windowed":
+            mp.setattr(velocity, "_ODD_KERNELS", ())
         mp.setattr(velocity, "_EVAL_CHUNK", chunk)
-        return _interaction_sum(model, Y, np.asarray(w, float),
-                                Y if X is None else np.array(X, float))
+        return _interaction_sum(model, np.asarray(Y, float), np.asarray(w, float),
+                                np.asarray(X, float))
 
 
 class TestKernels:
@@ -455,6 +456,10 @@ class TestCustomCallables:
 
 
 class TestEvaluation:
+    def test_points_are_required(self):
+        with pytest.raises(TypeError):
+            eval_atomic_many(ball_model(), AtomicMeasure([[0.0], [0.05]]))
+
     def test_lone_agent_is_stationary(self):
         model = ball_model(n_agents=1)
         mu = AtomicMeasure([[0.4]])
@@ -525,6 +530,13 @@ class TestBounds:
                               kernel=CaseStudyRepulsion(A, EPS),
                               neighborhood=Ball(R, B))
         assert velocity_bound(model) == pytest.approx(3.8)
+
+    def test_zero_desired_takes_no_bounds(self):
+        # its field is zero everywhere, so its sup and Lipschitz bounds are 0
+        for kwargs in ({"vmax": 1.0}, {"lip": 1.0}):
+            with pytest.raises(TypeError):
+                ZeroDesired(**kwargs)
+        assert (ZeroDesired().vmax, ZeroDesired().lip) == (0.0, 0.0)
 
     def test_bound_dominates_samples(self):
         model = ball_model(n_agents=10)
@@ -857,10 +869,10 @@ class TestWindowedPairSum:
         model = ball_model(n_agents=1000)
         Y = np.random.default_rng(13).uniform(0.0, 1.0, size=(1000, 1))
         w = np.full(1000, 1e-3)
-        for X in (Y.copy(), Y):  # the windowed form, then the half form
+        for form in ("windowed", "half"):
             tracemalloc.start()
             try:
-                _interaction_sum(model, Y, w, X)
+                pair_sum(form, model, Y, w, Y)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -914,13 +926,13 @@ class TestHalfPairSum:
         Y, w = inputs
         for name, model in odd_models(Y.shape[1]).items():
             dense = pair_sum("dense", model, Y, w, Y, chunk)
-            half = pair_sum("windowed", model, Y, w, None, chunk)
+            half = pair_sum("half", model, Y, w, Y, chunk)
             assert np.max(np.abs(half - dense)) <= 1e-12 * np.max(np.abs(dense)), name
             assert np.all(half[all_terms_zero(model, Y, w)] == 0), name
             # the windowed form's bits, with any block size
             assert half.tobytes() == pair_sum("windowed", model, Y, w, Y, chunk).tobytes(), name
             for other in CHUNKS:
-                assert pair_sum("windowed", model, Y, w, None, other).tobytes() == half.tobytes()
+                assert pair_sum("half", model, Y, w, Y, other).tobytes() == half.tobytes()
 
     def test_each_pair_is_evaluated_once(self, monkeypatch):
         # 300 atoms with distinct first coordinates: the windowed form sees
@@ -935,21 +947,22 @@ class TestHalfPairSum:
             seen["kernel"].append(len(z)), kernel_F(k, z))[1])
         monkeypatch.setattr(Ball, "cutoff", lambda self, z: (
             seen["cutoff"].append(len(z)), cutoff(self, z))[1])
-        windowed = _interaction_sum(model, Y, w, Y.copy())
+        windowed = pair_sum("windowed", model, Y, w, Y)
         full = sum(seen["kernel"])
         assert sum(seen["cutoff"]) == full
         seen["kernel"].clear()
         seen["cutoff"].clear()
-        half = _interaction_sum(model, Y, w, Y)
+        half = _interaction_sum(model, Y, w, Y.copy())  # a copy of the atoms: the half form
         assert 2 * sum(seen["kernel"]) + 300 == full
         assert sum(seen["cutoff"]) == sum(seen["kernel"])
         assert half.tobytes() == windowed.tobytes()
 
     def test_dispatch(self, monkeypatch):
-        # only the sum at the atoms (X omitted or given as mu.positions itself)
-        # with an odd term under a ball takes the half form; a sector, a custom
-        # kernel (whose F(0) may be nonzero) and other arrays of points, a copy
-        # of the atoms included, take the windowed form, with the same bits
+        # the half form runs where the points equal the atoms (the same points
+        # in the same order, whatever array holds them) and the pair term is
+        # odd under a ball. A permuted copy of the atoms, a sector, a custom
+        # kernel (whose F(0) may be nonzero) and the dense size take their own
+        # forms; a row gets the same bits in every form
         calls = []
         half_sum = velocity._half_interaction_sum
         monkeypatch.setattr(velocity, "_half_interaction_sum",
@@ -957,30 +970,32 @@ class TestHalfPairSum:
         rng = np.random.default_rng(15)
         mu1 = AtomicMeasure(rng.uniform(0.0, 1.0, size=(100, 1)))
         mu2 = AtomicMeasure(rng.uniform(0.0, 1.0, size=(100, 2)))
+        perm = rng.permutation(100)
 
         for model in odd_models(1).values():
             calls.clear()
-            at_atoms = eval_atomic_many(model, mu1)
+            at_atoms = eval_atomic_many(model, mu1, mu1.positions)
             assert calls == [1]
-            assert eval_atomic_many(model, mu1, mu1.positions).tobytes() == at_atoms.tobytes()
-            assert calls == [1, 1]
             copied = eval_atomic_many(model, mu1, mu1.positions.copy())
             assert copied.tobytes() == at_atoms.tobytes()
             assert calls == [1, 1]
+            permuted = eval_atomic_many(model, mu1, mu1.positions[perm])
+            assert permuted.tobytes() == at_atoms[perm].tobytes()
+            assert calls == [1, 1]
         few = AtomicMeasure(mu1.positions[:8])  # the dense form
-        eval_atomic_many(ball_model(n_agents=8), few)
+        eval_atomic_many(ball_model(n_agents=8), few, few.positions)
         assert calls == [1, 1]
 
         calls.clear()
         sector = window_models(2, 0.3)["sector_custom"]
         dense = pair_sum("dense", sector, mu2.positions, mu2.weights, mu2.positions)
-        got = eval_atomic_many(sector, mu2) - sector.desired(mu2.positions)
+        got = eval_atomic_many(sector, mu2, mu2.positions) - sector.desired(mu2.positions)
         assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
         with pytest.warns(UserWarning, match="lone agent"):
             pushy = VelocityModel(dim=1, n_agents=100, desired=ZeroDesired(),
                                   kernel=CustomKernel(lambda z: z + 1.0, 1.0 + R, 1.0),
                                   neighborhood=Ball(R, B))
-        got = eval_atomic_many(pushy, mu1)
+        got = eval_atomic_many(pushy, mu1, mu1.positions)
         dense = pair_sum("dense", pushy, mu1.positions, mu1.weights, mu1.positions)
         assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
         # the self term w_i F(0) sigma(0) = 1/100 is in every row
