@@ -10,7 +10,9 @@ numerical-invariant violation.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from collections import namedtuple
 from pathlib import Path
@@ -27,30 +29,36 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _mkdir(path: Path) -> Path:
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _out_dir(cfg: ExperimentConfig, args, files) -> Path:
+    """The output directory, with the directories of ``files`` under it made
+    and a file path taken by a directory refused, before any compute."""
+    out = Path(args.out) if args.out else Path(cfg.outputs)
+    for path in (out / name for name in files):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    return out
 
 
-def _out_dir(cfg: ExperimentConfig, args) -> Path:
-    return _mkdir(Path(args.out) if args.out else Path(cfg.outputs))
+def _density(k: int, t: float) -> str:
+    return f"level_{k}/density_t{time_label(t)}.csv"
 
 
-def _level_dir(out: Path, k: int) -> Path:
-    return _mkdir(out / f"level_{k}")
+def _level_files(cfg: ExperimentConfig, k: int) -> list:
+    return [f"level_{k}/steps.jsonl", *(_density(k, t) for t in cfg.w1_sample_times)]
 
 
 def cmd_project(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg, args, ["initial_atoms.json", *(_density(k, 0) for k, _, _ in cfg.levels)])
     (out / "initial_atoms.json").write_text(cfg.initial.to_json() + "\n")
     for k, h, _ in cfg.levels:
         lam0 = project_atomic(cfg.initial, GridSpec(cfg.model.dim, h))
-        write_density_csv(lam0, _level_dir(out, k) / "density_t0.csv")
+        write_density_csv(lam0, out / _density(k, 0))
     return EXIT_OK
 
 
 def cmd_particles(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg, args, ["particles.csv", "particles_final.json"])
     agents = run_particles(cfg.initial, cfg.model, cfg.T, cfg.oracle_dt)
     write_trajectory_csv(agents, cfg.oracle_dt, out / "particles.csv")
     (out / "particles_final.json").write_text(to_measure(agents[-1]).to_json() + "\n")
@@ -71,8 +79,7 @@ def _run_level(cfg: ExperimentConfig, level, out: Path):
     lam = project_atomic(cfg.initial, GridSpec(cfg.model.dim, h))
     n_steps = step_count(cfg.T, dt)
     pending = [(t, min(t, n_steps * dt)) for t in cfg.w1_sample_times]
-    ldir = _level_dir(out, k)
-    with open(ldir / "steps.jsonl", "w") as fh:
+    with open(out / f"level_{k}/steps.jsonl", "w") as fh:
         for n, (new, rep) in enumerate(run(lam, cfg.model, cfg.T, dt)):
             fh.write(json.dumps({"n": n + 1, "mass_error": rep.mass_error,
                                  "max_displacement": rep.max_displacement,
@@ -82,7 +89,7 @@ def _run_level(cfg: ExperimentConfig, level, out: Path):
             while pending and min(int(pending[0][1] / dt), n_steps - 1) == n:
                 t, t_grid = pending.pop(0)
                 lam_t = sample_at(lam, new, n, dt, t_grid)
-                write_density_csv(lam_t, ldir / f"density_t{time_label(t)}.csv")
+                write_density_csv(lam_t, out / _density(k, t))
                 yield t, t_grid, lam_t
             lam = new
 
@@ -92,7 +99,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     if args.level not in levels:
         raise ConfigError(f"level {args.level} not in schedule "
                           f"(available: {sorted(levels)})")
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg, args, _level_files(cfg, args.level))
     for _ in _run_level(cfg, levels[args.level], out):
         pass
     return EXIT_OK
@@ -103,7 +110,8 @@ W1Row = namedtuple("W1Row", "k h dt t t_grid w1")
 
 
 def cmd_converge(cfg: ExperimentConfig, args) -> int:
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg, args, ["particles.csv", "metrics.csv", "summary.json",
+                               *(f for k, _, _ in cfg.levels for f in _level_files(cfg, k))])
     oracle = run_particles(cfg.initial, cfg.model, cfg.T, cfg.oracle_dt)
     write_trajectory_csv(oracle, cfg.oracle_dt, out / "particles.csv")
     times = cfg.w1_sample_times

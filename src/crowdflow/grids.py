@@ -211,10 +211,10 @@ def moment(measure, p: int) -> float:
     if p not in (1, 2):
         raise ValueError(f"unsupported moment order {p!r}")
     if isinstance(measure, AtomicMeasure):
-        r = np.linalg.norm(measure.positions, axis=1)
+        r = np.sqrt(sq_norm(measure.positions))
         return float(np.dot(measure.weights, r ** p))
     if isinstance(measure, GridMeasure):
-        r = np.linalg.norm(measure.centers(), axis=1)
+        r = np.sqrt(sq_norm(measure.centers()))
         return float(np.dot(measure.cell_masses(), r ** p))
     raise TypeError(f"unsupported measure type {type(measure)!r}")
 

@@ -508,16 +508,15 @@ def _lattice_stencil(model: VelocityModel, h: float) -> np.ndarray:
     return G
 
 
-def _lattice_interaction(model: VelocityModel, lam: GridMeasure, X: np.ndarray):
-    """The interaction term at the rows of X as a lattice correlation.
+def _lattice_interaction(model: VelocityModel, lam: GridMeasure):
+    """The interaction term at lam's own cell centers as a lattice correlation.
 
-    For a translation-invariant model and query points on the lattice,
-    N * sum_c m_c F((c - i) h) sigma((c - i) h) is the correlation of the
-    dense bounding-box mass with the stencil K[o] = N F(o h) sigma(o h),
-    |o|_inf <= r = ceil(R / h). It is computed by FFT, zero-padded to
-    box + 2r so nothing wraps. Returns None where the pair sum must or
-    should run instead: position-dependent headings, query points off the
-    lattice, or a padded box larger than the pair count (or the memory
+    For a translation-invariant model, N * sum_c m_c F((c - i) h) sigma((c - i) h)
+    at cell i is the correlation of the dense bounding-box mass with the
+    stencil K[o] = N F(o h) sigma(o h), |o|_inf <= r = ceil(R / h). It is
+    computed by FFT, zero-padded to box + 2r so nothing wraps. Returns None
+    where the pair sum must or should run instead: position-dependent
+    headings, or a padded box larger than the pair count (or the memory
     ceiling). The result agrees with the pair sum to rounding.
     """
     # a sector whose heading follows a varying desired velocity is the one
@@ -527,25 +526,19 @@ def _lattice_interaction(model: VelocityModel, lam: GridMeasure, X: np.ndarray):
                              and not isinstance(model.desired, ConstantDesired)):
         return None
     h, d = lam.spec.cell_width, lam.spec.dim
-    qi = np.rint(X / h)
-    if not np.array_equal(qi * h, X):
-        return None
     r = math.ceil(model.neighborhood.radius / h)
     lo = lam.indices.min(axis=0)
     full = lam.indices.max(axis=0) - lo + 1 + 2 * r  # extent of the correlation
     # the smallest 2^a 3^b 5^c >= n per axis: numpy's FFT is several times
     # slower on lengths with a large prime factor
     shape = tuple(next_fast_len(int(n), real=True) for n in full)
-    if math.prod(shape) > min(_LATTICE_MAX_CELLS, lam.occupied * X.shape[0]):
+    if math.prod(shape) > min(_LATTICE_MAX_CELLS, lam.occupied ** 2):
         return None
 
     G = _lattice_stencil(model, h)
     axes = tuple(range(d))
     cells = tuple((lam.indices - lo).T)
-    # query i sits at n = i - lo + r of the full convolution
-    n = qi.astype(np.int64) - lo + r
-    inside = np.all((n >= 0) & (n < full), axis=1)
-    at = tuple(n[inside].T)
+    at = tuple((lam.indices - lo + r).T)  # cell i sits at i - lo + r of the full convolution
 
     def spectrum_of(values):
         dense = np.zeros(shape)
@@ -557,29 +550,26 @@ def _lattice_interaction(model: VelocityModel, lam: GridMeasure, X: np.ndarray):
         f *= spectrum
         return np.fft.irfftn(f, shape, axes)[at]
 
-    # FFT rounding never gives an exact 0, but the pair sum does wherever
-    # every term of a component is 0 (no cell in range, or all on the query's
-    # row in 2D), and a rounding-level velocity there would leak mass into a
-    # neighbor cell. So count the occupied cells each query sees through the
-    # component's nonzero stencil entries (exact after rint) and keep 0 where
-    # it sees none.
+    # FFT rounding never gives an exact 0, but the pair sum does where every
+    # term of a component is 0 (no cell in range, or all on the cell's row in
+    # 2D), and a rounding-level velocity there would leak mass into a neighbor
+    # cell. So keep 0 where a cell sees no occupied cell through the
+    # component's nonzero stencil entries (a count exact after rint).
     occupied = spectrum_of(1.0)
     sees = [np.rint(correlate(occupied, (G[..., l] != 0).astype(float))) > 0
             for l in range(d)]
     del occupied
     masses = spectrum_of(lam.cell_masses())
-    out = np.zeros(X.shape)
-    for l in range(d):
-        out[inside, l] = np.where(sees[l], correlate(masses, G[..., l]), 0.0)
-    return out
+    return np.stack([np.where(sees[l], correlate(masses, G[..., l]), 0.0)
+                     for l in range(d)], axis=1)
 
 
 def eval_grid_many(model: VelocityModel, lam: GridMeasure, X: np.ndarray) -> np.ndarray:
     """v[lambda](x) at each row x of X by cell-center quadrature over the
-    occupied cells: a lattice correlation where :func:`_lattice_interaction`
-    applies, else the pair sum."""
+    occupied cells: the lattice correlation where X equals ``lam.centers()``
+    and :func:`_lattice_interaction` applies, else the pair sum."""
     X = np.asarray(X, dtype=float)
-    inter = _lattice_interaction(model, lam, X)
+    inter = _lattice_interaction(model, lam) if np.array_equal(X, lam.centers()) else None
     if inter is None:
         inter = _interaction_sum(model, lam.centers(), lam.cell_masses(), X)
     return model.desired(X) + inter

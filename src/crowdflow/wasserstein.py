@@ -86,11 +86,11 @@ def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure) -> TransportCost:
     solved by column generation and returned with its certified interval.
 
     Result is independent of atom input order (atoms are canonicalized first).
-    The last column constraint is left out of the LP, as it is redundant, so
-    the last atom of ``nu`` takes the mass the others leave; the bounds hold
-    for those marginals. Raises :class:`AtomCapError` when the m * n atom
-    pairs exceed DEFAULT_MAX_PAIRS; callers may then subsample or fall back
-    to :func:`w1_1d`.
+    The heaviest atom of ``nu`` (the last of equal ones) takes the mass the
+    others leave, so no weight turns negative, and the bounds hold for those
+    marginals; the LP leaves out the last column constraint as redundant.
+    Raises :class:`AtomCapError` when the m * n atom pairs exceed
+    DEFAULT_MAX_PAIRS; callers may then subsample or fall back to :func:`w1_1d`.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
@@ -101,7 +101,8 @@ def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure) -> TransportCost:
     xs, a = merge_duplicates(mu.positions, mu.weights)
     ys, b = merge_duplicates(nu.positions, nu.weights)
     # the marginals the LP enforces, with equal totals, as the bounds need
-    b[-1] = a.sum() - b[:-1].sum()
+    j = len(b) - 1 - np.argmax(b[::-1])
+    b[j] = a.sum() - np.delete(b, j).sum()
     n = len(b)
 
     rows, cols = _nearest(xs, ys)

@@ -446,14 +446,20 @@ class TestCli:
     @pytest.mark.parametrize("command, blocker", [
         (["project"], "initial_atoms.json"), (["particles"], "particles.csv"),
         (["simulate", "--level", "4"], "level_4/steps.jsonl"),
-        (["converge"], "metrics.csv")])
+        (["converge"], "metrics.csv"), (["project"], "level_8/density_t0.csv"),
+        (["particles"], "particles_final.json"),
+        (["simulate", "--level", "8"], "level_8/density_t0.01.csv"),
+        (["converge"], "summary.json"), (["converge"], "level_8/density_t0.01.csv")])
     def test_output_file_taken_by_a_directory_exits_2(self, tmp_path, capsys, command,
                                                       blocker):
+        # refused before any compute: no output file is written, so no step
+        # runs and no steps.jsonl line records one
         cfg = write_json(tmp_path, fast_config())
         (tmp_path / "o" / blocker).mkdir(parents=True)
         assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.splitlines() == [
             f"error: {tmp_path / 'o' / blocker}: Is a directory"]
+        assert [p for p in (tmp_path / "o").rglob("*") if p.is_file()] == []
 
     def test_sample_one_ulp_below_a_step_boundary(self, tmp_path):
         # 23946.03 / 16.983 rounds up to 1410.0, but 1410 * 16.983 lies

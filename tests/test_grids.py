@@ -120,6 +120,21 @@ class TestMassAndMoments:
         assert moment(lam, 1) == pytest.approx(0.495, abs=1e-12)
         assert abs(moment(lam, 1) - 0.5) <= h
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_moments_match_the_norm_form(self, d):
+        # |x| comes from sq_norm, with the bits of np.linalg.norm
+        rng = np.random.default_rng(d)
+        w = rng.random(50) + 0.1
+        mu = AtomicMeasure(rng.normal(size=(50, d)) * 10.0 ** rng.integers(-3, 4, size=(50, 1)),
+                           w / w.sum())
+        lam = GridMeasure(GridSpec(d, 0.01), rng.integers(-500, 500, size=(50, d)),
+                          rng.random(50) + 0.1)
+        for p in (1, 2):
+            r = np.linalg.norm(mu.positions, axis=1)
+            assert moment(mu, p) == float(np.dot(mu.weights, r ** p))
+            r = np.linalg.norm(lam.centers(), axis=1)
+            assert moment(lam, p) == float(np.dot(lam.cell_masses(), r ** p))
+
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
             moment(AtomicMeasure([[0.0]]), 3)

@@ -594,14 +594,17 @@ def lattice_models(dim, theta):
     return models
 
 
-def query_box(lam, r):
-    """Every lattice point within r + 2 cells of the support's bounding box,
-    so queries outside the correlation's extent are included."""
-    lo = lam.indices.min(axis=0) - r - 2
-    hi = lam.indices.max(axis=0) + r + 2
-    axes = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, lam.spec.dim)
-    return grid * lam.spec.cell_width
+def lattice_calls(monkeypatch):
+    """Patch _lattice_interaction to record, per call, whether it ran."""
+    ran = []
+
+    def recording(model, lam):
+        got = _lattice_interaction(model, lam)
+        ran.append(got is not None)
+        return got
+
+    monkeypatch.setattr(velocity, "_lattice_interaction", recording)
+    return ran
 
 
 class TestLatticeCorrelation:
@@ -615,17 +618,23 @@ class TestLatticeCorrelation:
 
     @given(st.integers(1, 2), st.sampled_from([0.02, 0.025, 0.05, 0.03]),
            st.floats(0.0, 2 * math.pi),
-           st.lists(st.tuples(st.integers(-12, 12), st.integers(-12, 12),
-                              st.floats(0.01, 10.0)), min_size=1, max_size=40))
+           st.lists(st.floats(0.01, 10.0), min_size=100, max_size=100),
+           st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30),
+                              st.floats(0.01, 10.0)), max_size=10))
     @settings(max_examples=60, deadline=None)
-    def test_matches_pair_sum(self, dim, h, theta, cells):
-        idx = np.array([c[:dim] for c in cells])
-        lam = GridMeasure(GridSpec(dim, h), idx, [c[2] for c in cells])
-        X = np.vstack([lam.centers(), query_box(lam, math.ceil(R / h))])
+    def test_matches_pair_sum(self, dim, h, theta, core, cells):
+        # a full core block of 10^d cells holds the pairs that let the size
+        # rule admit the lattice path; the drawn cells around it spread the
+        # support, some of them out of every other cell's range
+        side = 10
+        idx = np.vstack([np.indices((side,) * dim).reshape(dim, -1).T,
+                         np.array([c[:dim] for c in cells]).reshape(-1, dim)])
+        lam = GridMeasure(GridSpec(dim, h), idx, core[:side ** dim] + [c[2] for c in cells])
+        X = lam.centers()
         for name, model in lattice_models(dim, theta).items():
-            got = _lattice_interaction(model, lam, X)
+            got = _lattice_interaction(model, lam)
             assert got is not None, name
-            ref = _interaction_sum(model, lam.centers(), lam.cell_masses(), X)
+            ref = _interaction_sum(model, X, lam.cell_masses(), X)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(got - ref)) <= 1e-12 * scale, name
 
@@ -633,33 +642,53 @@ class TestLatticeCorrelation:
         # cells out of each other's range interact with nothing: the pair sum
         # gives exactly 0 there, and so must the correlation, or stationary
         # mass would leak into neighbor cells at rounding level
-        lam = GridMeasure(GridSpec(1, 0.01), [[0], [3], [40], [90]], [25.0] * 4)
+        lam = GridMeasure(GridSpec(1, 0.01), [[i] for i in range(10)] + [[40], [90]],
+                          [100 / 12] * 12)
         model = ball_model(n_agents=4)
-        X = np.vstack([lam.centers(), query_box(lam, 11)])
-        got = _lattice_interaction(model, lam, X)
+        got = _lattice_interaction(model, lam)
         assert got is not None
-        assert np.all(got[2:4] == 0.0)
-        assert np.all(got[:2] != 0.0)
-        np.testing.assert_array_equal(eval_grid_many(model, lam, X)[2:4], 0.0)
+        assert np.all(got[-2:] == 0.0)
+        assert np.all(got[:-2] != 0.0)
+        np.testing.assert_array_equal(eval_grid_many(model, lam, lam.centers())[-2:], 0.0)
 
     def test_zero_component_stays_exact(self):
         # cells on one row: every y-offset is 0, so the pair sum's y-component
         # is exactly 0 at the cells, and the correlation's must be too
-        lam = GridMeasure(GridSpec(2, 0.02), [[i, 0] for i in range(0, 12, 2)], [2500 / 6] * 6)
-        X = np.vstack([lam.centers(), query_box(lam, 5)])
-        got = _lattice_interaction(ball_model(n_agents=4, dim=2), lam, X)
+        lam = GridMeasure(GridSpec(2, 0.02), [[i, 0] for i in range(24)], [2500 / 24] * 24)
+        got = _lattice_interaction(ball_model(n_agents=4, dim=2), lam)
         assert got is not None
-        assert np.all(got[:6, 0] != 0.0)
-        np.testing.assert_array_equal(got[:6, 1], 0.0)
+        assert np.all(got[:, 0] != 0.0)
+        np.testing.assert_array_equal(got[:, 1], 0.0)
 
-    def test_off_lattice_queries_fall_back(self):
+    def test_off_lattice_queries_fall_back(self, monkeypatch):
         lam = GridMeasure(GridSpec(1, 0.01), [[i] for i in range(30)], [1 / 0.3] * 30)
         model = ball_model(n_agents=4)
         X = lam.centers() + 0.003
-        assert _lattice_interaction(model, lam, X) is None
+        ran = lattice_calls(monkeypatch)
         np.testing.assert_array_equal(
             eval_grid_many(model, lam, X),
             _interaction_sum(model, lam.centers(), lam.cell_masses(), X))
+        assert ran == []
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_dispatch_by_value(self, dim, monkeypatch):
+        # the lattice path serves the grid's own centers, in order, by value;
+        # any other points take the pair sum, and both agree with it
+        h = 0.02
+        side = 30 if dim == 1 else 8
+        idx = np.indices((side,) * dim).reshape(dim, -1).T
+        lam = GridMeasure(GridSpec(dim, h), idx, 1.0 + np.arange(len(idx)) % 7)
+        model = ball_model(n_agents=4, dim=dim)
+        C = lam.centers()
+        cases = {"centers": (C, True), "copy": (C.copy(), True),
+                 "permuted": (C[::-1], False), "subset": (C[1:], False),
+                 "shifted": (C + 0.3 * h, False), "other lattice points": ((idx + 1) * h, False)}
+        for name, (X, lattice) in cases.items():
+            ran = lattice_calls(monkeypatch)
+            got = eval_grid_many(model, lam, X)
+            assert ran == ([True] if lattice else []), name
+            ref = _interaction_sum(model, C, lam.cell_masses(), X)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
 
     def test_position_dependent_heading_falls_back(self):
         lam = GridMeasure(GridSpec(2, 0.02), [[i, j] for i in range(8) for j in range(8)],
@@ -669,7 +698,7 @@ class TestLatticeCorrelation:
                 lambda x: np.stack([np.ones_like(x[..., 0]), x[..., 0]], axis=-1), 2.0, 1.0),
             kernel=CaseStudyRepulsion(A, EPS), neighborhood=Sector(R, math.pi, B))
         X = lam.centers()
-        assert _lattice_interaction(model, lam, X) is None
+        assert _lattice_interaction(model, lam) is None
         np.testing.assert_array_equal(
             eval_grid_many(model, lam, X),
             model.desired(X) + _interaction_sum(model, X, lam.cell_masses(), X))
@@ -678,16 +707,16 @@ class TestLatticeCorrelation:
         # two cells 10^7 apart: the dense box would dwarf the 4 pairs
         lam = GridMeasure(GridSpec(1, 0.01), [[0], [10 ** 7]], [50.0, 50.0])
         model = ball_model(n_agents=2)
-        X = lam.centers()
-        assert _lattice_interaction(model, lam, X) is None
-        np.testing.assert_array_equal(eval_grid_many(model, lam, X), np.zeros((2, 1)))
+        assert _lattice_interaction(model, lam) is None
+        np.testing.assert_array_equal(eval_grid_many(model, lam, lam.centers()),
+                                      np.zeros((2, 1)))
 
     def test_memory_ceiling_falls_back(self, monkeypatch):
         lam = GridMeasure(GridSpec(1, 0.01), [[i] for i in range(30)], [1 / 0.3] * 30)
         model = ball_model(n_agents=4)
-        assert _lattice_interaction(model, lam, lam.centers()) is not None
+        assert _lattice_interaction(model, lam) is not None
         monkeypatch.setattr(velocity, "_LATTICE_MAX_CELLS", 32)
-        assert _lattice_interaction(model, lam, lam.centers()) is None
+        assert _lattice_interaction(model, lam) is None
 
     def test_config_models_hash_by_value(self):
         blocks = [json.loads(case_study_path().read_text())["model"],
@@ -716,9 +745,9 @@ class TestLatticeCorrelation:
 
         monkeypatch.setattr(velocity, "_interaction_sum", counting)
         velocity._lattice_stencil.cache_clear()
-        first = _lattice_interaction(build_model(block), lam, lam.centers())
+        first = _lattice_interaction(build_model(block), lam)
         # an equal model built anew, at the same width: no new stencil
-        again = _lattice_interaction(build_model(block), lam, lam.centers())
+        again = _lattice_interaction(build_model(block), lam)
         assert calls == [(21, 1)]
         assert first.tobytes() == again.tobytes()
         assert np.max(np.abs(first - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -728,7 +757,7 @@ class TestLatticeCorrelation:
             build_model(block), np.zeros((1, 1)), np.ones(1),
             np.arange(-10, 11)[:, None] * 0.01)[:, 0].tobytes()
         _lattice_interaction(build_model(block), GridMeasure(GridSpec(1, 0.02), lam.indices,
-                                                            lam.rho), lam.indices * 0.02)
+                                                            lam.rho))
         assert calls == [(21, 1), (11, 1)]  # a new width, a new stencil
 
 

@@ -91,7 +91,8 @@ def dense_w1(mu, nu) -> wasserstein.TransportCost:
     below, its plan rounded onto those marginals above."""
     xs, a = merge_duplicates(mu.positions, mu.weights)
     ys, b = merge_duplicates(nu.positions, nu.weights)
-    b[-1] = a.sum() - b[:-1].sum()
+    j = len(b) - 1 - np.argmax(b[::-1])
+    b[j] = a.sum() - np.delete(b, j).sum()
     pairs = np.arange(len(a) * len(b))
     value, plan, cost, f, g = wasserstein._restricted_lp(xs, a, ys, b, pairs)
     lower = a @ f + b @ wasserstein._price(xs, ys, f, g)[1]
@@ -203,6 +204,19 @@ class TestColumnGeneration:
         assert res == pytest.approx(0.15 * np.sqrt(2) + 0.1 * np.sqrt(10) + 0.2 * 3,
                                     abs=1e-9)
         assert w1_exact(nu, nu) <= 1e-12
+
+    @pytest.mark.parametrize("light_last", [True, False])
+    def test_light_oracle_atom_takes_no_rounding(self, light_last):
+        # the totals differ by 6e-11, more than the light atom weighs: it
+        # must not absorb the difference, or its weight turns negative and
+        # the rounded plan's upper bound comes out NaN
+        mu = AtomicMeasure([[0, 0], [1, 0]], [0.5, 0.5 - 5e-11])
+        w = [1 - 1e-11, 1e-11] if light_last else [1e-11, 1 - 1e-11]
+        nu = AtomicMeasure([[0, 0.2], [1, 1]], w)
+        res = w1_exact(mu, nu)  # RuntimeWarnings are errors here
+        assert np.isfinite(res.lower) and np.isfinite(res.upper)
+        assert res.lower <= res <= res.upper
+        assert_certified(res, dense_w1(mu, nu))
 
     def test_pricing_adds_pairs_over_rounds(self, monkeypatch):
         rng = np.random.default_rng(8)
