@@ -31,18 +31,16 @@ from .grids import AtomicMeasure, GridMeasure, NumericalInvariantError, sq_norm
 # on the 1D oracle and on 2D pair sums, 2^14 was fastest or tied (2-CPU x86 VM,
 # numpy 2.4, one thread). A query is never split across blocks.
 _EVAL_CHUNK = 1 << 14
-# The pair sum takes its dense block form while (q - 1)(m - 1) < _DENSE_MAX_PAIRS
-# for q queries and m atoms. The windowed form sorts all m atoms and searches
-# for all q queries whatever the window holds, so a side of one point (one
-# query, or a lattice stencil's one atom) gains it nothing: with 512-16384
-# points on the other side, spread over 10 R, the dense form ran 1.7-4.3x
-# faster in 1D (in 2D from 1.45x faster to 1.3x slower). n x n inputs switch
-# at n = 64, as before; the 1D crossover lies between n = 48 and 64, the 2D
-# one below 32 (2-CPU x86 VM, numpy 2.4, one thread).
-_DENSE_MAX_PAIRS = 63 * 63
+# The pair sum at the atoms takes its at-atoms form from _DENSE_MAX_ATOMS + 1
+# = 64 atoms on, and its dense form below. On n uniform atoms in [0, 1]^d with
+# R = 0.1, the dense form was faster at n = 48 in 1D and the at-atoms form at
+# n = 64; in 2D, ball or sector, the at-atoms form was faster from n = 48
+# (2-CPU x86 VM, numpy 2.4, one thread).
+_DENSE_MAX_ATOMS = 63
 # Memory ceiling on the padded box of the lattice correlation: at 2^22 cells a
-# real array takes 32 MB, and the correlation peaks at about 150 MB. Past it
-# the pair sum runs instead, in blocks of _EVAL_CHUNK pairs.
+# real array takes 32 MB, and the 2D correlation, which transforms both
+# stencil components at once, peaks at about 220 MB. Past it the pair sum
+# runs instead, in blocks of _EVAL_CHUNK pairs.
 _LATTICE_MAX_CELLS = 1 << 22
 
 
@@ -362,15 +360,12 @@ def rotation_at(model: VelocityModel, X) -> Rotation2:
     return Rotation2(u[..., 0], u[..., 1])
 
 
-def _frame_cutoff(model: VelocityModel, X: np.ndarray, Z: np.ndarray,
-                  rows=None) -> np.ndarray:
+def _frame_cutoff(model: VelocityModel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """sigma_{U_x}(x + z) for the offsets Z (..., d) seen from the points X,
-    which broadcast against Z, or seen from X[rows] when ``rows`` is given:
-    a sector faces the heading at each point of X, computed once per point."""
+    which broadcast against Z: a sector faces the heading at each point of X."""
     if not isinstance(model.neighborhood, Sector):
         return model.neighborhood.cutoff(Z)
-    u = _headings(model, X)
-    return model.neighborhood.cutoff(Z, u if rows is None else u[rows])
+    return model.neighborhood.cutoff(Z, _headings(model, X))
 
 
 def cutoff_at(model: VelocityModel, X, Y) -> np.ndarray:
@@ -380,26 +375,24 @@ def cutoff_at(model: VelocityModel, X, Y) -> np.ndarray:
     return _frame_cutoff(model, X, np.asarray(Y, dtype=float) - X)
 
 
-# The kernels with F(-z) = -F(z) bit for bit. Under a ball, whose cutoff reads
-# only |z|^2, their pair term g(z) = F(z) sigma(z) is odd as well.
+# The kernels with F(-z) = -F(z) bit for bit.
 _ODD_KERNELS = (CaseStudyRepulsion, PrototypeAttraction)
 
 
-def _window_blocks(first: np.ndarray, count: np.ndarray):
-    """The pairs of a windowed pair sum in blocks: row i pairs with the
-    sorted atoms first[i] ... first[i] + count[i] - 1. Yields (lo, hi, row,
-    col) for the rows lo..hi-1, which hold at most _EVAL_CHUNK pairs (or row
-    lo alone), with each pair's row counted from lo and its atom's index;
-    rows are never split, and pairs come row by row, atoms in order."""
+def _window_blocks(count: np.ndarray):
+    """The pairs of the at-atoms sum in blocks: sorted atom i pairs with the
+    count[i] atoms after it. Yields (row, col), each pair's two atom indices,
+    for the rows lo..hi-1, which hold at most _EVAL_CHUNK pairs (or row lo
+    alone); rows are never split, and pairs come row by row, atoms in order."""
     ends = np.cumsum(count)  # the pairs of row i are ends[i] - count[i] ... ends[i] - 1
     lo = 0
     while lo < len(count):
         base = ends[lo] - count[lo]
         hi = max(lo + 1, int(np.searchsorted(ends, base + _EVAL_CHUNK, "right")))
         n = count[lo:hi]
-        start = ends[lo:hi] - n - base  # each row's first pair in the block
-        row = np.repeat(np.arange(hi - lo), n)
-        yield lo, hi, row, np.arange(ends[hi - 1] - base) + np.repeat(first[lo:hi] - start, n)
+        # pair p, counted over all rows, pairs row i with atom p + i + 1 - (ends[i] - n[i])
+        shift = np.arange(lo + 1, hi + 1) - ends[lo:hi] + n
+        yield np.repeat(np.arange(lo, hi), n), np.arange(base, ends[hi - 1]) + np.repeat(shift, n)
         lo = hi
 
 
@@ -407,84 +400,67 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
                      X: np.ndarray) -> np.ndarray:
     """N * sum_j w_j F(y_j - x) sigma_{U_x}(y_j) for each row x of X.
 
-    U_x lies inside B_R(x), so only the atoms whose first coordinate lies
-    within R of x's can contribute (rounding is monotone, so a computed
-    |y - x|^2 below R^2 implies |y_0 - x_0| < R exactly). The sum takes one
-    of three forms:
+    The sum takes one of two forms:
 
-    - dense: below _DENSE_MAX_PAIRS pairs (counted without one query row and
-      one atom column), every pair is evaluated in dense blocks;
-    - windowed: above it, the atoms are sorted by first coordinate, each
-      query sees only its window of them, and each query's terms are summed
-      in that sorted order by ``bincount``;
-    - half: above it, with X equal to Y (the same points in the same order)
-      and an odd pair term (see :func:`_half_interaction_sum`), each pair of
-      atoms is evaluated once.
-
-    In the dense and windowed forms a row gets the same bits whether alone or
-    in a batch. The half form gives the windowed form's bits, so a row at an
-    atom gets the bits of that point queried alone.
+    - at the atoms: where X equals Y (the same points in the same order,
+      whatever array holds them), with more than _DENSE_MAX_ATOMS atoms and
+      an odd kernel, :func:`_interaction_sum_at_atoms` evaluates each pair
+      of atoms once;
+    - dense: everywhere else, every (query, atom) pair is evaluated in
+      blocks of at most _EVAL_CHUNK pairs, and a row gets the same bits
+      whether alone or in a batch. It serves query points that are not the
+      atoms (a lattice stencil) and ``CustomKernel``, whose F(0) may be
+      nonzero.
     """
     q, d = X.shape
     m = Y.shape[0]
-    if (q - 1) * (m - 1) < _DENSE_MAX_PAIRS:
-        out = np.empty((q, d))
-        block = max(1, _EVAL_CHUNK // max(m, 1))
-        for lo in range(0, q, block):
-            Xb = X[lo:lo + block, None, :]
-            Z = Y[None, :, :] - Xb
-            sig = _frame_cutoff(model, Xb, Z)
-            F = kernel_F(model.kernel, Z)
-            out[lo:lo + block] = np.einsum("j,bj,bjd->bd", w, sig, F)
-        return model.n_agents * out
-    if (isinstance(model.neighborhood, Ball) and isinstance(model.kernel, _ODD_KERNELS)
-            and np.array_equal(X, Y)):
-        return _half_interaction_sum(model, Y, w)
-
-    order = np.argsort(Y[:, 0], kind="stable")
-    Y, w = Y[order], w[order]
-    R = model.neighborhood.radius
-    first = np.searchsorted(Y[:, 0], X[:, 0] - R, "left")
-    count = np.searchsorted(Y[:, 0], X[:, 0] + R, "right") - first
+    if m > _DENSE_MAX_ATOMS and isinstance(model.kernel, _ODD_KERNELS) and np.array_equal(X, Y):
+        return _interaction_sum_at_atoms(model, Y, w)
     out = np.empty((q, d))
-    for lo, hi, row, col in _window_blocks(first, count):
-        # take gathers rows several times faster than fancy indexing
-        Z = Y.take(col, axis=0) - X[lo:hi].take(row, axis=0)
-        sig = _frame_cutoff(model, X[lo:hi], Z, row)
+    block = max(1, _EVAL_CHUNK // max(m, 1))
+    for lo in range(0, q, block):
+        Xb = X[lo:lo + block, None, :]
+        Z = Y[None, :, :] - Xb
+        sig = _frame_cutoff(model, Xb, Z)
         F = kernel_F(model.kernel, Z)
-        terms = (w.take(col) * sig)[:, None] * F
-        for l in range(d):
-            out[lo:hi, l] = np.bincount(row, terms[:, l], hi - lo)
+        out[lo:lo + block] = np.einsum("j,bj,bjd->bd", w, sig, F)
     return model.n_agents * out
 
 
-def _half_interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The windowed pair sum at the atoms themselves for an odd pair term g,
-    each pair of atoms evaluated once.
+def _interaction_sum_at_atoms(model: VelocityModel, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The pair sum at the atoms themselves for an odd kernel, each pair of
+    atoms evaluated once.
 
-    With the atoms sorted by first coordinate, atom i pairs only with the
-    atoms after it, up to y_0 + R. A pair (i, j), i < j, gives w_j g(z) to
-    row i and -w_i g(z) to row j, z = y_j - y_i: the windowed form's terms,
-    since negation is exact. ``np.add.at`` adds in order, a block's terms
-    to the rows j first, then those to the rows i, and a row is never split
-    across blocks. So each row sums its terms in sorted atom order, as the
-    windowed form does, and gets its bits: the terms the two windows do not
-    share are zeros (their first coordinates lie R or more apart), which
-    change no sum.
+    U_x lies inside B_R(x), so with the atoms sorted by first coordinate,
+    atom i pairs only with the atoms after it, up to y_0 + R (rounding is
+    monotone, so a computed |z|^2 below R^2 implies |z_0| < R). A pair
+    (i, j), i < j, z = y_j - y_i, evaluates F(z) once and gives
+    w_j F(z) sigma_i(z) to row i and -w_i F(z) sigma_j(-z) to row j, where
+    sigma_i is the cutoff seen from atom i: a ball's reads only |z|^2, so
+    the two rows share it, and a sector faces each atom's heading, computed
+    once per call. ``np.add.at`` adds in order, a block's terms to the rows
+    j first, then those to the rows i, and a row is never split across
+    blocks. So each row sums its terms in sorted atom order, and the block
+    size moves no bits.
     """
     m, d = Y.shape
     order = np.argsort(Y[:, 0], kind="stable")
     Y, w = Y[order], w[order]
-    after = np.arange(1, m + 1)
-    count = np.searchsorted(Y[:, 0], Y[:, 0] + model.neighborhood.radius, "right") - after
+    after = np.searchsorted(Y[:, 0], Y[:, 0] + model.neighborhood.radius, "right")
+    count = after - np.arange(1, m + 1)  # atom i pairs with the atoms i + 1 ... after[i] - 1
+    u = _headings(model, Y) if isinstance(model.neighborhood, Sector) else None
     out = np.zeros((d, m))
-    for lo, _, row, col in _window_blocks(after, count):
-        row += lo
+    for row, col in _window_blocks(count):
+        # take gathers rows several times faster than fancy indexing
         Z = Y.take(col, axis=0) - Y.take(row, axis=0)
-        sig = model.neighborhood.cutoff(Z)
         F = kernel_F(model.kernel, Z)
-        to_j = -(w.take(row) * sig)[:, None] * F
-        to_i = (w.take(col) * sig)[:, None] * F
+        if u is None:
+            sig_i = sig_j = model.neighborhood.cutoff(Z)
+        else:
+            sig_i = model.neighborhood.cutoff(Z, u.take(row, axis=0))
+            sig_j = model.neighborhood.cutoff(-Z, u.take(col, axis=0))
+        to_j = -(w.take(row) * sig_j)[:, None] * F
+        to_i = (w.take(col) * sig_i)[:, None] * F
         for l in range(d):
             np.add.at(out[l], col, to_j[:, l])
             np.add.at(out[l], row, to_i[:, l])
@@ -540,14 +516,13 @@ def _lattice_interaction(model: VelocityModel, lam: GridMeasure):
     cells = tuple((lam.indices - lo).T)
     at = tuple((lam.indices - lo + r).T)  # cell i sits at i - lo + r of the full convolution
 
-    def spectrum_of(values):
+    def correlate(values, stencil):
+        """The correlation of the cell values with each component of the
+        stencil (..., d) at the occupied cells, one batched transform a side."""
         dense = np.zeros(shape)
         dense[cells] = values
-        return np.fft.rfftn(dense)
-
-    def correlate(spectrum, stencil):
         f = np.fft.rfftn(stencil, shape, axes)
-        f *= spectrum
+        f *= np.fft.rfftn(dense)[..., None]
         return np.fft.irfftn(f, shape, axes)[at]
 
     # FFT rounding never gives an exact 0, but the pair sum does where every
@@ -555,13 +530,8 @@ def _lattice_interaction(model: VelocityModel, lam: GridMeasure):
     # 2D), and a rounding-level velocity there would leak mass into a neighbor
     # cell. So keep 0 where a cell sees no occupied cell through the
     # component's nonzero stencil entries (a count exact after rint).
-    occupied = spectrum_of(1.0)
-    sees = [np.rint(correlate(occupied, (G[..., l] != 0).astype(float))) > 0
-            for l in range(d)]
-    del occupied
-    masses = spectrum_of(lam.cell_masses())
-    return np.stack([np.where(sees[l], correlate(masses, G[..., l]), 0.0)
-                     for l in range(d)], axis=1)
+    sees = np.rint(correlate(1.0, (G != 0).astype(float))) > 0
+    return np.where(sees, correlate(lam.cell_masses(), G), 0.0)
 
 
 def eval_grid_many(model: VelocityModel, lam: GridMeasure, X: np.ndarray) -> np.ndarray:

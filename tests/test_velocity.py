@@ -33,17 +33,15 @@ def ball_model(n_agents=2, dim=1):
 
 
 def pair_sum(form, model, Y, w, X, chunk=velocity._EVAL_CHUNK):
-    """_interaction_sum forced into one of its forms: "dense", "windowed"
-    (with the half form turned off, so it is the half form's reference), or
-    "half" (the windowed size with the half form allowed, which it takes for
-    X equal to Y under a ball with an odd kernel)."""
+    """_interaction_sum forced into one of its forms: "dense", or "atoms" (at
+    any atom count), which X must take: X equal to Y and an odd kernel."""
+    Y, w, X = (np.asarray(a, dtype=float) for a in (Y, w, X))
+    if form == "atoms":
+        assert np.array_equal(X, Y) and isinstance(model.kernel, velocity._ODD_KERNELS)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(velocity, "_DENSE_MAX_PAIRS", math.inf if form == "dense" else 0)
-        if form == "windowed":
-            mp.setattr(velocity, "_ODD_KERNELS", ())
+        mp.setattr(velocity, "_DENSE_MAX_ATOMS", math.inf if form == "dense" else 0)
         mp.setattr(velocity, "_EVAL_CHUNK", chunk)
-        return _interaction_sum(model, np.asarray(Y, float), np.asarray(w, float),
-                                np.asarray(X, float))
+        return _interaction_sum(model, Y, w, X)
 
 
 class TestKernels:
@@ -347,10 +345,10 @@ class TestRotation:
         rng = np.random.default_rng(10)
         Y, w = rng.uniform(0, 0.2, size=(9, 2)), np.full(9, 1 / 9)
         X = rng.uniform(0, 0.2, size=(6, 2))
-        expected = [4 * sum(wj * cutoff_at(model, x, y) * kernel_F(model.kernel, y - x)
-                            for y, wj in zip(Y, w)) for x in X]
-        for form in ("dense", "windowed"):
-            np.testing.assert_allclose(pair_sum(form, model, Y, w, X), expected,
+        for form, Q in (("dense", X), ("dense", Y), ("atoms", Y)):
+            expected = [4 * sum(wj * cutoff_at(model, x, y) * kernel_F(model.kernel, y - x)
+                                for y, wj in zip(Y, w)) for x in Q]
+            np.testing.assert_allclose(pair_sum(form, model, Y, w, Q), expected,
                                        rtol=1e-13, atol=1e-15)
 
     def test_fixed_axis_must_be_unit(self):
@@ -762,162 +760,37 @@ class TestLatticeCorrelation:
 
 
 # ---------------------------------------------------------------------------
-# the pair sum's windowed form against its dense block form
+# the pair sum at the atoms, each pair in its window evaluated once, against
+# its dense block form
 
-def window_models(dim, theta):
-    """The lattice path's models plus those only the pair sum serves: a
-    position-dependent heading, and cutoffs with b = 1e-15, which stay near 1
+def atoms_models(dim, theta):
+    """Models the at-atoms form serves: a ball under both odd kernels and, in
+    2D, sectors facing a constant, a fixed-axis and a position-dependent
+    heading, one of them 2 pi wide; the cutoffs with b = 1e-15 stay near 1
     up to an ulp inside R, so pairs at the window's edge count."""
     heading = (math.cos(theta), math.sin(theta))
-    kern = CaseStudyRepulsion(A, EPS)
-    models = lattice_models(dim, theta)
-    models["ball_sharp"] = VelocityModel(dim=dim, n_agents=7, desired=ZeroDesired(),
-                                         kernel=kern, neighborhood=Ball(R, 1e-15))
+    kernels = {"repulsion": CaseStudyRepulsion(A, EPS), "attraction": PrototypeAttraction(R)}
+    models = {f"ball_{name}_b{b:g}": VelocityModel(dim=dim, n_agents=7, desired=ZeroDesired(),
+                                                  kernel=kern, neighborhood=Ball(R, b))
+              for name, kern in kernels.items() for b in (B, 1e-15)}
     if dim == 2:
-        models["sector_sharp"] = VelocityModel(
+        kern = kernels["repulsion"]
+        for b in (B, 1e-15):
+            models[f"sector_constant_b{b:g}"] = VelocityModel(
+                dim=2, n_agents=5, desired=ConstantDesired(heading),
+                kernel=kern, neighborhood=Sector(R, 2.0, b))
+        models["sector_fixed_axis"] = VelocityModel(
+            dim=2, n_agents=5, desired=ZeroDesired(), kernel=kernels["attraction"],
+            neighborhood=Sector(R, 1.2, B), heading=FixedAxis(heading))
+        models["sector_2pi"] = VelocityModel(
             dim=2, n_agents=5, desired=ConstantDesired(heading),
-            kernel=kern, neighborhood=Sector(R, 2.0, 1e-15))
+            kernel=kern, neighborhood=Sector(R, 2 * math.pi, B))
         models["sector_custom"] = VelocityModel(
             dim=2, n_agents=5, kernel=kern, neighborhood=Sector(R, 2.0, B),
             desired=CustomDesired(lambda x: np.stack([2.0 + np.sin(x[..., 1]),
                                                       np.cos(3.0 * x[..., 0] + theta)], axis=-1),
                                   3.0, 3.0))
     return models
-
-
-@st.composite
-def pair_sum_inputs(draw):
-    """Atoms (with duplicates), weights and queries: some atoms, free points
-    off the support, and points at an offset of R and of one ulp inside R
-    from an atom along the first axis; all optionally shifted by 1e6."""
-    dim = draw(st.integers(1, 3))
-    coord = st.floats(-0.4, 0.4) | st.sampled_from([0.0, R, -R])
-    Y = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=30))
-    Y = np.array(Y + [Y[i] for i in draw(st.lists(st.integers(0, len(Y) - 1), max_size=5))])
-    w = draw(st.lists(st.floats(0.01, 10.0), min_size=len(Y), max_size=len(Y)))
-    free = draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim),
-                         max_size=15))
-    edge = []
-    for i in draw(st.lists(st.integers(0, len(Y) - 1), max_size=4)):
-        for r in (R, np.nextafter(R, 0.0), -R, -np.nextafter(R, 0.0)):
-            x = Y[i].copy()
-            x[0] += r
-            edge.append(x)
-    X = np.vstack([Y[:5], np.reshape(free, (-1, dim)), np.reshape(edge, (-1, dim))])
-    shift = draw(st.sampled_from([0.0, 1e6]))
-    return Y + shift, np.array(w), X + shift
-
-
-CHUNKS = [7, velocity._EVAL_CHUNK, 4_000_000]
-
-
-class TestWindowedPairSum:
-    @given(pair_sum_inputs(), st.floats(0.0, 2 * math.pi), st.sampled_from(CHUNKS))
-    @settings(max_examples=120, deadline=None)
-    def test_matches_dense_form(self, inputs, theta, chunk):
-        Y, w, X = inputs
-        for name, model in window_models(Y.shape[1], theta).items():
-            dense = pair_sum("dense", model, Y, w, X, chunk)
-            got = pair_sum("windowed", model, Y, w, X, chunk)
-            assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense)), name
-            assert np.all(got[dense == 0] == 0), name
-            # the block size moves no bits in either form
-            for other in CHUNKS:
-                assert pair_sum("dense", model, Y, w, X, other).tobytes() == dense.tobytes(), name
-                assert pair_sum("windowed", model, Y, w, X, other).tobytes() == got.tobytes(), name
-            for i in range(len(X)):
-                one = pair_sum("windowed", model, Y, w, X[i:i + 1], chunk)[0]
-                assert one.tobytes() == got[i].tobytes(), name
-
-    @pytest.mark.parametrize("shift", [0.0, 1e6])
-    def test_window_edge(self, shift):
-        # atoms at exactly R and one ulp inside R on either side of the query:
-        # only the inner two are seen, through a cutoff of about exp(-4.5).
-        # Shifted by 1e6 the offsets round to within an ulp of 1e6 of R.
-        inner = np.nextafter(R, 0.0)
-        model = VelocityModel(dim=1, n_agents=1, desired=ZeroDesired(),
-                              kernel=PrototypeAttraction(R), neighborhood=Ball(R, 1e-15))
-        Y = np.array([[-R], [-inner], [inner], [R]]) + shift
-        X = np.array([[0.0]]) + shift
-        w = np.array([1.0, 2.0, 4.0, 8.0])
-        dense = pair_sum("dense", model, Y, w, X)
-        got = pair_sum("windowed", model, Y, w, X)
-        assert dense[0, 0] != 0
-        np.testing.assert_allclose(got, dense, rtol=1e-12, atol=0)
-        if shift == 0.0:
-            sig = model.neighborhood.cutoff(np.array([[inner]]))[0]
-            assert 0 < sig < 0.1
-            np.testing.assert_allclose(got[0, 0], 2.0 * sig * inner, rtol=1e-15)
-
-    @pytest.mark.parametrize("shift", [0.0, 1e6])
-    @pytest.mark.parametrize("heading", [(1.0, 0.0), (-1.0, 0.0)], ids=["+x", "-x"])
-    def test_sector_window_edge(self, shift, heading):
-        # atoms at exactly R and one ulp inside R on either side of the query,
-        # along the heading and against it: the half-plane sector sees only
-        # the one inside R along the heading. Shifted by 1e6 the offsets round
-        # to within an ulp of 1e6 of R, and both atoms along the heading count.
-        inner = np.nextafter(R, 0.0)
-        model = VelocityModel(dim=2, n_agents=1, desired=ZeroDesired(),
-                              kernel=PrototypeAttraction(R), heading=FixedAxis(heading),
-                              neighborhood=Sector(R, math.pi, 1e-15))
-        Y = np.array([[-R, 0.0], [-inner, 0.0], [inner, 0.0], [R, 0.0]]) + shift
-        X = np.array([[0.0, 0.0]]) + shift
-        w = np.array([1.0, 2.0, 4.0, 8.0])
-        dense = pair_sum("dense", model, Y, w, X)
-        assert dense[0, 0] != 0 and dense[0, 1] == 0
-        np.testing.assert_array_equal(pair_sum("windowed", model, Y, w, X), dense)
-        if shift == 0.0:
-            sig = model.neighborhood.cutoff(np.array([inner, 0.0]))
-            assert 0 < sig < 0.1
-            along = 4.0 * inner if heading[0] > 0 else -2.0 * inner
-            np.testing.assert_allclose(dense[0, 0], sig * along, rtol=1e-15)
-
-    def test_only_pairs_in_the_window_are_evaluated(self, monkeypatch):
-        offsets = []
-
-        def func(z):
-            offsets.append(math.prod(z.shape[:-1]))
-            return -A * z / np.maximum(np.abs(z), EPS) ** 2
-
-        model = VelocityModel(dim=1, n_agents=200, desired=ZeroDesired(),
-                              kernel=CustomKernel(func, A / EPS, A / EPS ** 2),
-                              neighborhood=Ball(R, B))
-        mu = AtomicMeasure(np.random.default_rng(12).uniform(0.0, 10 * R, size=(200, 1)))
-        q, m = 200, 200
-        assert (q - 1) * (m - 1) >= velocity._DENSE_MAX_PAIRS
-        offsets.clear()
-        got = eval_atomic_many(model, mu, mu.positions)
-        assert 0 < sum(offsets) < q * m / 3
-        dense = pair_sum("dense", model, mu.positions, mu.weights, mu.positions)
-        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
-
-    def test_pair_sum_memory_stays_in_blocks(self):
-        # 1000 uniform 1D atoms on [0, 1] seen from themselves: about 190k
-        # pairs in the window, 1.5 MB a temporary if evaluated in one block;
-        # the half form, at the atoms, holds half of them
-        model = ball_model(n_agents=1000)
-        Y = np.random.default_rng(13).uniform(0.0, 1.0, size=(1000, 1))
-        w = np.full(1000, 1e-3)
-        for form in ("windowed", "half"):
-            tracemalloc.start()
-            try:
-                pair_sum(form, model, Y, w, Y)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 4 * 2 ** 20
-
-
-# ---------------------------------------------------------------------------
-# the half form at the atoms, each pair evaluated once
-
-def odd_models(dim):
-    """Ball models with an odd pair term: both odd kernels, and cutoffs with
-    b = 1e-15, which stay near 1 up to an ulp inside R."""
-    kernels = {"repulsion": CaseStudyRepulsion(A, EPS), "attraction": PrototypeAttraction(R)}
-    return {f"{name}_b{b:g}": VelocityModel(dim=dim, n_agents=7, desired=ZeroDesired(),
-                                           kernel=kern, neighborhood=Ball(R, b))
-            for name, kern in kernels.items() for b in (B, 1e-15)}
 
 
 @st.composite
@@ -942,92 +815,181 @@ def self_sum_inputs(draw):
 
 
 def all_terms_zero(model, Y, w):
-    """Rows whose every term w_j F(y_j - y_i) sigma(y_j - y_i) is 0."""
-    Z = Y[None, :, :] - Y[:, None, :]
-    terms = (w * model.neighborhood.cutoff(Z))[..., None] * model.kernel(Z)
+    """Rows whose every term w_j F(y_j - y_i) sigma_{U_{y_i}}(y_j) is 0."""
+    terms = ((w * cutoff_at(model, Y[:, None, :], Y[None, :, :]))[..., None]
+             * model.kernel(Y[None, :, :] - Y[:, None, :]))
     return np.all(terms == 0, axis=(1, 2))
 
 
-class TestHalfPairSum:
-    @given(self_sum_inputs(), st.sampled_from(CHUNKS))
-    @settings(max_examples=120, deadline=None)
-    def test_matches_dense_and_windowed_forms(self, inputs, chunk):
-        Y, w = inputs
-        for name, model in odd_models(Y.shape[1]).items():
-            dense = pair_sum("dense", model, Y, w, Y, chunk)
-            half = pair_sum("half", model, Y, w, Y, chunk)
-            assert np.max(np.abs(half - dense)) <= 1e-12 * np.max(np.abs(dense)), name
-            assert np.all(half[all_terms_zero(model, Y, w)] == 0), name
-            # the windowed form's bits, with any block size
-            assert half.tobytes() == pair_sum("windowed", model, Y, w, Y, chunk).tobytes(), name
-            for other in CHUNKS:
-                assert pair_sum("half", model, Y, w, Y, other).tobytes() == half.tobytes()
+CHUNKS = [7, velocity._EVAL_CHUNK, 4_000_000]
 
+
+class TestWindowedPairSum:
+    @given(self_sum_inputs(), st.floats(0.0, 2 * math.pi), st.sampled_from(CHUNKS))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_dense_form(self, inputs, theta, chunk):
+        Y, w = inputs
+        for name, model in atoms_models(Y.shape[1], theta).items():
+            dense = pair_sum("dense", model, Y, w, Y, chunk)
+            got = pair_sum("atoms", model, Y, w, Y, chunk)
+            assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense)), name
+            assert np.all(got[all_terms_zero(model, Y, w)] == 0), name
+            # the block size moves no bits in either form
+            for other in CHUNKS:
+                assert pair_sum("dense", model, Y, w, Y, other).tobytes() == dense.tobytes(), name
+                assert pair_sum("atoms", model, Y, w, Y, other).tobytes() == got.tobytes(), name
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_window_edge(self, shift):
+        # atoms at exactly R and one ulp inside R on either side of the atom
+        # at 0: only the inner two are seen from it, through a cutoff of about
+        # exp(-4.5). Shifted by 1e6 the offsets round to within an ulp of 1e6 of R.
+        inner = np.nextafter(R, 0.0)
+        model = VelocityModel(dim=1, n_agents=1, desired=ZeroDesired(),
+                              kernel=PrototypeAttraction(R), neighborhood=Ball(R, 1e-15))
+        Y = np.array([[-R], [-inner], [0.0], [inner], [R]]) + shift
+        w = np.array([1.0, 2.0, 16.0, 4.0, 8.0])
+        dense = pair_sum("dense", model, Y, w, Y)
+        got = pair_sum("atoms", model, Y, w, Y)
+        assert dense[2, 0] != 0
+        np.testing.assert_allclose(got, dense, rtol=1e-12, atol=0)
+        if shift == 0.0:
+            sig = model.neighborhood.cutoff(np.array([[inner]]))[0]
+            assert 0 < sig < 0.1
+            np.testing.assert_allclose(got[2, 0], 2.0 * sig * inner, rtol=1e-15)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("heading", [(1.0, 0.0), (-1.0, 0.0)], ids=["+x", "-x"])
+    def test_sector_window_edge(self, shift, heading):
+        # atoms at exactly R and one ulp inside R on either side of the atom
+        # at 0, along the heading and against it: from there the half-plane
+        # sector sees only the one inside R along the heading. Shifted by 1e6
+        # the offsets round to within an ulp of 1e6 of R, and both atoms along
+        # the heading count.
+        inner = np.nextafter(R, 0.0)
+        model = VelocityModel(dim=2, n_agents=1, desired=ZeroDesired(),
+                              kernel=PrototypeAttraction(R), heading=FixedAxis(heading),
+                              neighborhood=Sector(R, math.pi, 1e-15))
+        Y = np.array([[-R, 0.0], [-inner, 0.0], [0.0, 0.0], [inner, 0.0], [R, 0.0]]) + shift
+        w = np.array([1.0, 2.0, 16.0, 4.0, 8.0])
+        dense = pair_sum("dense", model, Y, w, Y)
+        assert dense[2, 0] != 0 and np.all(dense[:, 1] == 0)
+        np.testing.assert_allclose(pair_sum("atoms", model, Y, w, Y), dense, rtol=1e-12, atol=0)
+        if shift == 0.0:
+            sig = model.neighborhood.cutoff(np.array([inner, 0.0]))
+            assert 0 < sig < 0.1
+            along = 4.0 * inner if heading[0] > 0 else -2.0 * inner
+            np.testing.assert_allclose(dense[2, 0], sig * along, rtol=1e-15)
+
+    def test_only_pairs_in_the_window_are_evaluated(self, monkeypatch):
+        # 200 atoms spread over 10 R: each unordered pair whose first
+        # coordinates lie within R of each other is evaluated once
+        sizes = []
+        kernel_F = velocity.kernel_F
+        monkeypatch.setattr(velocity, "kernel_F", lambda k, z: (
+            sizes.append(math.prod(z.shape[:-1])), kernel_F(k, z))[1])
+        model = ball_model(n_agents=200)
+        mu = AtomicMeasure(np.random.default_rng(12).uniform(0.0, 10 * R, size=(200, 1)))
+        assert mu.n_atoms > velocity._DENSE_MAX_ATOMS
+        got = eval_atomic_many(model, mu, mu.positions)
+        x = mu.positions[:, 0]
+        in_window = (np.sum(np.abs(x[:, None] - x[None, :]) <= R) - 200) // 2
+        assert sizes == [in_window] and in_window < 200 * 200 / 6
+        dense = pair_sum("dense", model, mu.positions, mu.weights, mu.positions)
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+    def test_pair_sum_memory_stays_in_blocks(self):
+        # 1000 uniform atoms on [0, 1]^d seen from themselves, under a ball in
+        # 1D and a sector facing each atom's own heading in 2D: about 95k
+        # pairs in the window, 0.75 MB a temporary if evaluated in one block,
+        # and 8 MB in the dense form
+        for model in (ball_model(n_agents=1000), atoms_models(2, 0.3)["sector_custom"]):
+            Y = np.random.default_rng(13).uniform(0.0, 1.0, size=(1000, model.dim))
+            w = np.full(1000, 1e-3)
+            for form in ("dense", "atoms"):
+                tracemalloc.start()
+                try:
+                    pair_sum(form, model, Y, w, Y)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < 4 * 2 ** 20, (form, model.neighborhood)
+
+
+# ---------------------------------------------------------------------------
+# the at-atoms form takes half the pairs: each pair of atoms evaluated once
+
+class TestHalfPairSum:
     def test_each_pair_is_evaluated_once(self, monkeypatch):
-        # 300 atoms with distinct first coordinates: the windowed form sees
-        # each atom's self pair and both orders of every other pair in range,
-        # the half form each unordered pair once, through kernel_F and the cutoff
-        model = ball_model(n_agents=300, dim=2)
+        # 300 atoms with distinct first coordinates: the kernel sees each
+        # unordered pair in the window once, and the cutoff sees it once under
+        # a ball and twice under a sector, once from each atom's heading
         Y = np.random.default_rng(14).uniform(0.0, 10 * R, size=(300, 2))
         w = np.full(300, 1 / 300)
+        x = Y[:, 0]
+        in_window = (np.sum(np.abs(x[:, None] - x[None, :]) <= R) - 300) // 2
         seen = {"kernel": [], "cutoff": []}
-        kernel_F, cutoff = velocity.kernel_F, Ball.cutoff
+        kernel_F = velocity.kernel_F
         monkeypatch.setattr(velocity, "kernel_F", lambda k, z: (
             seen["kernel"].append(len(z)), kernel_F(k, z))[1])
-        monkeypatch.setattr(Ball, "cutoff", lambda self, z: (
-            seen["cutoff"].append(len(z)), cutoff(self, z))[1])
-        windowed = pair_sum("windowed", model, Y, w, Y)
-        full = sum(seen["kernel"])
-        assert sum(seen["cutoff"]) == full
-        seen["kernel"].clear()
-        seen["cutoff"].clear()
-        half = _interaction_sum(model, Y, w, Y.copy())  # a copy of the atoms: the half form
-        assert 2 * sum(seen["kernel"]) + 300 == full
-        assert sum(seen["cutoff"]) == sum(seen["kernel"])
-        assert half.tobytes() == windowed.tobytes()
+        for neighborhood, per_pair in ((Ball(R, B), 1), (Sector(R, 2.0, B), 2)):
+            model = VelocityModel(dim=2, n_agents=300, desired=ConstantDesired((0.6, 0.8)),
+                                  kernel=CaseStudyRepulsion(A, EPS), neighborhood=neighborhood)
+            cutoff = type(neighborhood).cutoff
+            monkeypatch.setattr(type(neighborhood), "cutoff", lambda self, z, *u: (
+                seen["cutoff"].append(len(z)), cutoff(self, z, *u))[1])
+            seen["kernel"].clear()
+            seen["cutoff"].clear()
+            _interaction_sum(model, Y, w, Y.copy())  # a copy of the atoms: the at-atoms form
+            assert sum(seen["kernel"]) == in_window
+            assert sum(seen["cutoff"]) == per_pair * in_window
 
     def test_dispatch(self, monkeypatch):
-        # the half form runs where the points equal the atoms (the same points
-        # in the same order, whatever array holds them) and the pair term is
-        # odd under a ball. A permuted copy of the atoms, a sector, a custom
-        # kernel (whose F(0) may be nonzero) and the dense size take their own
-        # forms; a row gets the same bits in every form
+        # the at-atoms form runs where the points equal the atoms (the same
+        # points in the same order, whatever array holds them), there are
+        # more than _DENSE_MAX_ATOMS of them and the kernel is odd, under a
+        # ball or a sector. A permuted copy of the atoms, points off the
+        # atoms, a custom kernel (whose F(0) may be nonzero) and fewer atoms
+        # take the dense form, which agrees to rounding
         calls = []
-        half_sum = velocity._half_interaction_sum
-        monkeypatch.setattr(velocity, "_half_interaction_sum",
-                            lambda *args: (calls.append(1), half_sum(*args))[1])
+        at_atoms = velocity._interaction_sum_at_atoms
+        monkeypatch.setattr(velocity, "_interaction_sum_at_atoms",
+                            lambda *args: (calls.append(1), at_atoms(*args))[1])
         rng = np.random.default_rng(15)
         mu1 = AtomicMeasure(rng.uniform(0.0, 1.0, size=(100, 1)))
         mu2 = AtomicMeasure(rng.uniform(0.0, 1.0, size=(100, 2)))
         perm = rng.permutation(100)
 
-        for model in odd_models(1).values():
+        def close(got, ref):
+            return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+        for mu, model in [(mu1, m) for m in atoms_models(1, 0.3).values()] + [
+                (mu2, atoms_models(2, 0.3)["sector_custom"])]:
             calls.clear()
-            at_atoms = eval_atomic_many(model, mu1, mu1.positions)
+            got = eval_atomic_many(model, mu, mu.positions)
             assert calls == [1]
-            copied = eval_atomic_many(model, mu1, mu1.positions.copy())
-            assert copied.tobytes() == at_atoms.tobytes()
+            copied = eval_atomic_many(model, mu, mu.positions.copy())
+            assert copied.tobytes() == got.tobytes()
             assert calls == [1, 1]
-            permuted = eval_atomic_many(model, mu1, mu1.positions[perm])
-            assert permuted.tobytes() == at_atoms[perm].tobytes()
+            permuted = eval_atomic_many(model, mu, mu.positions[perm])
+            assert close(permuted, got[perm])
+            X = mu.positions[:-1] + 1e-3
+            off = eval_atomic_many(model, mu, X) - model.desired(X)
+            assert close(off, pair_sum("dense", model, mu.positions, mu.weights, X))
             assert calls == [1, 1]
-        few = AtomicMeasure(mu1.positions[:8])  # the dense form
+        few = AtomicMeasure(mu1.positions[:velocity._DENSE_MAX_ATOMS])
         eval_atomic_many(ball_model(n_agents=8), few, few.positions)
         assert calls == [1, 1]
 
         calls.clear()
-        sector = window_models(2, 0.3)["sector_custom"]
-        dense = pair_sum("dense", sector, mu2.positions, mu2.weights, mu2.positions)
-        got = eval_atomic_many(sector, mu2, mu2.positions) - sector.desired(mu2.positions)
-        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
         with pytest.warns(UserWarning, match="lone agent"):
             pushy = VelocityModel(dim=1, n_agents=100, desired=ZeroDesired(),
                                   kernel=CustomKernel(lambda z: z + 1.0, 1.0 + R, 1.0),
                                   neighborhood=Ball(R, B))
         got = eval_atomic_many(pushy, mu1, mu1.positions)
         dense = pair_sum("dense", pushy, mu1.positions, mu1.weights, mu1.positions)
-        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
-        # the self term w_i F(0) sigma(0) = 1/100 is in every row
-        no_self = dense - pushy.n_agents * mu1.weights[:, None]
-        assert np.all(np.abs(got - no_self) > 0.5)
+        assert got.tobytes() == dense.tobytes()
+        # every term is positive, and the self term N w_i F(0) sigma(0) = 1 is
+        # in every row: the at-atoms form pairs each atom with the others only
+        assert np.all(got > 1.0 - 1e-12)
         assert calls == []
