@@ -13,11 +13,11 @@ from .grids import (AtomicMeasure, GridMeasure, GridSpec, atomize, cell_indices,
 from .particles import euler_step, push_forward_atoms, run_particles, to_measure
 from .scheme import (NumericalInvariantError, StepReport, cfl_ratio, mesh_schedule,
                      run, sample_at, step)
-from .velocity import (Ball, CaseStudyRepulsion, ConstantDesired, CustomDesired,
-                       CustomKernel, FixedAxis, FromDesired, PrototypeAttraction,
-                       Rotation2, Sector, VelocityModel, ZeroDesired, cutoff_at,
-                       eval_atomic_many, eval_grid_many, kernel_F,
-                       lipschitz_constants, rotation_at, velocity_bound)
+from .velocity import (Ball, CaseStudyRepulsion, ConstantDesired, FixedAxis,
+                       FromDesired, PrototypeAttraction, Rotation2, Sector,
+                       VelocityModel, ZeroDesired, cutoff_at, eval_atomic_many,
+                       eval_grid_many, kernel_F, lipschitz_constants,
+                       rotation_at, velocity_bound)
 from .wasserstein import W1Result, w1_1d, w1_exact, w1_grid_atomic
 
 __all__ = [
@@ -26,9 +26,9 @@ __all__ = [
     "euler_step", "push_forward_atoms", "run_particles", "to_measure",
     "NumericalInvariantError", "StepReport", "cfl_ratio", "mesh_schedule",
     "run", "sample_at", "step",
-    "Ball", "CaseStudyRepulsion", "ConstantDesired", "CustomDesired",
-    "CustomKernel", "FixedAxis", "FromDesired", "PrototypeAttraction",
-    "Rotation2", "Sector", "VelocityModel", "ZeroDesired", "cutoff_at",
+    "Ball", "CaseStudyRepulsion", "ConstantDesired", "FixedAxis",
+    "FromDesired", "PrototypeAttraction", "Rotation2", "Sector",
+    "VelocityModel", "ZeroDesired", "cutoff_at",
     "eval_atomic_many", "eval_grid_many", "kernel_F",
     "lipschitz_constants", "rotation_at", "velocity_bound",
     "W1Result", "w1_1d", "w1_exact", "w1_grid_atomic",

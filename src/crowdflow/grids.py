@@ -129,10 +129,6 @@ class GridMeasure:
         self.rho.setflags(write=False)
 
     @property
-    def density(self) -> dict:
-        return {tuple(int(v) for v in i): float(r) for i, r in zip(self.indices, self.rho)}
-
-    @property
     def occupied(self) -> int:
         return int(self.indices.shape[0])
 
@@ -185,9 +181,6 @@ class AtomicMeasure:
     @property
     def n_atoms(self) -> int:
         return int(self.positions.shape[0])
-
-    def translated(self, shift) -> "AtomicMeasure":
-        return AtomicMeasure(self.positions + np.asarray(shift, dtype=float), self.weights)
 
     def to_json(self) -> str:
         atoms = [{"x": [float(v) for v in p], "w": float(w)}

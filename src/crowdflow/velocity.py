@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -42,17 +40,6 @@ _DENSE_MAX_ATOMS = 63
 # stencil components at once, peaks at about 220 MB. Past it the pair sum
 # runs instead, in blocks of _EVAL_CHUNK pairs.
 _LATTICE_MAX_CELLS = 1 << 22
-
-
-def _call_vectorised(func, X) -> np.ndarray:
-    """func(X) for a caller-supplied callable, checked to keep X's shape."""
-    X = np.asarray(X, dtype=float)
-    out = np.asarray(func(X), dtype=float)
-    if out.shape != X.shape:
-        raise ValueError(
-            f"custom callables must map an (..., d) array of points to an "
-            f"(..., d) array, one d-vector per point; got {X.shape} -> {out.shape}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -107,20 +94,6 @@ class PrototypeAttraction:
     @property
     def lip(self) -> float:
         return 1.0
-
-
-@dataclass(frozen=True)
-class CustomKernel:
-    """Caller-supplied F with its bound and Lipschitz constant on the
-    interaction ball. ``func`` is vectorised: it maps an (..., d) array of
-    offsets to the (..., d) array of their kernel values."""
-
-    func: Callable[[np.ndarray], np.ndarray]
-    fmax: float
-    lip: float
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        return _call_vectorised(self.func, z)
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +198,6 @@ class ConstantDesired:
     lip: float = field(default=0.0, init=False)
 
 
-@dataclass(frozen=True)
-class CustomDesired:
-    """Caller-supplied v_d with its stated sup bound and Lipschitz constant.
-    ``func`` is vectorised: it maps an (..., d) array of points to the
-    (..., d) array of their desired velocities."""
-
-    func: Callable[[np.ndarray], np.ndarray]
-    vmax: float
-    lip: float
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return _call_vectorised(self.func, X)
-
-
 def _check_unit(sq, what: str) -> None:
     """The one unit-vector rule: each squared length in sq is within 1e-12 of 1."""
     if not np.all(np.abs(sq - 1.0) <= 1e-12):  # NaN fails too
@@ -301,6 +260,17 @@ class Rotation2:
 
 @dataclass(frozen=True)
 class VelocityModel:
+    """The field v[mu](x) = v_d(x) + N sum_l w_l F(x_l - x) sigma_{U_x}(x_l).
+
+    ``desired`` (v_d) and ``kernel`` (F) may be any objects that map an
+    (..., d) array to an (..., d) array, one d-vector per point, and carry
+    their bounds: ``vmax`` and ``lip`` for v_d, ``fmax`` and ``lip`` for F.
+    The kernel must be odd, F(-z) = -F(z), as CaseStudyRepulsion and
+    PrototypeAttraction are: the pair sum at the atoms evaluates each pair
+    once and gives its two rows opposite terms, and F(0) = 0, so a lone agent
+    exerts no force on itself.
+    """
+
     dim: int
     n_agents: int
     desired: object
@@ -328,11 +298,6 @@ class VelocityModel:
                 raise ValueError(
                     "sector orientation is undefined with a vanishing desired "
                     "velocity; use a FixedAxis heading instead")
-        if isinstance(self.kernel, CustomKernel):
-            z0 = np.zeros(self.dim)
-            if np.linalg.norm(self.kernel(z0)) > 0:
-                warnings.warn("custom kernel has F(0) != 0: a lone agent "
-                              "exerts a force on itself", stacklevel=2)
 
 
 def kernel_F(kernel, z) -> np.ndarray:
@@ -375,10 +340,6 @@ def cutoff_at(model: VelocityModel, X, Y) -> np.ndarray:
     return _frame_cutoff(model, X, np.asarray(Y, dtype=float) - X)
 
 
-# The kernels with F(-z) = -F(z) bit for bit.
-_ODD_KERNELS = (CaseStudyRepulsion, PrototypeAttraction)
-
-
 def _window_blocks(count: np.ndarray):
     """The pairs of the at-atoms sum in blocks: sorted atom i pairs with the
     count[i] atoms after it. Yields (row, col), each pair's two atom indices,
@@ -403,18 +364,17 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
     The sum takes one of two forms:
 
     - at the atoms: where X equals Y (the same points in the same order,
-      whatever array holds them), with more than _DENSE_MAX_ATOMS atoms and
-      an odd kernel, :func:`_interaction_sum_at_atoms` evaluates each pair
-      of atoms once;
+      whatever array holds them) and there are more than _DENSE_MAX_ATOMS
+      atoms, :func:`_interaction_sum_at_atoms` evaluates each pair of atoms
+      once;
     - dense: everywhere else, every (query, atom) pair is evaluated in
       blocks of at most _EVAL_CHUNK pairs, and a row gets the same bits
-      whether alone or in a batch. It serves query points that are not the
-      atoms (a lattice stencil) and ``CustomKernel``, whose F(0) may be
-      nonzero.
+      whether alone or in a batch. The program asks only at the atoms, so
+      points off them come from callers of the API.
     """
     q, d = X.shape
     m = Y.shape[0]
-    if m > _DENSE_MAX_ATOMS and isinstance(model.kernel, _ODD_KERNELS) and np.array_equal(X, Y):
+    if m > _DENSE_MAX_ATOMS and np.array_equal(X, Y):
         return _interaction_sum_at_atoms(model, Y, w)
     out = np.empty((q, d))
     block = max(1, _EVAL_CHUNK // max(m, 1))
@@ -472,13 +432,14 @@ def _interaction_sum_at_atoms(model: VelocityModel, Y: np.ndarray, w: np.ndarray
 @functools.lru_cache(maxsize=16)
 def _lattice_stencil(model: VelocityModel, h: float) -> np.ndarray:
     """The lattice correlation's stencil, flipped for a convolution:
-    G[b] = K[r - b] for b in [0, 2r]^d, shaped (2r + 1,) * d + (d,). It is
-    computed by the pair sum itself on a unit atom at 0 seen from the points
-    (b - r) h, once per (model, h): every step of a level reuses it, so it is
-    returned read-only. Models built from a config hash by value."""
+    G[b] = K[r - b] = N sigma(z) F(z) at z = (r - b) h for b in [0, 2r]^d,
+    shaped (2r + 1,) * d + (d,): the term of a unit atom at 0 seen from the
+    point -z, whose heading is the model's constant one. It is computed once
+    per (model, h): every step of a level reuses it, so it is returned
+    read-only. Models built from a config hash by value."""
     d, r = model.dim, math.ceil(model.neighborhood.radius / h)
-    b = np.indices((2 * r + 1,) * d).reshape(d, -1).T
-    G = _interaction_sum(model, np.zeros((1, d)), np.ones(1), (b - r) * h)
+    Z = (r - np.indices((2 * r + 1,) * d).reshape(d, -1).T) * h
+    G = model.n_agents * (_frame_cutoff(model, -Z, Z)[:, None] * kernel_F(model.kernel, Z))
     G = G.reshape((2 * r + 1,) * d + (d,))
     G.setflags(write=False)
     return G

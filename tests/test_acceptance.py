@@ -16,14 +16,15 @@ import numpy as np
 import pytest
 
 from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
-                       CustomKernel, GridMeasure, GridSpec, VelocityModel,
-                       ZeroDesired, atomize, euler_step, lipschitz_constants,
-                       project_atomic, push_forward_atoms, run, to_measure,
-                       velocity_bound, w1_1d, w1_exact)
+                       GridMeasure, GridSpec, VelocityModel, ZeroDesired, atomize,
+                       euler_step, lipschitz_constants, project_atomic,
+                       push_forward_atoms, run, to_measure, velocity_bound, w1_1d,
+                       w1_exact)
 from crowdflow.cli import main
 from crowdflow.config import case_study_path, load_config
 from crowdflow.scheme import overlap_fractions
-from crowdflow.velocity import CustomDesired, eval_atomic_many, rotation_at
+from crowdflow.velocity import eval_atomic_many, rotation_at
+from helpers import CustomDesired, CustomKernel
 
 
 @pytest.fixture(scope="module")

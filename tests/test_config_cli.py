@@ -7,10 +7,11 @@ import tracemalloc
 
 import pytest
 
-from crowdflow import (CaseStudyRepulsion, CustomDesired, GridMeasure, Sector,
-                       VelocityModel, config, scheme, wasserstein)
+from crowdflow import (CaseStudyRepulsion, GridMeasure, Sector, VelocityModel, config,
+                       scheme, wasserstein)
 from crowdflow.cli import main
 from crowdflow.config import ConfigError, case_study_path, load_config, parse_config
+from helpers import CustomDesired
 
 FAST_MODEL = {
     "dim": 1,

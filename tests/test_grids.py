@@ -13,6 +13,7 @@ from crowdflow import (AtomicMeasure, GridMeasure, GridSpec, atomize,
                        project_atomic, total_mass, w1_exact)
 from crowdflow.grids import (MASS_TOL, MassError, NumericalInvariantError, csv_text,
                              write_density_csv)
+from helpers import density
 
 
 def read_density_csv(spec: GridSpec, path) -> GridMeasure:
@@ -82,11 +83,11 @@ class TestCells:
 class TestProjection:
     def test_single_dirac(self):
         lam = project_atomic(AtomicMeasure([[0.0]]), GridSpec(1, 1.0))
-        assert lam.density == {(0,): 1.0}
+        assert density(lam) == {(0,): 1.0}
 
     def test_two_atoms_adjacent_cells(self):
         lam = project_atomic(AtomicMeasure([[0.25], [0.75]]), GridSpec(1, 0.5))
-        assert lam.density == {(1,): 1.0, (2,): 1.0}
+        assert density(lam) == {(1,): 1.0, (2,): 1.0}
 
     def test_mass_conserved(self):
         rng = np.random.default_rng(0)
@@ -172,7 +173,7 @@ class TestInterpolate:
 
     def test_midpoint(self):
         mid = interpolate(self.a, self.b, 0.5)
-        assert mid.density == {(0,): 1.0, (1,): 1.0}
+        assert density(mid) == {(0,): 1.0, (1,): 1.0}
 
     def test_spec_mismatch(self):
         other = GridMeasure(GridSpec(1, 0.25), [[0]], [4.0])
@@ -245,7 +246,7 @@ class TestValidationAndIO:
         path = tmp_path / "rho.csv"
         write_density_csv(lam, path)
         back = read_density_csv(lam.spec, path)
-        assert back.density == lam.density
+        assert density(back) == density(lam)
 
     def test_atomic_json_roundtrip(self):
         mu = AtomicMeasure([[0.1, 0.2], [0.3, 0.4]], [0.25, 0.75])

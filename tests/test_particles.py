@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
-                       CustomDesired, CustomKernel, NumericalInvariantError, Sector,
-                       VelocityModel, ZeroDesired,
+                       NumericalInvariantError, Sector, VelocityModel, ZeroDesired,
                        eval_atomic_many, euler_step, push_forward_atoms, run_particles,
                        to_measure, velocity)
 from crowdflow.particles import write_trajectory_csv
+from helpers import CustomDesired, CustomKernel
 
 A, EPS, R, B = 0.01, 0.025, 0.1, 0.02
 

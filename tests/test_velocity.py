@@ -9,16 +9,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
-                       CustomKernel, FixedAxis, FromDesired, GridMeasure,
-                       GridSpec, PrototypeAttraction, Rotation2, Sector,
-                       VelocityModel, ZeroDesired, cutoff_at, eval_atomic_many,
-                       eval_grid_many, kernel_F, lipschitz_constants,
-                       rotation_at, velocity_bound)
+                       FixedAxis, FromDesired, GridMeasure, GridSpec,
+                       PrototypeAttraction, Rotation2, Sector, VelocityModel,
+                       ZeroDesired, cutoff_at, eval_atomic_many, eval_grid_many,
+                       kernel_F, lipschitz_constants, rotation_at, velocity_bound)
 from crowdflow import velocity, wasserstein
 from crowdflow.config import build_model, case_study_path
 from crowdflow.grids import sq_norm
-from crowdflow.velocity import (CustomDesired, _bump, _headings, _interaction_sum,
-                                _lattice_interaction)
+from crowdflow.velocity import _bump, _headings, _interaction_sum, _lattice_interaction
+from helpers import CustomDesired, CustomKernel
 
 A, EPS, R, B = 0.01, 0.025, 0.1, 0.02
 
@@ -34,10 +33,10 @@ def ball_model(n_agents=2, dim=1):
 
 def pair_sum(form, model, Y, w, X, chunk=velocity._EVAL_CHUNK):
     """_interaction_sum forced into one of its forms: "dense", or "atoms" (at
-    any atom count), which X must take: X equal to Y and an odd kernel."""
+    any atom count), which X must take: X equal to Y."""
     Y, w, X = (np.asarray(a, dtype=float) for a in (Y, w, X))
     if form == "atoms":
-        assert np.array_equal(X, Y) and isinstance(model.kernel, velocity._ODD_KERNELS)
+        assert np.array_equal(X, Y)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(velocity, "_DENSE_MAX_ATOMS", math.inf if form == "dense" else 0)
         mp.setattr(velocity, "_EVAL_CHUNK", chunk)
@@ -413,25 +412,8 @@ class TestModelValidation:
                           kernel=CaseStudyRepulsion(A, EPS),
                           neighborhood=Sector(R, math.pi / 2, B))
 
-    def test_custom_kernel_self_force_warns(self):
-        with pytest.warns(UserWarning, match="lone agent"):
-            VelocityModel(dim=1, n_agents=1, desired=ZeroDesired(),
-                          kernel=CustomKernel(lambda z: np.ones_like(z), 1.0, 0.0),
-                          neighborhood=Ball(R, B))
-
 
 class TestCustomCallables:
-    def test_wrong_shape_is_contract_error(self):
-        kernel = CustomKernel(lambda z: np.linalg.norm(z, axis=-1), 1.0, 1.0)
-        with pytest.raises(ValueError, match=r"map an \(\.\.\., d\) array"):
-            kernel(np.zeros((4, 3, 2)))
-        desired = CustomDesired(lambda x: np.array([1.0, 0.0]), 1.0, 0.0)
-        with pytest.raises(ValueError, match=r"map an \(\.\.\., d\) array"):
-            desired(np.zeros((5, 2)))
-        with pytest.raises(ValueError, match=r"map an \(\.\.\., d\) array"):
-            VelocityModel(dim=2, n_agents=1, desired=ZeroDesired(), kernel=kernel,
-                          neighborhood=Ball(R, B))
-
     def test_kernel_called_once_per_block(self, monkeypatch):
         shapes = []
 
@@ -577,6 +559,7 @@ def lattice_models(dim, theta):
     models = {
         "ball": VelocityModel(dim=dim, n_agents=7, desired=ZeroDesired(),
                               kernel=kern, neighborhood=Ball(R, B)),
+        # odd, as a model's kernel must be: sin is odd and cos even
         "custom_kernel": VelocityModel(
             dim=dim, n_agents=3, desired=ZeroDesired(),
             kernel=CustomKernel(lambda z: np.sin(20.0 * z) * np.cos(z[..., ::-1]), 1.0, 20.0),
@@ -730,33 +713,43 @@ class TestLatticeCorrelation:
         assert ConstantDesired([1, 0.5]) == ConstantDesired(np.array([1.0, 0.5]))
         assert hash(FixedAxis([0, 1])) == hash(FixedAxis((0.0, 1.0)))
 
-    def test_stencil_is_computed_once_per_model_and_width(self, monkeypatch):
+    def test_stencil_is_computed_once_per_model_and_width(self):
         block = json.loads(case_study_path().read_text())["model"]
         lam = GridMeasure(GridSpec(1, 0.01), [[i] for i in range(0, 60, 3)], [5.0] * 20)
         ref = _interaction_sum(build_model(block), lam.centers(), lam.cell_masses(),
                                lam.centers())
-        calls = []
-
-        def counting(*args):
-            calls.append(args[3].shape)
-            return _interaction_sum(*args)
-
-        monkeypatch.setattr(velocity, "_interaction_sum", counting)
+        builds = velocity._lattice_stencil.cache_info
         velocity._lattice_stencil.cache_clear()
         first = _lattice_interaction(build_model(block), lam)
         # an equal model built anew, at the same width: no new stencil
         again = _lattice_interaction(build_model(block), lam)
-        assert calls == [(21, 1)]
+        assert builds().misses == 1
         assert first.tobytes() == again.tobytes()
         assert np.max(np.abs(first - ref)) <= 1e-12 * np.max(np.abs(ref))
         G = velocity._lattice_stencil(build_model(block), 0.01)
-        assert not G.flags.writeable
-        assert G[:, 0].tobytes() == _interaction_sum(
-            build_model(block), np.zeros((1, 1)), np.ones(1),
-            np.arange(-10, 11)[:, None] * 0.01)[:, 0].tobytes()
+        assert not G.flags.writeable and G.shape == (21, 1)
         _lattice_interaction(build_model(block), GridMeasure(GridSpec(1, 0.02), lam.indices,
                                                             lam.rho))
-        assert calls == [(21, 1), (11, 1)]  # a new width, a new stencil
+        assert builds().misses == 2  # a new width, a new stencil
+
+    @pytest.mark.parametrize("dim, name", [(dim, name) for dim in (1, 2)
+                                           for name in lattice_models(dim, 0.0)])
+    def test_stencil_matches_dense_pair_sum(self, dim, name):
+        # the stencil from its formula, N sigma(z) F(z), against the dense pair
+        # sum of a unit atom at 0 seen from the stencil's points, by value:
+        # the dense sum starts from +0.0, so a term 0 * F(z) < 0 gives it +0.0
+        # where the formula keeps -0.0
+        widths = (1e-2, 1e-3, 1e-4) if dim == 1 else (1 / 50, 1 / 100, 1 / 200)
+        for theta in (0.0, 0.3, 2.0):
+            model = lattice_models(dim, theta)[name]
+            for h in widths:
+                G = velocity._lattice_stencil(model, h)
+                r = G.shape[0] // 2
+                points = (np.indices(G.shape[:-1]).reshape(dim, -1).T - r) * h
+                dense = pair_sum("dense", model, np.zeros((1, dim)), np.ones(1), points)
+                dense = dense.reshape(G.shape)
+                assert np.array_equal(G, dense), (theta, h)
+                assert np.all(G[dense == 0] == 0), (theta, h)
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +912,7 @@ class TestWindowedPairSum:
 # ---------------------------------------------------------------------------
 # the at-atoms form takes half the pairs: each pair of atoms evaluated once
 
-class TestHalfPairSum:
+class TestEachPairEvaluatedOnce:
     def test_each_pair_is_evaluated_once(self, monkeypatch):
         # 300 atoms with distinct first coordinates: the kernel sees each
         # unordered pair in the window once, and the cutoff sees it once under
@@ -946,10 +939,9 @@ class TestHalfPairSum:
 
     def test_dispatch(self, monkeypatch):
         # the at-atoms form runs where the points equal the atoms (the same
-        # points in the same order, whatever array holds them), there are
-        # more than _DENSE_MAX_ATOMS of them and the kernel is odd, under a
-        # ball or a sector. A permuted copy of the atoms, points off the
-        # atoms, a custom kernel (whose F(0) may be nonzero) and fewer atoms
+        # points in the same order, whatever array holds them) and there are
+        # more than _DENSE_MAX_ATOMS of them, under a ball or a sector. A
+        # permuted copy of the atoms, points off the atoms and fewer atoms
         # take the dense form, which agrees to rounding
         calls = []
         at_atoms = velocity._interaction_sum_at_atoms
@@ -980,16 +972,3 @@ class TestHalfPairSum:
         few = AtomicMeasure(mu1.positions[:velocity._DENSE_MAX_ATOMS])
         eval_atomic_many(ball_model(n_agents=8), few, few.positions)
         assert calls == [1, 1]
-
-        calls.clear()
-        with pytest.warns(UserWarning, match="lone agent"):
-            pushy = VelocityModel(dim=1, n_agents=100, desired=ZeroDesired(),
-                                  kernel=CustomKernel(lambda z: z + 1.0, 1.0 + R, 1.0),
-                                  neighborhood=Ball(R, B))
-        got = eval_atomic_many(pushy, mu1, mu1.positions)
-        dense = pair_sum("dense", pushy, mu1.positions, mu1.weights, mu1.positions)
-        assert got.tobytes() == dense.tobytes()
-        # every term is positive, and the self term N w_i F(0) sigma(0) = 1 is
-        # in every row: the at-atoms form pairs each atom with the others only
-        assert np.all(got > 1.0 - 1e-12)
-        assert calls == []

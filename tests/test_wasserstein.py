@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from crowdflow import (AtomicMeasure, GridMeasure, GridSpec, atomize,
                        project_atomic, w1_1d, w1_exact, w1_grid_atomic, wasserstein)
 from crowdflow.grids import MassError, merge_duplicates
+from helpers import translated
 
 
 def _random_1d_pair(rng, n_max=12):
@@ -30,7 +31,7 @@ class TestW1OneD:
     def test_translation_distance(self):
         rng = np.random.default_rng(5)
         mu, _ = _random_1d_pair(rng)
-        shifted = mu.translated(np.array([0.37]))
+        shifted = translated(mu, np.array([0.37]))
         assert w1_1d(mu, shifted) == pytest.approx(0.37, abs=1e-12)
 
     def test_requires_dim_one(self):
