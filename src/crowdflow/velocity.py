@@ -286,6 +286,13 @@ class VelocityModel:
         if isinstance(self.desired, ConstantDesired) and len(self.desired.c) != self.dim:
             raise ValueError(f"desired velocity {self.desired.c} has "
                              f"{len(self.desired.c)} components, expected dim = {self.dim}")
+        # |F(z)| = |z| reaches almost R on the neighborhood, so fmax bounds it
+        # only when the cap is at least R
+        if (isinstance(self.kernel, PrototypeAttraction)
+                and self.kernel.cap_radius < self.neighborhood.radius):
+            raise ValueError(f"attraction R = {self.kernel.cap_radius!r} is below the "
+                             f"neighborhood's R = {self.neighborhood.radius!r}, so "
+                             "F_max would not bound |F|")
         if isinstance(self.neighborhood, Sector):
             if self.dim != 2:
                 raise ValueError("sector neighborhoods are supported in 2D only")

@@ -6,16 +6,16 @@ by column generation: HiGHS solves the LP restricted to a sparse set of
 candidate atom pairs, the reduced cost of every pair is priced against its
 duals, the pairs that price negative join the set, and the loop ends when
 none does. HiGHS runs with primal and dual feasibility tolerances of 1e-10.
-The result carries a certified interval around the exact optimum: a lower
-bound from the duals made exactly feasible by a c-transform, and an upper
-bound from the plan rounded onto the exact marginals. The dense LP is the same
+The :class:`W1Result` carries a certified interval around the exact optimum:
+a lower bound from the duals made exactly feasible by a c-transform, and an
+upper bound from the plan rounded onto the exact marginals. The dense LP is the same
 restricted solve over all m * n pairs, which the tests use as the reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -40,33 +40,20 @@ class AtomCapError(ValueError):
     """The transport LP was asked to price more atom pairs than its cap."""
 
 
-class TransportCost(float):
-    """The transport LP's optimal value, with ``lower <= W1 <= upper`` for the
-    exact optimum W1 of the same LP."""
-
-    lower: float
-    upper: float
-
-    def __new__(cls, value: float, lower: float, upper: float):
-        self = super().__new__(cls, value)
-        self.lower, self.upper = float(lower), float(upper)
-        return self
-
-
 @dataclass(frozen=True)
 class W1Result:
-    """Distance between an atomized grid measure and an atomic measure.
-
-    ``distance`` is the computed W1 of the atomized measure, and
-    ``lower <= W1 <= upper`` is certified for its exact value (all three are
-    equal in 1D). The true grid-vs-atomic distance lies in
+    """A computed W1 distance between two atomic measures, with
+    ``lower <= W1 <= upper`` certified for its exact value (all three are equal
+    in 1D). ``atomization_bound`` is 0 between atomic measures; when one side
+    is a grid measure atomized at its cell centers, it is sqrt(d) * h / 2, and
+    the true distance lies in
     [max(0, lower - atomization_bound), upper + atomization_bound].
     """
 
     distance: float
-    atomization_bound: float
     lower: float
     upper: float
+    atomization_bound: float = 0.0
 
 
 def w1_1d(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
@@ -81,7 +68,7 @@ def w1_1d(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
     return float(np.dot(cdf_gap, np.diff(x)))
 
 
-def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure) -> TransportCost:
+def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure) -> W1Result:
     """Kantorovich W1 via the transportation LP on the bipartite atom graph,
     solved by column generation and returned with its certified interval.
 
@@ -118,8 +105,8 @@ def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure) -> TransportCost:
             break
         pairs = np.union1d(pairs, new)
     # (f, g_c) is feasible for every pair, so its dual objective bounds W1 below
-    lower = a @ f + b @ g_c
-    return TransportCost(value, lower, _rounded_cost(xs, a, ys, b, pairs, cost, plan))
+    lower = float(a @ f + b @ g_c)
+    return W1Result(value, lower, _rounded_cost(xs, a, ys, b, pairs, cost, plan))
 
 
 def _cost_blocks(xs: np.ndarray, ys: np.ndarray):
@@ -206,7 +193,7 @@ def _rounded_cost(xs, a, ys, b, pairs, cost, plan) -> float:
         ea, eb = err_a[ia], err_b[jb]
         upper += sum(float(ea[r:r + len(C)] @ C @ eb)
                      for r, C in _cost_blocks(xs[ia], ys[jb])) / ea.sum()
-    return upper
+    return float(upper)
 
 
 def w1_grid_atomic(lam: GridMeasure, mu: AtomicMeasure) -> W1Result:
@@ -217,6 +204,5 @@ def w1_grid_atomic(lam: GridMeasure, mu: AtomicMeasure) -> W1Result:
     bound = math.sqrt(d) * lam.spec.cell_width / 2.0
     if d == 1:
         dist = w1_1d(atomize(lam), mu)
-        return W1Result(dist, bound, dist, dist)
-    dist = w1_exact(atomize(lam), mu)
-    return W1Result(float(dist), bound, dist.lower, dist.upper)
+        return W1Result(dist, dist, dist, bound)
+    return replace(w1_exact(atomize(lam), mu), atomization_bound=bound)

@@ -91,7 +91,7 @@ def test_criterion_3_projection_bound():
         w = rng.random(n) + 0.05
         mu = AtomicMeasure(rng.uniform(-1, 1, size=(n, dim)), w / w.sum())
         lam = project_atomic(mu, GridSpec(dim, h))
-        dist = w1_exact(atomize(lam), mu)
+        dist = w1_exact(atomize(lam), mu).distance
         bound = math.sqrt(dim) * h
         assert dist <= bound + 1e-12
         worst_ratio = max(worst_ratio, dist / bound)
@@ -260,7 +260,7 @@ def test_criterion_7_oracle_equivalence():
             w = rng.random(n) + 0.05
             return AtomicMeasure(rng.uniform(-3, 3, size=(n, 1)), w / w.sum())
         mu, nu = draw(), draw()
-        worst = max(worst, abs(w1_1d(mu, nu) - w1_exact(mu, nu)))
+        worst = max(worst, abs(w1_1d(mu, nu) - w1_exact(mu, nu).distance))
     assert worst <= 1e-10
     _passline(7, "1040 particle steps match push-forward bit-exactly; CDF and "
               f"transport-LP W1 agree within 1e-10 (worst {worst:.1e})", t0, 30)

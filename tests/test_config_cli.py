@@ -302,6 +302,20 @@ class TestValidation:
         assert len(err) == 1 and err[0].startswith(f"error: {cfg}: invalid model: ")
         assert "fixed_axis" in err[0]
 
+    def test_attraction_cap_below_the_radius_exits_2(self, tmp_path, capsys):
+        # a cap of 0.01 under a ball of R 0.1: |F| reaches almost 0.1 on the
+        # ball, so a step could move 0.00386, against V dt = 0.001
+        model = dict(FAST_MODEL, n_agents=2, kernel={"type": "attraction", "R": 0.01})
+        cfg = write_json(tmp_path, fast_config(
+            model=model, initial={"type": "atoms", "positions": [[0.0], [0.08]]},
+            T=0.05, schedule={"h": 0.01, "dt": 0.05}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--level", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}: invalid model: ")
+        assert "attraction R = 0.01 is below the neighborhood's R = 0.1" in err[0]
+        assert not (tmp_path / "o").exists()
+
     def test_oracle_step_count_checked_at_load(self, monkeypatch):
         # the level takes 5 steps of 0.02, the oracle 50 of 0.002
         data = fast_config(T=0.1, schedule={"h": 0.25, "dt": 0.02})

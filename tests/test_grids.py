@@ -101,7 +101,7 @@ class TestProjection:
         h = 0.2
         mu = AtomicMeasure(rng.uniform(-1, 1, size=(50, 2)))
         lam = project_atomic(mu, GridSpec(2, h))
-        assert w1_exact(atomize(lam), mu) <= np.sqrt(2) * h + 1e-12
+        assert w1_exact(atomize(lam), mu).distance <= np.sqrt(2) * h + 1e-12
 
 
 class TestMassAndMoments:

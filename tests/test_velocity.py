@@ -412,6 +412,25 @@ class TestModelValidation:
                           kernel=CaseStudyRepulsion(A, EPS),
                           neighborhood=Sector(R, math.pi / 2, B))
 
+    @pytest.mark.parametrize("neighborhood", [Ball(R, B), Sector(R, math.pi, B)],
+                             ids=["ball", "sector"])
+    def test_attraction_cap_below_the_radius_refused(self, neighborhood):
+        # |F(z)| = |z| reaches almost R on U_x, so a smaller cap leaves
+        # V = vmax + N * fmax below |v|
+        with pytest.raises(ValueError, match="attraction R = 0.01 is below"):
+            VelocityModel(dim=2, n_agents=2, desired=ZeroDesired(),
+                          kernel=PrototypeAttraction(0.01), neighborhood=neighborhood,
+                          heading=FixedAxis((1.0, 0.0)))
+
+    @pytest.mark.parametrize("cap", [R, 2 * R])
+    def test_accepted_attraction_is_bounded(self, cap):
+        model = VelocityModel(dim=1, n_agents=20, desired=ZeroDesired(),
+                              kernel=PrototypeAttraction(cap), neighborhood=Ball(R, B))
+        rng = np.random.default_rng(6)
+        mu = AtomicMeasure(rng.uniform(0, 2 * R, size=(20, 1)))
+        v = eval_atomic_many(model, mu, mu.positions)
+        assert 0 < np.max(np.abs(v)) <= velocity_bound(model)
+
 
 class TestCustomCallables:
     def test_kernel_called_once_per_block(self, monkeypatch):
@@ -817,7 +836,7 @@ def all_terms_zero(model, Y, w):
 CHUNKS = [7, velocity._EVAL_CHUNK, 4_000_000]
 
 
-class TestWindowedPairSum:
+class TestAtomsFormAgainstDense:
     @given(self_sum_inputs(), st.floats(0.0, 2 * math.pi), st.sampled_from(CHUNKS))
     @settings(max_examples=120, deadline=None)
     def test_matches_dense_form(self, inputs, theta, chunk):

@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdflow import (AtomicMeasure, GridMeasure, GridSpec, atomize,
+from crowdflow import (AtomicMeasure, GridMeasure, GridSpec, W1Result, atomize,
                        project_atomic, w1_1d, w1_exact, w1_grid_atomic, wasserstein)
 from crowdflow.grids import MassError, merge_duplicates
 from helpers import translated
@@ -45,18 +47,18 @@ class TestW1Exact:
         rng = np.random.default_rng(11)
         for _ in range(25):
             mu, nu = _random_1d_pair(rng)
-            assert w1_exact(mu, nu) == pytest.approx(w1_1d(mu, nu), abs=1e-10)
+            assert w1_exact(mu, nu).distance == pytest.approx(w1_1d(mu, nu), abs=1e-10)
 
     def test_2x2_grid_matching(self):
         # unit-square corners, mass swapped along one edge: optimal cost 1
         mu = AtomicMeasure([[0.0, 0.0], [1.0, 0.0]], [0.5, 0.5])
         nu = AtomicMeasure([[0.0, 1.0], [1.0, 1.0]], [0.5, 0.5])
-        assert w1_exact(mu, nu) == pytest.approx(1.0, abs=1e-12)
+        assert w1_exact(mu, nu).distance == pytest.approx(1.0, abs=1e-12)
 
     def test_forced_plan_single_target(self):
         mu = AtomicMeasure([[-1.0], [1.0]], [0.5, 0.5])
         nu = AtomicMeasure([[0.0]])
-        assert w1_exact(mu, nu) == pytest.approx(1.0, abs=1e-15)
+        assert w1_exact(mu, nu).distance == pytest.approx(1.0, abs=1e-15)
 
     def test_atom_order_invariance(self):
         rng = np.random.default_rng(3)
@@ -64,14 +66,14 @@ class TestW1Exact:
         w = np.full(8, 0.125)
         nu = AtomicMeasure(rng.normal(size=(5, 2)), np.full(5, 0.2))
         perm = rng.permutation(8)
-        a = w1_exact(AtomicMeasure(pos, w), nu)
-        b = w1_exact(AtomicMeasure(pos[perm], w[perm]), nu)
+        a = w1_exact(AtomicMeasure(pos, w), nu).distance
+        b = w1_exact(AtomicMeasure(pos[perm], w[perm]), nu).distance
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_duplicate_atoms_merged(self):
         mu = AtomicMeasure([[0.0], [0.0], [2.0]], [0.25, 0.25, 0.5])
         nu = AtomicMeasure([[1.0]])
-        assert w1_exact(mu, nu) == pytest.approx(1.0, abs=1e-12)
+        assert w1_exact(mu, nu).distance == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -83,10 +85,21 @@ class TestW1Exact:
         with pytest.raises(ValueError):
             w1_exact(mu, mu)
         monkeypatch.setattr(wasserstein, "DEFAULT_MAX_PAIRS", 100)
-        assert w1_exact(mu, mu) <= 1e-12
+        assert w1_exact(mu, mu).distance <= 1e-12
+
+    def test_result_fields_are_python_floats(self):
+        # the plan misses its marginals here, so the upper bound takes the
+        # rank-1 correction, a numpy scalar unless converted; numpy 2 prints
+        # those as np.float64(...), which would change the outputs' bytes
+        rng = np.random.default_rng(8)
+        mu = AtomicMeasure(rng.random((40, 2)), np.full(40, 1 / 40))
+        nu = AtomicMeasure(rng.random((30, 2)) * [1.0, 0.3], np.full(30, 1 / 30))
+        res = w1_exact(mu, nu)
+        assert [type(getattr(res, f.name)) for f in fields(res)] == [float] * 4
+        assert res.atomization_bound == 0.0
 
 
-def dense_w1(mu, nu) -> wasserstein.TransportCost:
+def dense_w1(mu, nu) -> W1Result:
     """The full transport LP: the column-generation helper over all m * n pairs,
     certified on the marginals w1_exact enforces: the c-transform of its duals
     below, its plan rounded onto those marginals above."""
@@ -96,9 +109,8 @@ def dense_w1(mu, nu) -> wasserstein.TransportCost:
     b[j] = a.sum() - np.delete(b, j).sum()
     pairs = np.arange(len(a) * len(b))
     value, plan, cost, f, g = wasserstein._restricted_lp(xs, a, ys, b, pairs)
-    lower = a @ f + b @ wasserstein._price(xs, ys, f, g)[1]
-    return wasserstein.TransportCost(
-        value, lower, wasserstein._rounded_cost(xs, a, ys, b, pairs, cost, plan))
+    lower = float(a @ f + b @ wasserstein._price(xs, ys, f, g)[1])
+    return W1Result(value, lower, wasserstein._rounded_cost(xs, a, ys, b, pairs, cost, plan))
 
 
 def meet(res, dense) -> bool:
@@ -108,9 +120,9 @@ def meet(res, dense) -> bool:
 
 
 def assert_certified(res, dense):
-    assert abs(res - dense) <= 1e-9
+    assert abs(res.distance - dense.distance) <= 1e-9
     assert meet(res, dense)
-    assert res.lower <= res + 1e-12 and res <= res.upper + 1e-12
+    assert res.lower <= res.distance + 1e-12 and res.distance <= res.upper + 1e-12
 
 
 @st.composite
@@ -155,7 +167,7 @@ class TestColumnGeneration:
         nu = AtomicMeasure([[0, 0]] * 4 + [[0, 1], [0, -1]], np.full(6, 1 / 6))
         monkeypatch.setattr(wasserstein, "_NEAREST", 1)
         res, dense = w1_exact(mu, nu), dense_w1(mu, nu)
-        exact = wasserstein.TransportCost(1 / 3, 1 / 3, 1 / 3)
+        exact = W1Result(1 / 3, 1 / 3, 1 / 3)
         assert meet(res, exact) and meet(dense, exact)
         assert_certified(res, dense)
 
@@ -202,9 +214,9 @@ class TestColumnGeneration:
         assert_certified(res, dense_w1(mu, nu))
         # 0.3 stays at the origin and 0.25 at (2, 1); then (1, 0) sends 0.15 to
         # (2, 1) and 0.1 to (0, 3), and the origin sends 0.2 to (0, 3)
-        assert res == pytest.approx(0.15 * np.sqrt(2) + 0.1 * np.sqrt(10) + 0.2 * 3,
-                                    abs=1e-9)
-        assert w1_exact(nu, nu) <= 1e-12
+        assert res.distance == pytest.approx(
+            0.15 * np.sqrt(2) + 0.1 * np.sqrt(10) + 0.2 * 3, abs=1e-9)
+        assert w1_exact(nu, nu).distance <= 1e-12
 
     @pytest.mark.parametrize("light_last", [True, False])
     def test_light_oracle_atom_takes_no_rounding(self, light_last):
@@ -216,7 +228,7 @@ class TestColumnGeneration:
         nu = AtomicMeasure([[0, 0.2], [1, 1]], w)
         res = w1_exact(mu, nu)  # RuntimeWarnings are errors here
         assert np.isfinite(res.lower) and np.isfinite(res.upper)
-        assert res.lower <= res <= res.upper
+        assert res.lower <= res.distance <= res.upper
         assert_certified(res, dense_w1(mu, nu))
 
     def test_pricing_adds_pairs_over_rounds(self, monkeypatch):
@@ -246,7 +258,7 @@ class TestColumnGeneration:
         w = np.exp(-((x[:, None] - y[None]) ** 2).sum(-1) / (2 * 0.03 ** 2)).sum(1) + 1e-3
         res = w1_exact(AtomicMeasure(x, w / w.sum()), AtomicMeasure(y))
         assert res.upper - res.lower <= 1e-8
-        assert res.lower <= res + 1e-12 and res <= res.upper + 1e-12
+        assert res.lower <= res.distance + 1e-12 and res.distance <= res.upper + 1e-12
 
 
 class TestMetricProperties:
@@ -255,16 +267,16 @@ class TestMetricProperties:
         for _ in range(10):
             mus = [AtomicMeasure(rng.normal(size=(4, 2)), np.full(4, 0.25))
                    for _ in range(3)]
-            dab = w1_exact(mus[0], mus[1])
-            dba = w1_exact(mus[1], mus[0])
+            dab = w1_exact(mus[0], mus[1]).distance
+            dba = w1_exact(mus[1], mus[0]).distance
             assert dab == pytest.approx(dba, abs=1e-10)
-            dbc = w1_exact(mus[1], mus[2])
-            dac = w1_exact(mus[0], mus[2])
+            dbc = w1_exact(mus[1], mus[2]).distance
+            dac = w1_exact(mus[0], mus[2]).distance
             assert dac <= dab + dbc + 1e-10
 
     def test_identity_of_indiscernibles(self):
         mu = AtomicMeasure([[0.3, -0.2], [1.0, 0.5]], [0.4, 0.6])
-        assert w1_exact(mu, mu) <= 1e-12
+        assert w1_exact(mu, mu).distance <= 1e-12
 
 
 class TestGridAtomic:
@@ -288,8 +300,11 @@ class TestGridAtomic:
         rng = np.random.default_rng(31)
         mu = AtomicMeasure(rng.uniform(size=(30, 2)))
         lam = project_atomic(mu, GridSpec(2, 0.1))
-        res = w1_grid_atomic(lam, mu)
-        assert res.distance == w1_exact(atomize(lam), mu)
+        res, exact = w1_grid_atomic(lam, mu), w1_exact(atomize(lam), mu)
+        assert res.distance == exact.distance
+        assert res.lower == exact.lower
+        assert res.upper == exact.upper
+        assert res.atomization_bound == np.sqrt(2) * 0.1 / 2
         assert res.lower <= res.distance + 1e-12 and res.distance <= res.upper + 1e-12
         assert res.upper - res.lower <= 1e-8
 
