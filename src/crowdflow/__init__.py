@@ -9,7 +9,7 @@ convergence diagnostics.
 __version__ = "0.1.0"
 
 from .grids import (AtomicMeasure, GridMeasure, GridSpec, atomize, cell_indices,
-                    interpolate, moment, project_atomic, total_mass)
+                    moment, project_atomic, total_mass)
 from .particles import euler_step, push_forward_atoms, run_particles, to_measure
 from .scheme import (NumericalInvariantError, StepReport, cfl_ratio, mesh_schedule,
                      run, sample_at, step)
@@ -22,7 +22,7 @@ from .wasserstein import W1Result, w1_1d, w1_exact, w1_grid_atomic
 
 __all__ = [
     "AtomicMeasure", "GridMeasure", "GridSpec", "atomize", "cell_indices",
-    "interpolate", "moment", "project_atomic", "total_mass",
+    "moment", "project_atomic", "total_mass",
     "euler_step", "push_forward_atoms", "run_particles", "to_measure",
     "NumericalInvariantError", "StepReport", "cfl_ratio", "mesh_schedule",
     "run", "sample_at", "step",

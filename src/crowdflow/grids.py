@@ -139,9 +139,6 @@ class GridMeasure:
     def cell_masses(self) -> np.ndarray:
         return self.rho * self.spec.cell_volume
 
-    def validate_probability(self) -> None:
-        check_mass(total_mass(self), "the grid measure")
-
 
 class AtomicMeasure:
     """Weighted sum of Dirac masses; weights are positive and sum to one."""
@@ -217,21 +214,6 @@ def atomize(lam: GridMeasure) -> AtomicMeasure:
     return AtomicMeasure(lam.centers(), lam.cell_masses())
 
 
-def interpolate(a: GridMeasure, b: GridMeasure, theta: float) -> GridMeasure:
-    """Convex combination (1-theta) a + theta b of densities cell by cell."""
-    if a.spec != b.spec:
-        raise ValueError("measures live on different grids")
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"theta must be in [0, 1], got {theta!r}")
-    if theta == 0.0:
-        return a
-    if theta == 1.0:
-        return b
-    idx = np.concatenate([a.indices, b.indices])
-    rho = np.concatenate([(1.0 - theta) * a.rho, theta * b.rho])
-    return GridMeasure(a.spec, idx, rho)
-
-
 def csv_text(rows) -> str:
     """The text ``csv.writer`` writes for ``rows`` of preformatted fields that
     are nonempty and need no quoting, such as ints and ``repr``'d floats."""
@@ -241,7 +223,7 @@ def csv_text(rows) -> str:
 
 def write_density_csv(lam: GridMeasure, path) -> None:
     """Snapshot CSV: index_*, center_*, rho; one row per occupied cell."""
-    lam.validate_probability()
+    check_mass(total_mass(lam), "the grid measure")
     d = lam.spec.dim
     header = [f"index_{l}" for l in range(d)] + [f"center_{l}" for l in range(d)] + ["rho"]
     columns = ([map(str, c) for c in lam.indices.T.tolist()]

@@ -7,8 +7,8 @@ import tracemalloc
 
 import pytest
 
-from crowdflow import (CaseStudyRepulsion, GridMeasure, Sector, VelocityModel, config,
-                       scheme, wasserstein)
+from crowdflow import (CaseStudyRepulsion, GridMeasure, Sector, VelocityModel, __version__,
+                       config, scheme, wasserstein)
 from crowdflow.cli import main
 from crowdflow.config import ConfigError, case_study_path, load_config, parse_config
 from helpers import CustomDesired
@@ -377,6 +377,12 @@ class TestValidation:
 
 
 class TestCli:
+    def test_version_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"{__version__}\n"
+
     def test_project_writes_per_level_densities(self, tmp_path):
         cfg = write_json(tmp_path, fast_config())
         assert main(["project", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

@@ -9,10 +9,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from crowdflow import (AtomicMeasure, GridMeasure, GridSpec, atomize,
-                       cell_indices, interpolate, moment,
-                       project_atomic, total_mass, w1_exact)
-from crowdflow.grids import (MASS_TOL, MassError, NumericalInvariantError, csv_text,
-                             write_density_csv)
+                       cell_indices, moment, project_atomic, total_mass, w1_exact)
+from crowdflow.grids import (MASS_TOL, MassError, NumericalInvariantError, check_mass,
+                             csv_text, write_density_csv)
 from helpers import density
 
 
@@ -161,33 +160,6 @@ class TestAtomize:
         assert float(np.sum(atomize(lam).weights)) == total_mass(lam)
 
 
-class TestInterpolate:
-    def setup_method(self):
-        spec = GridSpec(1, 0.5)
-        self.a = GridMeasure(spec, [[0], [1]], [2.0, 0.0])
-        self.b = GridMeasure(spec, [[0], [1]], [0.0, 2.0])
-
-    def test_endpoints_exact(self):
-        assert interpolate(self.a, self.b, 0.0) is self.a
-        assert interpolate(self.a, self.b, 1.0) is self.b
-
-    def test_midpoint(self):
-        mid = interpolate(self.a, self.b, 0.5)
-        assert density(mid) == {(0,): 1.0, (1,): 1.0}
-
-    def test_spec_mismatch(self):
-        other = GridMeasure(GridSpec(1, 0.25), [[0]], [4.0])
-        with pytest.raises(ValueError):
-            interpolate(self.a, other, 0.5)
-
-    @given(st.floats(0.0, 1.0))
-    @settings(max_examples=100, deadline=None)
-    def test_mass_and_positivity_preserved(self, theta):
-        lam = interpolate(self.a, self.b, theta)
-        assert abs(total_mass(lam) - 1.0) <= 1e-12
-        assert np.all(lam.rho >= 0)
-
-
 class TestValidationAndIO:
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError):
@@ -217,14 +189,14 @@ class TestValidationAndIO:
         assert MASS_TOL == 1e-10
         for excess in (5e-11, -5e-11):
             AtomicMeasure([[0.0], [1.0]], [0.5, 0.5 + excess])
-            GridMeasure(GridSpec(1, 0.5), [[0], [1]], [1.0, 1.0 + 2 * excess]
-                        ).validate_probability()
+            lam = GridMeasure(GridSpec(1, 0.5), [[0], [1]], [1.0, 1.0 + 2 * excess])
+            check_mass(total_mass(lam), "the grid measure")
         for excess in (2e-10, -2e-10):
             with pytest.raises(MassError, match="the weights"):
                 AtomicMeasure([[0.0], [1.0]], [0.5, 0.5 + excess])
+            lam = GridMeasure(GridSpec(1, 0.5), [[0], [1]], [1.0, 1.0 + 2 * excess])
             with pytest.raises(MassError, match="the grid measure"):
-                GridMeasure(GridSpec(1, 0.5), [[0], [1]], [1.0, 1.0 + 2 * excess]
-                            ).validate_probability()
+                check_mass(total_mass(lam), "the grid measure")
         assert issubclass(MassError, NumericalInvariantError)
         assert issubclass(MassError, ValueError)
 
