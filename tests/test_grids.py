@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from crowdflow import (AtomicMeasure, GridMeasure, GridSpec, atomize,
-                       cell_indices, moment, project_atomic, total_mass, w1_exact)
+                       cell_indices, moment, project_atomic, sample_at, total_mass,
+                       w1_exact)
 from crowdflow.grids import (MASS_TOL, MassError, NumericalInvariantError, check_mass,
                              csv_text, write_density_csv)
 from helpers import density
@@ -158,6 +159,39 @@ class TestAtomize:
         rng = np.random.default_rng(3)
         lam = project_atomic(AtomicMeasure(rng.uniform(size=(30, 2))), GridSpec(2, 0.17))
         assert float(np.sum(atomize(lam).weights)) == total_mass(lam)
+
+
+class TestInterpolate:
+    """The linear-in-time interpolant sample_at forms between two frames,
+    here one unit of time apart, so that t is the weight theta."""
+
+    def setup_method(self):
+        spec = GridSpec(1, 0.5)
+        self.a = GridMeasure(spec, [[0], [1]], [2.0, 0.0])
+        self.b = GridMeasure(spec, [[0], [1]], [0.0, 2.0])
+
+    def test_endpoints_exact(self):
+        # the frame of weight 0 adds only zero densities, which are dropped
+        for theta, frame in ((0.0, self.a), (1.0, self.b)):
+            lam = sample_at(self.a, self.b, 0, 1.0, theta)
+            assert lam.indices.tobytes() == frame.indices.tobytes()
+            assert lam.rho.tobytes() == frame.rho.tobytes()
+
+    def test_midpoint(self):
+        mid = sample_at(self.a, self.b, 0, 1.0, 0.5)
+        assert density(mid) == {(0,): 1.0, (1,): 1.0}
+
+    def test_spec_mismatch(self):
+        other = GridMeasure(GridSpec(1, 0.25), [[0]], [4.0])
+        with pytest.raises(ValueError, match="different grids"):
+            sample_at(self.a, other, 0, 1.0, 0.5)
+
+    @given(st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_mass_and_positivity_preserved(self, theta):
+        lam = sample_at(self.a, self.b, 0, 1.0, theta)
+        assert abs(total_mass(lam) - 1.0) <= 1e-12
+        assert np.all(lam.rho >= 0)
 
 
 class TestValidationAndIO:
