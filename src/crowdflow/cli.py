@@ -69,16 +69,21 @@ def _run_level(cfg: ExperimentConfig, level, out: Path):
     """Step one level, keeping only the previous frame.
 
     Each step's line of ``steps.jsonl`` is written and flushed when the step
-    finishes. Sample time t is read at the grid time t' = min(t, n_steps*dt),
-    since a level of round(T/dt) steps may end before t: between frames n and
-    n + 1, n = min(int(t'/dt), n_steps - 1). Its snapshot is built once, when
-    step n + 1 finishes, written to ``density_t<t>.csv`` and yielded as
-    ``(t, t', snapshot)``, in the order of the (increasing) sample times.
+    finishes. Sample time t is read at the grid time t' = min(t, n_steps*dt)
+    (a level of round(T/dt) steps may end before t). Before the first step,
+    t gets frame n = min(int(t'/dt), n_steps - 1) and the weight (t' - n*dt)/dt
+    of frame n + 1, clamped to [0, 1] as t'/dt may round up past t'. Its
+    snapshot is built when step n + 1 finishes, written to
+    ``density_t<t>.csv`` and yielded as ``(t, t', snapshot)``, in time order.
     """
     k, h, dt = level
     lam = project_atomic(cfg.initial, GridSpec(cfg.model.dim, h))
     n_steps = step_count(cfg.T, dt)
-    pending = [(t, min(t, n_steps * dt)) for t in cfg.w1_sample_times]
+    pending = []
+    for t in cfg.w1_sample_times:
+        t_grid = min(t, n_steps * dt)
+        n = min(int(t_grid / dt), n_steps - 1)
+        pending.append((n, t, t_grid, min(max((t_grid - n * dt) / dt, 0.0), 1.0)))
     with open(out / f"level_{k}/steps.jsonl", "w") as fh:
         for n, (new, rep) in enumerate(run(lam, cfg.model, cfg.T, dt)):
             fh.write(json.dumps({"n": n + 1, "mass_error": rep.mass_error,
@@ -86,9 +91,9 @@ def _run_level(cfg: ExperimentConfig, level, out: Path):
                                  "alpha": rep.cfl_alpha,
                                  "occupied": rep.occupied_cells}) + "\n")
             fh.flush()
-            while pending and min(int(pending[0][1] / dt), n_steps - 1) == n:
-                t, t_grid = pending.pop(0)
-                lam_t = sample_at(lam, new, n, dt, t_grid)
+            while pending and pending[0][0] == n:
+                _, t, t_grid, theta = pending.pop(0)
+                lam_t = sample_at(lam, new, theta)
                 write_density_csv(lam_t, out / _density(k, t))
                 yield t, t_grid, lam_t
             lam = new

@@ -124,18 +124,10 @@ def run(lam0: GridMeasure, model: VelocityModel, T: float, dt: float):
         yield lam, rep
 
 
-def sample_at(before: GridMeasure, after: GridMeasure, n: int, dt: float,
-              t: float) -> GridMeasure:
-    """Linear-in-time interpolant (1 - theta) before + theta after at time t
-    of frames n (``before``, at n*dt) and n + 1 (``after``); a frame of weight
-    0 adds no cell. t may lie outside their interval by 1e-12 relative to |t|
-    (at least 1e-12), the rounding of a frame picked as int(t/dt)."""
+def sample_at(before: GridMeasure, after: GridMeasure, theta: float) -> GridMeasure:
+    """(1 - theta) before + theta after, of two frames on one grid; a frame of
+    weight 0 adds no cell, and a theta outside [0, 1], or NaN, is refused."""
     if before.spec != after.spec:
         raise ValueError("the frames live on different grids")
-    t0 = n * dt
-    slack = 1e-12 * max(1.0, abs(t))
-    if t < t0 - slack or t > t0 + dt + slack:
-        raise ValueError(f"t={t!r} outside [{t0!r}, {t0 + dt!r}]")
-    theta = min(max((t - t0) / dt, 0.0), 1.0)
     return GridMeasure(before.spec, np.concatenate([before.indices, after.indices]),
                        np.concatenate([(1.0 - theta) * before.rho, theta * after.rho]))

@@ -35,10 +35,10 @@ _EVAL_CHUNK = 1 << 14
 # n = 64; in 2D, ball or sector, the at-atoms form was faster from n = 48
 # (2-CPU x86 VM, numpy 2.4, one thread).
 _DENSE_MAX_ATOMS = 63
-# Memory ceiling on the padded box of the lattice correlation: at 2^22 cells a
-# real array takes 32 MB, and the 2D correlation, which transforms both
-# stencil components at once, peaks at about 220 MB. Past it the pair sum
-# runs instead, in blocks of _EVAL_CHUNK pairs.
+# Memory ceiling on the padded box of the lattice correlation times d, the
+# stencil components being transformed at once: a 2^22-cell real array takes
+# 32 MB, and one call grew the RSS by 155 MB in 1D at 2^22 cells and 111 MB in
+# 2D at 2^21 (219 at 2^22). Past it the pair sum runs, in _EVAL_CHUNK blocks.
 _LATTICE_MAX_CELLS = 1 << 22
 
 
@@ -476,7 +476,7 @@ def _lattice_interaction(model: VelocityModel, lam: GridMeasure):
     # the smallest 2^a 3^b 5^c >= n per axis: numpy's FFT is several times
     # slower on lengths with a large prime factor
     shape = tuple(next_fast_len(int(n), real=True) for n in full)
-    if math.prod(shape) > min(_LATTICE_MAX_CELLS, lam.occupied ** 2):
+    if math.prod(shape) > min(_LATTICE_MAX_CELLS // d, lam.occupied ** 2):
         return None
 
     G = _lattice_stencil(model, h)

@@ -21,7 +21,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .grids import AtomicMeasure, GridMeasure, atomize, merge_duplicates, sq_norm
+from .grids import (AtomicMeasure, GridMeasure, NumericalInvariantError, atomize,
+                    merge_duplicates, sq_norm)
 
 # cap on the atom pairs priced per solve (m * n); pricing memory stays bounded
 # by _BLOCK_PAIRS whatever the cap
@@ -155,7 +156,7 @@ def _restricted_lp(xs, a, ys, b, pairs):
                   options={"primal_feasibility_tolerance": _LP_TOL,
                            "dual_feasibility_tolerance": _LP_TOL})
     if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
+        raise NumericalInvariantError(f"transport LP failed: {res.message}")
     duals = res.eqlin.marginals
     return float(res.fun), res.x, cost, duals[:m], np.append(duals[m:], 0.0)
 

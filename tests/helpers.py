@@ -7,15 +7,20 @@ config builds, such as position-dependent desired velocities; a kernel that
 is not odd may run only through the dense pair sum.
 
 ``density`` and ``translated`` read a grid measure as a dict and shift an
-atomic measure.
+atomic measure. ``load_bench`` imports a module of ``bench/`` by path.
 """
 
+import importlib.util
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from crowdflow import AtomicMeasure, GridMeasure
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 @dataclass(frozen=True)
@@ -52,3 +57,14 @@ def density(lam: GridMeasure) -> dict:
 def translated(mu: AtomicMeasure, shift) -> AtomicMeasure:
     """mu with every atom moved by shift."""
     return AtomicMeasure(mu.positions + np.asarray(shift, dtype=float), mu.weights)
+
+
+def load_bench(filename: str):
+    """The module ``bench/<filename>``, loaded anew as ``bench_<stem>``."""
+    name = "bench_" + Path(filename).stem
+    spec = importlib.util.spec_from_file_location(name, BENCH / filename)
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up in sys.modules while it is built
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module

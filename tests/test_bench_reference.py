@@ -7,29 +7,15 @@ configs (``bench/workloads.py``), so a change that moves an output past those
 tolerances fails tier-1 too.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from crowdflow.cli import main
+from helpers import BENCH, load_bench
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def load(name, filename):
-    spec = importlib.util.spec_from_file_location(name, BENCH / filename)
-    module = importlib.util.module_from_spec(spec)
-    # a dataclass looks its module up in sys.modules while it is built
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads = load("bench_workloads", "workloads.py")
-checks = load("bench_checks", "checks.py")
+workloads = load_bench("workloads.py")
+checks = load_bench("checks.py")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

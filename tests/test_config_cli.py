@@ -6,6 +6,7 @@ import time
 import tracemalloc
 
 import pytest
+from scipy.optimize import OptimizeResult
 
 from crowdflow import (CaseStudyRepulsion, GridMeasure, Sector, VelocityModel, __version__,
                        config, scheme, wasserstein)
@@ -485,7 +486,7 @@ class TestCli:
     def test_sample_one_ulp_below_a_step_boundary(self, tmp_path):
         # 23946.03 / 16.983 rounds up to 1410.0, but 1410 * 16.983 lies
         # 3.6e-12 above 23946.03: the level reads that sample between frames
-        # 1410 and 1411, and sample_at's slack, relative to t, admits it
+        # 1410 and 1411, at the weight of frame 1411 clamped from -2e-13 to 0
         data = json.loads(case_study_path().read_text())
         data.update(T=24000.0, schedule={"h": 1.0, "dt": 16.983}, w1_sample_times=[23946.03])
         cfg = write_json(tmp_path, data)
@@ -579,6 +580,19 @@ class TestCli:
         assert (out / "level_0" / "density_t0.005.csv").is_file()
         assert not (out / "level_0" / "density_t0.01.csv").exists()
         assert not (out / "metrics.csv").exists()
+
+    def test_failed_transport_lp_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a 2D W1 row whose LP solve fails ends the run with one named line,
+        # not a traceback
+        monkeypatch.setattr("crowdflow.wasserstein.linprog", lambda *args, **kwargs:
+                            OptimizeResult(success=False, message="forced failure"))
+        data = fast_config(model=dict(FAST_MODEL, dim=2))
+        data["initial"] = {"type": "atoms",
+                           "positions": [[0.1, 0.1], [0.5, 0.5], [0.9, 0.1]]}
+        cfg = write_json(tmp_path, data)
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical invariant violated: transport LP failed: forced failure"]
 
     def test_invariant_break_keeps_telemetry(self, tmp_path, monkeypatch, capsys):
         # three close agents repel, and the support grows by 2 cells a step:

@@ -162,8 +162,8 @@ class TestAtomize:
 
 
 class TestInterpolate:
-    """The linear-in-time interpolant sample_at forms between two frames,
-    here one unit of time apart, so that t is the weight theta."""
+    """The linear-in-time interpolant sample_at forms between two frames at
+    the weight theta of the later one."""
 
     def setup_method(self):
         spec = GridSpec(1, 0.5)
@@ -173,23 +173,23 @@ class TestInterpolate:
     def test_endpoints_exact(self):
         # the frame of weight 0 adds only zero densities, which are dropped
         for theta, frame in ((0.0, self.a), (1.0, self.b)):
-            lam = sample_at(self.a, self.b, 0, 1.0, theta)
+            lam = sample_at(self.a, self.b, theta)
             assert lam.indices.tobytes() == frame.indices.tobytes()
             assert lam.rho.tobytes() == frame.rho.tobytes()
 
     def test_midpoint(self):
-        mid = sample_at(self.a, self.b, 0, 1.0, 0.5)
+        mid = sample_at(self.a, self.b, 0.5)
         assert density(mid) == {(0,): 1.0, (1,): 1.0}
 
     def test_spec_mismatch(self):
         other = GridMeasure(GridSpec(1, 0.25), [[0]], [4.0])
         with pytest.raises(ValueError, match="different grids"):
-            sample_at(self.a, other, 0, 1.0, 0.5)
+            sample_at(self.a, other, 0.5)
 
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_mass_and_positivity_preserved(self, theta):
-        lam = sample_at(self.a, self.b, 0, 1.0, theta)
+        lam = sample_at(self.a, self.b, theta)
         assert abs(total_mass(lam) - 1.0) <= 1e-12
         assert np.all(lam.rho >= 0)
 

@@ -2,26 +2,17 @@
 
 ``bench/checks.py`` integrates the model with plain numpy, without importing
 crowdflow; loading it by path holds ``crowdflow particles`` to that reference
-on inputs large enough for the pair sum's windowed form, one of them crowded
-enough that the Euler steps stack agents onto shared positions.
+on inputs large enough for the pair sum's at-atoms form (more than
+``velocity._DENSE_MAX_ATOMS`` agents), one of them crowded enough that the
+Euler steps stack agents onto shared positions.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 
 from crowdflow.cli import main
-
-CHECKS = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
-
-
-def load_checks():
-    spec = importlib.util.spec_from_file_location("bench_checks", CHECKS)
-    checks = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(checks)
-    return checks
+from helpers import load_bench
 
 
 def run_particles_cli(tmp_path, n, interval, T):
@@ -49,7 +40,7 @@ def test_particles_match_independent_oracle(tmp_path):
     # 300 agents at R = 0.1, 44 Euler steps of dt_100 / 10
     cfg, out = run_particles_cli(tmp_path, 300, [0.0, 1.0], 0.02)
     assert len((out / "particles.csv").read_text().splitlines()) == 1 + 300 * 45
-    assert load_checks().check_run(out, "particles", cfg, None) == []
+    assert load_bench("checks.py").check_run(out, "particles", cfg, None) == []
 
 
 def test_stacking_run_matches_independent_oracle(tmp_path):
@@ -63,4 +54,4 @@ def test_stacking_run_matches_independent_oracle(tmp_path):
     assert len(times) == 221
     distinct = [len(np.unique(rows[rows[:, 0] == t, 2])) for t in times]
     assert min(distinct) < 200
-    assert load_checks().check_run(out, "particles", cfg, None) == []
+    assert load_bench("checks.py").check_run(out, "particles", cfg, None) == []

@@ -233,8 +233,10 @@ class TestSampleAt:
         lam = GridMeasure(GridSpec(1, 0.1), [[0]], [10.0])
         self.frames = [lam] + [f for f, _ in run(lam, drift_model((1.0,)), T=0.2, dt=0.1)]
 
-    def sample(self, n, t):
-        return sample_at(self.frames[n], self.frames[n + 1], n, 0.1, t)
+    def sample(self, n, t, dt=0.1):
+        # the weight of frame n + 1 at time t, as the level loop computes it
+        theta = min(max((t - n * dt) / dt, 0.0), 1.0)
+        return sample_at(self.frames[n], self.frames[n + 1], theta)
 
     def test_endpoints(self):
         # a sample at a frame's time holds that frame's bits: the other frame,
@@ -256,10 +258,10 @@ class TestSampleAt:
             assert val == pytest.approx(0.5 * d0.get(idx, 0.0) + 0.5 * d1.get(idx, 0.0))
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            self.sample(0, -0.01)
-        with pytest.raises(ValueError):
-            self.sample(1, 0.21)
+        # a weight outside [0, 1] makes one frame's densities negative
+        for theta in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError, match="densities must be finite and nonnegative"):
+                sample_at(self.frames[0], self.frames[1], theta)
 
     @given(st.data(), st.floats(1e-3, 20.0), st.integers(0, 2), st.sampled_from([-1, 0, 1]))
     @settings(max_examples=300, deadline=None)
@@ -267,11 +269,15 @@ class TestSampleAt:
         # a level of n_steps steps reads sample time t at t' = min(t, n_steps dt)
         # between frames n and n + 1, n = min(int(t'/dt), n_steps - 1). At
         # t = k dt, or one ulp to either side, t'/dt may round up to k while
-        # k dt lies above t', by about 1e-16 relative to t
+        # k dt lies above t', by about 1e-16 relative to t: clamping the weight
+        # to [0, 1] then moves the sample by no more than 1e-12 relative to t'
         k = data.draw(st.integers(1, int(1e7 / dt)))
         t = k * dt if side == 0 else float(np.nextafter(k * dt, side * math.inf))
         n_steps = k + extra
         t_grid = min(t, n_steps * dt)
         n = min(int(t_grid / dt), n_steps - 1)
+        raw = (t_grid - n * dt) / dt
+        theta = min(max(raw, 0.0), 1.0)
+        assert abs(raw - theta) * dt <= 1e-12 * max(1.0, abs(t_grid))
         lam = self.frames[0]
-        assert abs(total_mass(sample_at(lam, lam, n, dt, t_grid)) - 1.0) <= 1e-12
+        assert abs(total_mass(sample_at(lam, lam, theta)) - 1.0) <= 1e-12

@@ -2,7 +2,6 @@
 its per-layer trace into zeros without failing, so check the names here."""
 
 import importlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -12,15 +11,9 @@ from pathlib import Path
 import pytest
 
 import crowdflow
+from helpers import BENCH, load_bench
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-
-
-def load_hooks():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.HOOKS
+TRACER = BENCH / "tracer.py"
 
 
 def resolve(module, path):
@@ -31,7 +24,7 @@ def resolve(module, path):
 
 
 def test_every_trace_hook_resolves():
-    hooks = load_hooks()
+    hooks = load_bench("tracer.py").HOOKS
     assert hooks
     missing = [f"{module}.{path}" for _, module, path, _ in hooks
                if not callable(resolve(module, path))]

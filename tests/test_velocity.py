@@ -718,6 +718,22 @@ class TestLatticeCorrelation:
         monkeypatch.setattr(velocity, "_LATTICE_MAX_CELLS", 32)
         assert _lattice_interaction(model, lam) is None
 
+    def test_memory_ceiling_counts_every_component(self, monkeypatch):
+        # the d stencil components are transformed at once, so a 2D box of P
+        # padded cells needs a ceiling of 2P, while a 1D box of P fits in P
+        lam2 = GridMeasure(GridSpec(2, 0.02), np.indices((8, 8)).reshape(2, -1).T,
+                           [2500 / 64] * 64)
+        P = velocity.next_fast_len(8 + 2 * math.ceil(R / 0.02), real=True) ** 2
+        n = P - 2 * math.ceil(R / 0.01)
+        assert velocity.next_fast_len(P, real=True) == P  # the 1D box pads to P
+        lam1 = GridMeasure(GridSpec(1, 0.01), np.arange(n)[:, None], [100 / n] * n)
+        for ceiling, lattice in ((P, False), (2 * P, True)):
+            monkeypatch.setattr(velocity, "_LATTICE_MAX_CELLS", ceiling)
+            got = _lattice_interaction(ball_model(n_agents=4, dim=2), lam2)
+            assert (got is not None) == lattice, ceiling
+        monkeypatch.setattr(velocity, "_LATTICE_MAX_CELLS", P)
+        assert _lattice_interaction(ball_model(n_agents=4), lam1) is not None
+
     def test_config_models_hash_by_value(self):
         blocks = [json.loads(case_study_path().read_text())["model"],
                   {"dim": 2, "n_agents": 5, "desired": {"type": "constant", "c": [1, 0.5]},
