@@ -171,6 +171,21 @@ class AtomicMeasure:
         self.positions.setflags(write=False)
         self.weights.setflags(write=False)
 
+    def moved(self, positions) -> AtomicMeasure:
+        """The same atoms at new ``positions`` of this measure's shape: the
+        positions are copied, checked finite and frozen, and the weights,
+        validated once and never changed, are shared."""
+        positions = np.array(positions, dtype=float)
+        if positions.shape != self.positions.shape:
+            raise ValueError(f"positions of shape {positions.shape} do not move "
+                             f"atoms of shape {self.positions.shape}")
+        if not np.isfinite(positions).all():
+            raise ValueError("positions must be finite")
+        positions.setflags(write=False)
+        out = object.__new__(type(self))
+        out.positions, out.weights = positions, self.weights
+        return out
+
     @property
     def dim(self) -> int:
         return int(self.positions.shape[1])

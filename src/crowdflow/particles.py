@@ -51,11 +51,20 @@ def euler_step(agents: AtomicMeasure, model: VelocityModel, dt: float) -> Atomic
     """Synchronous Euler update of every agent against the pre-step measure.
 
     The velocity is evaluated once per distinct position, at the atoms of the
-    stacked measure, and each agent moves with its atom's velocity.
+    stacked measure, and each agent moves with its atom's velocity. Agents
+    coincide only where two share a first coordinate, so the agents are
+    stacked only when their sorted first coordinates hold a tie; otherwise
+    they are the stacked measure, as :func:`to_measure` would return them.
+    The next state shares the agents' weights (:meth:`AtomicMeasure.moved`).
     """
-    mu, atom = to_measure(agents, return_inverse=True)
-    vel = eval_atomic_many(model, mu, mu.positions)
-    return AtomicMeasure(agents.positions + dt * vel.take(atom, axis=0), agents.weights)
+    pos = agents.positions
+    first = np.sort(pos[:, 0])
+    if (first[1:] == first[:-1]).any():  # 0.0 and -0.0 tie, as they stack
+        mu, atom = to_measure(agents, return_inverse=True)
+        vel = eval_atomic_many(model, mu, mu.positions).take(atom, axis=0)
+    else:
+        vel = eval_atomic_many(model, agents, pos)
+    return agents.moved(pos + dt * vel)
 
 
 def run_particles(mu0: AtomicMeasure, model: VelocityModel, T: float, dt: float) -> tuple:

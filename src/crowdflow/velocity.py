@@ -37,9 +37,15 @@ _EVAL_CHUNK = 1 << 14
 _DENSE_MAX_ATOMS = 63
 # Memory ceiling on the padded box of the lattice correlation times d, the
 # stencil components being transformed at once: a 2^22-cell real array takes
-# 32 MB, and one call grew the RSS by 155 MB in 1D at 2^22 cells and 111 MB in
-# 2D at 2^21 (219 at 2^22). Past it the pair sum runs, in _EVAL_CHUNK blocks.
+# 32 MB. One call at the ceiling raised the peak RSS by 160 MB in 1D at 2^22
+# cells and by 129 MB in 2D at 2^21 cells a component, and left the stencil's
+# spectrum, 32 MB, held in its cache (numpy 2.4). Past it the pair sum runs,
+# in _EVAL_CHUNK blocks.
 _LATTICE_MAX_CELLS = 1 << 22
+# The stencil spectra the lattice path holds between steps, one per (model,
+# h, padded shape): at most 64 MB at the ceiling, two shapes, enough for a
+# level whose box steps between two padded lengths.
+_SPECTRA_HELD = 2
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +458,76 @@ def _lattice_stencil(model: VelocityModel, h: float) -> np.ndarray:
     return G
 
 
+@functools.lru_cache(maxsize=_SPECTRA_HELD)
+def _stencil_spectrum(model: VelocityModel, h: float, shape: tuple) -> np.ndarray:
+    """The stencil's rfftn, zero-padded to ``shape`` over the lattice axes:
+    fixed for (model, h, shape), so computed once and returned read-only."""
+    f = np.fft.rfftn(_lattice_stencil(model, h), shape, tuple(range(model.dim)))
+    f.setflags(write=False)
+    return f
+
+
+@functools.lru_cache(maxsize=16)
+def _stencil_runs(model: VelocityModel, h: float) -> tuple:
+    """The nonzero entries of each stencil component as runs along the last
+    axis, computed once per (model, h) and read-only: per component,
+    ``(rows, start, stop)`` with run k covering the entries K[o] = G[r - o]
+    at the offsets o = (rows[k], j) - r, start[k] <= j < stop[k]."""
+    G = _lattice_stencil(model, h)
+    d, r = model.dim, G.shape[0] // 2
+    rows = np.indices((2 * r + 1,) * (d - 1)).reshape(d - 1, (2 * r + 1) ** (d - 1)).T
+    runs = []
+    for l in range(d):
+        nonzero = (G[..., l] != 0)[(slice(None, None, -1),) * d].astype(np.int8)
+        edges = np.diff(nonzero.reshape(-1, 2 * r + 1), axis=1, prepend=0, append=0)
+        row, start = np.nonzero(edges == 1)
+        stop = np.nonzero(edges == -1)[1]  # row-major, so the k-th stop ends the k-th run
+        run = (rows[row], start, stop)
+        for a in run:
+            a.setflags(write=False)
+        runs.append(run)
+    return tuple(runs)
+
+
+def _seen_counts(model: VelocityModel, h: float, cells: np.ndarray) -> np.ndarray:
+    """(m, d) ints: for each occupied cell i and stencil component l, the
+    number of occupied cells c whose offset c - i meets a nonzero entry
+    K_l[c - i]; ``cells`` are the (m, d) occupied cells less their minimum.
+    Each run of :func:`_stencil_runs` adds the difference of two prefix sums
+    of the occupancy along the last axis, so the count is exact."""
+    r = math.ceil(model.neighborhood.radius / h)
+    box = cells.max(axis=0) + 2 * r + 1  # the cells padded by r
+    # prefix[p, j]: the occupied cells of row p of the box before column j
+    prefix = np.zeros(tuple(box[:-1]) + (box[-1] + 1,), dtype=np.int32)
+    flat = prefix.reshape(-1)
+    stride = np.array(prefix.strides) // prefix.itemsize
+    # cell i's offsets o, |o|_inf <= r, lie at cells[i] + r + o in the box,
+    # so the runs count from corner, the flat index of cells[i]
+    corner = cells @ stride
+    flat[corner + r * stride.sum() + 1] = 1
+    np.add.accumulate(prefix, axis=-1, out=prefix)
+    counts = np.zeros(cells.shape[::-1], dtype=np.int32)
+    for count, (rows, start, stop) in zip(counts, _stencil_runs(model, h)):
+        row = rows @ stride[:-1]
+        for lo, hi in zip((row + start).tolist(), (row + stop).tolist()):
+            # flat[k:].take(corner) reads prefix at corner + k, without the sum
+            count += flat[hi:].take(corner)
+            count -= flat[lo:].take(corner)
+    return counts.T
+
+
 def _lattice_interaction(model: VelocityModel, lam: GridMeasure):
     """The interaction term at lam's own cell centers as a lattice correlation.
 
     For a translation-invariant model, N * sum_c m_c F((c - i) h) sigma((c - i) h)
     at cell i is the correlation of the dense bounding-box mass with the
     stencil K[o] = N F(o h) sigma(o h), |o|_inf <= r = ceil(R / h). It is
-    computed by FFT, zero-padded to box + 2r so nothing wraps. Returns None
-    where the pair sum must or should run instead: position-dependent
-    headings, or a padded box larger than the pair count (or the memory
-    ceiling). The result agrees with the pair sum to rounding.
+    computed by FFT, zero-padded to box + 2r so nothing wraps: one forward
+    transform of the mass and one inverse a step, the stencil's transform
+    coming from a cache per (model, h, padded shape). Returns None where the
+    pair sum must or should run instead: position-dependent headings, or a
+    padded box larger than the pair count (or the memory ceiling). The result
+    agrees with the pair sum to rounding.
     """
     # a sector whose heading follows a varying desired velocity is the one
     # model whose interaction depends on more than the offset
@@ -479,27 +545,20 @@ def _lattice_interaction(model: VelocityModel, lam: GridMeasure):
     if math.prod(shape) > min(_LATTICE_MAX_CELLS // d, lam.occupied ** 2):
         return None
 
-    G = _lattice_stencil(model, h)
-    axes = tuple(range(d))
-    cells = tuple((lam.indices - lo).T)
-    at = tuple((lam.indices - lo + r).T)  # cell i sits at i - lo + r of the full convolution
-
-    def correlate(values, stencil):
-        """The correlation of the cell values with each component of the
-        stencil (..., d) at the occupied cells, one batched transform a side."""
-        dense = np.zeros(shape)
-        dense[cells] = values
-        f = np.fft.rfftn(stencil, shape, axes)
-        f *= np.fft.rfftn(dense)[..., None]
-        return np.fft.irfftn(f, shape, axes)[at]
-
+    cells = lam.indices - lo
+    # f holds the dense mass, then the product of the transforms: rebinding
+    # it frees the mass before the inverse transform (32 MB at the ceiling)
+    f = np.zeros(shape)
+    f[tuple(cells.T)] = lam.cell_masses()
+    f = _stencil_spectrum(model, h, shape) * np.fft.rfftn(f)[..., None]
+    # cell i sits at i - lo + r of the full convolution
+    inter = np.fft.irfftn(f, shape, tuple(range(d)))[tuple((cells + r).T)]
     # FFT rounding never gives an exact 0, but the pair sum does where every
     # term of a component is 0 (no cell in range, or all on the cell's row in
     # 2D), and a rounding-level velocity there would leak mass into a neighbor
     # cell. So keep 0 where a cell sees no occupied cell through the
-    # component's nonzero stencil entries (a count exact after rint).
-    sees = np.rint(correlate(1.0, (G != 0).astype(float))) > 0
-    return np.where(sees, correlate(lam.cell_masses(), G), 0.0)
+    # component's nonzero stencil entries.
+    return np.where(_seen_counts(model, h, cells) > 0, inter, 0.0)
 
 
 def eval_grid_many(model: VelocityModel, lam: GridMeasure, X: np.ndarray) -> np.ndarray:

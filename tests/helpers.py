@@ -7,10 +7,13 @@ config builds, such as position-dependent desired velocities; a kernel that
 is not odd may run only through the dense pair sum.
 
 ``density`` and ``translated`` read a grid measure as a dict and shift an
-atomic measure. ``load_bench`` imports a module of ``bench/`` by path.
+atomic measure. ``fft_seen_counts`` is the lattice path's FFT count of the
+cells each cell sees, the reference of its integer count. ``load_bench``
+imports a module of ``bench/`` by path.
 """
 
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from crowdflow import AtomicMeasure, GridMeasure
+from crowdflow import AtomicMeasure, GridMeasure, VelocityModel, velocity
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -57,6 +60,25 @@ def density(lam: GridMeasure) -> dict:
 def translated(mu: AtomicMeasure, shift) -> AtomicMeasure:
     """mu with every atom moved by shift."""
     return AtomicMeasure(mu.positions + np.asarray(shift, dtype=float), mu.weights)
+
+
+def fft_seen_counts(model: VelocityModel, lam: GridMeasure) -> np.ndarray:
+    """(m, d): for each occupied cell and stencil component, the occupied
+    cells the cell sees through the component's nonzero stencil entries, as
+    one FFT correlation of the occupancy with the stencil's nonzero mask,
+    rounded to the nearest integer: the count the lattice path took before
+    ``velocity._seen_counts`` counted in integers."""
+    h, d = lam.spec.cell_width, lam.spec.dim
+    r = math.ceil(model.neighborhood.radius / h)
+    lo = lam.indices.min(axis=0)
+    full = lam.indices.max(axis=0) - lo + 1 + 2 * r
+    shape = tuple(velocity.next_fast_len(int(n), real=True) for n in full)
+    axes = tuple(range(d))
+    dense = np.zeros(shape)
+    dense[tuple((lam.indices - lo).T)] = 1.0
+    f = np.fft.rfftn((velocity._lattice_stencil(model, h) != 0).astype(float), shape, axes)
+    f *= np.fft.rfftn(dense)[..., None]
+    return np.rint(np.fft.irfftn(f, shape, axes)[tuple((lam.indices - lo + r).T)])
 
 
 def load_bench(filename: str):

@@ -213,6 +213,30 @@ class TestValidationAndIO:
         assert nu.weights.tolist() == [0.25, 0.75]
         assert not nu.weights.flags.writeable
 
+    def test_moved_shares_weights_and_freezes_a_copy(self):
+        mu = AtomicMeasure([[0.0, 1.0], [1.0, 2.0]], [0.25, 0.75])
+        x = np.array([[0.5, 1.5], [2.0, -1.0]])
+        nu = mu.moved(x)
+        assert nu.weights is mu.weights
+        assert type(nu) is AtomicMeasure and nu.n_atoms == 2 and nu.dim == 2
+        assert nu.positions.tobytes() == x.tobytes()
+        assert not nu.positions.flags.writeable
+        x[0, 0] = 9.0  # the caller's array stays the caller's
+        assert nu.positions[0, 0] == 0.5 and x.flags.writeable
+        assert mu.positions.tolist() == [[0.0, 1.0], [1.0, 2.0]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_moved_refuses_non_finite_positions(self, bad):
+        mu = AtomicMeasure([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            mu.moved([[0.5], [bad]])
+
+    @pytest.mark.parametrize("shape", [(3, 1), (2, 2), (2,), (1, 2)])
+    def test_moved_refuses_a_shape_change(self, shape):
+        mu = AtomicMeasure([[0.0], [1.0]])
+        with pytest.raises(ValueError, match="shape"):
+            mu.moved(np.zeros(shape))
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             AtomicMeasure([[0.0]], [0.5])

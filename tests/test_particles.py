@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
                        NumericalInvariantError, Sector, VelocityModel, ZeroDesired,
                        eval_atomic_many, euler_step, push_forward_atoms, run_particles,
-                       to_measure, velocity)
+                       particles, to_measure, velocity)
 from crowdflow.particles import write_trajectory_csv
 from helpers import CustomDesired, CustomKernel
 
@@ -155,6 +155,67 @@ class TestStackedStep:
         out = euler_step(AtomicMeasure(pos), model, 0.01)
         assert sum(pairs) == 3 * 3
         assert len(np.unique(out.positions)) == 3
+
+
+def euler_step_stacking(agents, model, dt):
+    """The Euler step that stacks the agents at every step, kept as the
+    reference of euler_step, which stacks only on a tie."""
+    mu, atom = to_measure(agents, return_inverse=True)
+    vel = eval_atomic_many(model, mu, mu.positions)
+    return AtomicMeasure(agents.positions + dt * vel.take(atom, axis=0), agents.weights)
+
+
+def to_measure_calls(monkeypatch):
+    """Patch the to_measure that euler_step calls to record the agents of
+    each call."""
+    calls = []
+
+    def recording(agents, return_inverse=False):
+        calls.append(agents)
+        return to_measure(agents, return_inverse)
+
+    monkeypatch.setattr(particles, "to_measure", recording)
+    return calls
+
+
+class TestTieCheck:
+    @pytest.mark.parametrize("threshold", [math.inf, 0])
+    def test_shared_first_coordinate_stacks(self, threshold, monkeypatch):
+        # 60 2D agents on 12 first coordinates, 0.0 and -0.0 among them, and
+        # distinct second ones: no two coincide, but ties, none of them
+        # between neighbors in input order, send the step through
+        # to_measure, in the dense and in the at-atoms form
+        rng = np.random.default_rng(4)
+        first = np.tile(np.concatenate(([0.0], rng.uniform(-0.1, 0.1, 5), [-0.0],
+                                        rng.uniform(-0.1, 0.1, 5))), 5)
+        assert np.all(first[1:] != first[:-1])
+        pos = np.column_stack([first, rng.uniform(-0.1, 0.1, 60)])
+        agents = AtomicMeasure(pos)
+        assert to_measure(agents) is agents
+        monkeypatch.setattr(velocity, "_DENSE_MAX_ATOMS", threshold)
+        calls = to_measure_calls(monkeypatch)
+        for model in stacked_models(2):
+            calls.clear()
+            got = euler_step(agents, model, 0.01)
+            assert calls == [agents]
+            ref = euler_step_stacking(agents, model, 0.01)
+            assert got.positions.tobytes() == ref.positions.tobytes(), model.neighborhood
+            assert got.weights is agents.weights
+
+    @pytest.mark.parametrize("dim, n", [(1, 10), (2, 80)])
+    def test_untied_run_never_stacks(self, dim, n, monkeypatch):
+        rng = np.random.default_rng(8)
+        w = rng.uniform(1, 2, n)
+        mu0 = AtomicMeasure(rng.uniform(0, 0.5, size=(n, dim)), w / w.sum())
+        model = repulsion_model(n, dim)
+        calls = to_measure_calls(monkeypatch)
+        states = run_particles(mu0, model, T=0.02, dt=0.001)
+        assert calls == []
+        ref = mu0
+        for s in states[1:]:
+            ref = euler_step_stacking(ref, model, 0.001)
+            assert s.positions.tobytes() == ref.positions.tobytes()
+            assert s.weights is mu0.weights
 
 
 class TestRunParticles:

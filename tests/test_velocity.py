@@ -17,7 +17,7 @@ from crowdflow import velocity, wasserstein
 from crowdflow.config import build_model, case_study_path
 from crowdflow.grids import sq_norm
 from crowdflow.velocity import _bump, _headings, _interaction_sum, _lattice_interaction
-from helpers import CustomDesired, CustomKernel
+from helpers import CustomDesired, CustomKernel, fft_seen_counts
 
 A, EPS, R, B = 0.01, 0.025, 0.1, 0.02
 
@@ -785,6 +785,124 @@ class TestLatticeCorrelation:
                 dense = dense.reshape(G.shape)
                 assert np.array_equal(G, dense), (theta, h)
                 assert np.all(G[dense == 0] == 0), (theta, h)
+
+
+def cells_grid(dim, h, cells):
+    """A grid on the given cells, all of density 1: the count reads only
+    which cells are occupied."""
+    return GridMeasure(GridSpec(dim, h), cells, [1.0] * len(cells))
+
+
+@st.composite
+def seen_grids(draw):
+    """Random 1D and 2D grids of up to 60 cells, spread over up to 81 cells a
+    side, so that some cells see many others and some none."""
+    dim = draw(st.integers(1, 2))
+    span = draw(st.integers(0, 40))
+    cells = draw(st.lists(st.lists(st.integers(-span, span), min_size=dim, max_size=dim),
+                          min_size=1, max_size=60))
+    return cells_grid(dim, draw(st.sampled_from([0.01, 0.02, 0.025, 0.03, 0.05])), cells)
+
+
+def underflow_model(dim):
+    """A ball whose radial bump, with b = 700, underflows to 0 from |z| of
+    about 0.72 R on: stencil entries well inside R are 0."""
+    return VelocityModel(dim=dim, n_agents=4, desired=ZeroDesired(),
+                         kernel=CaseStudyRepulsion(A, EPS), neighborhood=Ball(R, 700.0))
+
+
+def assert_counts_match(model, lam):
+    """The integer count equals the FFT count, as integers, and is returned."""
+    got = velocity._seen_counts(model, lam.spec.cell_width, lam.indices - lam.indices.min(axis=0))
+    assert got.dtype.kind == "i" and got.shape == (lam.occupied, lam.spec.dim)
+    ref = fft_seen_counts(model, lam)
+    assert got.tolist() == ref.astype(np.int64).tolist()
+    return got
+
+
+class TestSeenCounts:
+    """The lattice path keeps a component 0 where a cell sees no occupied cell
+    through the component's nonzero stencil entries; it counts them in
+    integers, held here to the FFT count it replaced."""
+
+    @given(seen_grids(), st.floats(0.0, 2 * math.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fft_count(self, lam, theta):
+        models = dict(lattice_models(lam.spec.dim, theta), underflow=underflow_model(lam.spec.dim))
+        for model in models.values():
+            assert_counts_match(model, lam)
+
+    def test_isolated_cells_count_zero(self):
+        # r = 10 cells: each of the 10 packed cells sees the 9 others, not
+        # itself, and the two far cells see nothing
+        lam = cells_grid(1, 0.01, [[i] for i in range(10)] + [[40], [90]])
+        got = assert_counts_match(ball_model(n_agents=4), lam)
+        assert got[:, 0].tolist() == [9] * 10 + [0, 0]
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_one_row_2d_grid(self, axis):
+        # every offset along the row has a 0 across it, where that component
+        # of F is 0: the across component sees nothing
+        cells = [[i, 0][::1 if axis == 0 else -1] for i in range(24)]
+        got = assert_counts_match(ball_model(n_agents=4, dim=2), cells_grid(2, 0.02, cells))
+        assert np.all(got[:, axis] > 0)
+        assert np.all(got[:, 1 - axis] == 0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_hole_at_offset_zero(self, dim):
+        # F(0) = 0, so no component's stencil is nonzero at offset 0: a lone
+        # cell sees nothing, and two neighbors along the first axis see each
+        # other through the first component
+        model = ball_model(n_agents=4, dim=dim)
+        G = velocity._lattice_stencil(model, 0.01)
+        r = G.shape[0] // 2
+        assert np.all(G[(r,) * dim] == 0)
+        assert assert_counts_match(model, cells_grid(dim, 0.01, [[0] * dim])).tolist() == [[0] * dim]
+        pair = cells_grid(dim, 0.01, [[0] * dim, [1] + [0] * (dim - 1)])
+        assert assert_counts_match(model, pair)[:, 0].tolist() == [1, 1]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_underflowed_edge_entries_see_nothing(self, dim):
+        # at h = 0.01 the offsets 8 and 9 lie inside R = 0.1, but their entries
+        # underflow to 0: cells 8 apart do not see each other, 7 apart do
+        model = underflow_model(dim)
+        K = velocity._lattice_stencil(model, 0.01)[(slice(None, None, -1),) * dim + (0,)]
+        line = K[(slice(None),) + (10,) * (dim - 1)]  # the offsets (o, 0, ...)
+        assert line[10 + 7] != 0 and line[10 + 8] == 0 and line[10 + 9] == 0
+        for gap, seen in ((7, 1), (8, 0), (9, 0)):
+            lam = cells_grid(dim, 0.01, [[0] * dim, [gap] + [0] * (dim - 1)])
+            got = assert_counts_match(model, lam)
+            assert got[:, 0].tolist() == [seen, seen], gap
+        rng = np.random.default_rng(9)
+        assert_counts_match(model, cells_grid(dim, 0.01, rng.integers(0, 30, size=(80, dim))))
+
+    def test_spectrum_is_computed_once_per_shape(self, monkeypatch):
+        model = ball_model(n_agents=4)
+        lam = GridMeasure(GridSpec(1, 0.01), [[i] for i in range(30)], [1 / 0.3] * 30)
+        stencil = velocity._lattice_stencil(model, 0.01)
+        rfftn = np.fft.rfftn
+        inputs = []
+
+        def counting(a, *args, **kwargs):
+            inputs.append(a)
+            return rfftn(a, *args, **kwargs)
+
+        velocity._stencil_spectrum.cache_clear()
+        monkeypatch.setattr(np.fft, "rfftn", counting)
+        first = _lattice_interaction(model, lam)
+        again = _lattice_interaction(model, lam)
+        # one transform of the stencil, one of the mass a call
+        assert [a is stencil for a in inputs] == [True, False, False]
+        assert first.tobytes() == again.tobytes()
+        padded = (velocity.next_fast_len(30 + 2 * 10, real=True),)
+        f = velocity._stencil_spectrum(model, 0.01, padded)
+        assert not f.flags.writeable
+        assert f.tobytes() == rfftn(stencil, padded, (0,)).tobytes()
+        # a wider box pads to another length: its spectrum is computed anew
+        wider = GridMeasure(GridSpec(1, 0.01), [[i] for i in range(60)], [1 / 0.6] * 60)
+        _lattice_interaction(model, wider)
+        assert sum(a is stencil for a in inputs) == 2
+        assert velocity._stencil_spectrum.cache_info().misses == 2
 
 
 # ---------------------------------------------------------------------------
