@@ -501,8 +501,9 @@ def _seen_counts(model: VelocityModel, h: float, cells: np.ndarray) -> np.ndarra
     prefix = np.zeros(tuple(box[:-1]) + (box[-1] + 1,), dtype=np.int32)
     flat = prefix.reshape(-1)
     stride = np.array(prefix.strides) // prefix.itemsize
-    # cell i's offsets o, |o|_inf <= r, lie at cells[i] + r + o in the box,
-    # so the runs count from corner, the flat index of cells[i]
+    # cell i sits at cells[i] + r in the box and its offsets o, |o|_inf <= r,
+    # at cells[i] + r + o, so the runs count from corner, the flat index of
+    # cells[i]; prefix counts cell i from the column after its own
     corner = cells @ stride
     flat[corner + r * stride.sum() + 1] = 1
     np.add.accumulate(prefix, axis=-1, out=prefix)
