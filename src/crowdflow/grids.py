@@ -146,7 +146,9 @@ class AtomicMeasure:
     __slots__ = ("positions", "weights")
 
     def __init__(self, positions, weights=None):
-        positions = np.asarray(positions, dtype=float)
+        """Atoms at ``positions`` of ``weights`` (uniform if None), both
+        copied and frozen: :meth:`moved` is the one path that shares them."""
+        positions = np.array(positions, dtype=float)
         if positions.ndim == 1:
             positions = positions[:, None]
         if positions.ndim != 2 or positions.shape[0] == 0:
@@ -154,20 +156,12 @@ class AtomicMeasure:
         if not np.isfinite(positions).all():
             raise ValueError("positions must be finite")
         n = positions.shape[0]
-        if weights is None:
-            weights = np.full(n, 1.0 / n)
-        else:
-            weights = np.asarray(weights, dtype=float)
-            if weights.ndim != 1:  # a 1-D array is kept as it is, to be shared if frozen
-                weights = weights.reshape(-1)
+        weights = (np.full(n, 1.0 / n) if weights is None
+                   else np.array(weights, dtype=float).reshape(-1))
         if weights.shape[0] != n:
             raise ValueError("positions and weights must have the same length")
-        positions, weights = _positive_part(positions, weights, "weights")
-        check_mass(float(weights.sum()), "the weights")
-        # frozen below: copy the caller's arrays, but share read-only ones that
-        # own their data, such as another measure's weights
-        self.positions, self.weights = (a if a.base is None and not a.flags.writeable
-                                        else a.copy() for a in (positions, weights))
+        self.positions, self.weights = _positive_part(positions, weights, "weights")
+        check_mass(float(self.weights.sum()), "the weights")
         self.positions.setflags(write=False)
         self.weights.setflags(write=False)
 

@@ -1,10 +1,10 @@
 """Exact characteristics solver for atomic initial data.
 
 Explicit Euler on the coupled ODE system of agent positions, each agent an
-atom of the initial measure that keeps its weight. On Dirac sums this
-coincides, atom by atom, with pushing the measure forward through the
-one-step flow map x -> x + v[mu] dt, so it serves as the convergence oracle
-for the grid scheme.
+atom of the initial measure that keeps its weight. Each step pushes the
+measure of the agents forward through the one-step flow map
+x -> x + v[mu] dt, so the solver serves as the convergence oracle for the
+grid scheme.
 """
 
 from __future__ import annotations
@@ -42,29 +42,26 @@ def to_measure(agents: AtomicMeasure, return_inverse: bool = False):
 
 
 def push_forward_atoms(mu: AtomicMeasure, model: VelocityModel, dt: float) -> AtomicMeasure:
-    """Push mu forward through the one-step flow map x + v[mu](x) dt."""
-    moved = mu.positions + dt * eval_atomic_many(model, mu, mu.positions)
-    return AtomicMeasure(moved, mu.weights)
+    """Push mu forward through the one-step flow map x + v[mu](x) dt; the
+    result shares mu's weights (:meth:`AtomicMeasure.moved`)."""
+    return mu.moved(mu.positions + dt * eval_atomic_many(model, mu, mu.positions))
 
 
 def euler_step(agents: AtomicMeasure, model: VelocityModel, dt: float) -> AtomicMeasure:
-    """Synchronous Euler update of every agent against the pre-step measure.
-
-    The velocity is evaluated once per distinct position, at the atoms of the
-    stacked measure, and each agent moves with its atom's velocity. Agents
-    coincide only where two share a first coordinate, so the agents are
-    stacked only when their sorted first coordinates hold a tie; otherwise
-    they are the stacked measure, as :func:`to_measure` would return them.
-    The next state shares the agents' weights (:meth:`AtomicMeasure.moved`).
+    """Synchronous Euler update of every agent against the pre-step measure:
+    :func:`push_forward_atoms` of the stacked measure, each agent taking its
+    atom's new position, so the velocity is evaluated once per atom. Agents
+    coincide only where two share a first coordinate, so with no tie among
+    the sorted first coordinates the agents are the stacked measure, as
+    :func:`to_measure` would return them. The next state shares the agents'
+    weights.
     """
-    pos = agents.positions
-    first = np.sort(pos[:, 0])
-    if (first[1:] == first[:-1]).any():  # 0.0 and -0.0 tie, as they stack
-        mu, atom = to_measure(agents, return_inverse=True)
-        vel = eval_atomic_many(model, mu, mu.positions).take(atom, axis=0)
-    else:
-        vel = eval_atomic_many(model, agents, pos)
-    return agents.moved(pos + dt * vel)
+    first = np.sort(agents.positions[:, 0])
+    if not (first[1:] == first[:-1]).any():  # 0.0 and -0.0 tie, as they stack
+        return push_forward_atoms(agents, model, dt)
+    mu, atom = to_measure(agents, return_inverse=True)
+    pushed = push_forward_atoms(mu, model, dt)
+    return agents.moved(pushed.positions.take(atom, axis=0))
 
 
 def run_particles(mu0: AtomicMeasure, model: VelocityModel, T: float, dt: float) -> tuple:

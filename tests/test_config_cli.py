@@ -2,8 +2,12 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from scipy.optimize import OptimizeResult
@@ -254,14 +258,17 @@ class TestValidation:
          dict(SECTOR_2D, schedule={"h": 0.25, "dt": 0.005}), "schedule"),
         ("converge", ("model", "heading"), '{"type": "fixed_axis", "axis": [1.0]}', {},
          "model: model.heading"),
+        ("converge", ("model", "heading", "axis"), "[1.0, 0.0, 0.0]", SECTOR_2D, "model"),
+        ("project", ("initial", "positions"), "[[0.1], [0.5], [0.9]]", SECTOR_2D, "initial"),
     ], ids=["axis-converge", "axis-particles", "T", "ks", "positions", "interval",
-            "reach", "cell-volume", "heading-under-ball"])
+            "reach", "cell-volume", "heading-under-ball", "axis-3d", "atoms-1d-in-2d"])
     def test_refused_value_names_its_part(self, tmp_path, capsys, command, path, text,
                                           overrides, part):
         # a heading axis 1e-10 short of unit length, numbers written as strings,
         # atoms or an interval 2^53 or more cells from the origin, a radius that
-        # takes the run as far, a cell volume past the largest float, and a
-        # heading under a ball, which nothing would read
+        # takes the run as far, a cell volume past the largest float, a
+        # heading under a ball, which nothing would read, a 3D heading axis on
+        # a sector and 1D atoms under a 2D model
         cfg = tmp_path / "cfg.json"
         cfg.write_text(with_raw_value(path, text, **overrides))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -383,6 +390,15 @@ class TestCli:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out == f"{__version__}\n"
+
+    def test_module_entry_point(self):
+        # python -m crowdflow.cli in a fresh interpreter, on this package
+        src = str(Path(config.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "crowdflow.cli", "--version"],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0
+        assert proc.stdout == f"{__version__}\n" == "0.1.0\n"
 
     def test_project_writes_per_level_densities(self, tmp_path):
         cfg = write_json(tmp_path, fast_config())
@@ -524,6 +540,17 @@ class TestCli:
         assert "k=8" not in warnings[0]
         metrics = (tmp_path / "o" / "metrics.csv").read_text().splitlines()
         assert metrics[0] == "k,h,dt,t,w1,atomization_bound"
+
+    def test_simulate_reports_an_early_snapshot(self, tmp_path, capsys):
+        # the levels above: k = 4 ends at t = 0.456 < 0.6, k = 8 runs past T
+        cfg = write_json(tmp_path, fast_config(T=0.6))
+        dt4 = (1.0 / (4 * 1.2)) ** 0.5
+        for k, expected in ((4, [f"k=4 t=0.6 at t={dt4!r}"]), (8, [])):
+            assert main(["simulate", "--config", str(cfg), "--level", str(k),
+                         "--out", str(tmp_path / "o")]) == 0
+            warnings = [line for line in capsys.readouterr().err.splitlines()
+                        if line.startswith("warning:")]
+            assert [line[line.index("k="):] for line in warnings] == expected
 
     def test_converge_determinism(self, tmp_path):
         cfg = write_json(tmp_path, fast_config())

@@ -57,6 +57,11 @@ class TestCells:
             with pytest.raises(ValueError, match="2\\^53 or more cells"):
                 cell_indices(spec, np.array([[0.5], x]))
 
+    @pytest.mark.parametrize("dim", [2.0, 0])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            GridSpec(dim, 0.5)
+
     @pytest.mark.parametrize("dim, h", [(2, 1e300), (3, 1e103), (2, 1e-200)])
     def test_cell_volume_must_be_a_positive_float(self, dim, h):
         # h^d past the largest float, or below the smallest, has no density rho = m / h^d
@@ -203,10 +208,12 @@ class TestValidationAndIO:
         mu = AtomicMeasure([[0.0], [1.0]], [1.0, 0.0])
         assert mu.n_atoms == 1
 
-    def test_frozen_weights_are_shared_and_others_copied(self):
-        # a moved measure keeps the weights array it moved with, frozen as it is
+    def test_constructor_copies_frozen_and_writeable_weights(self):
+        # another measure's frozen weights are copied too: only moved shares them
         mu = AtomicMeasure([[0.0], [1.0]], [0.25, 0.75])
-        assert AtomicMeasure([[0.5], [1.5]], mu.weights).weights is mu.weights
+        copied = AtomicMeasure([[0.5], [1.5]], mu.weights).weights
+        assert copied is not mu.weights and not np.shares_memory(copied, mu.weights)
+        assert copied.tolist() == [0.25, 0.75] and not copied.flags.writeable
         w = np.array([0.25, 0.75])
         nu = AtomicMeasure([[0.0], [1.0]], w)
         w[0] = 0.5
@@ -265,6 +272,10 @@ class TestValidationAndIO:
             AtomicMeasure([[0.0], [1.0], [2.0]], values)
         with pytest.raises(ValueError, match="densities must be finite and nonnegative"):
             GridMeasure(GridSpec(1, 1.0), [[0], [1], [2]], values)
+
+    def test_indices_and_rho_must_have_one_length(self):
+        with pytest.raises(ValueError, match="same length"):
+            GridMeasure(GridSpec(1, 1.0), [[0], [1]], [1.0])
 
     def test_zero_densities_dropped(self):
         lam = GridMeasure(GridSpec(1, 1.0), [[2], [0], [1]], [0.5, 0.0, 0.5])

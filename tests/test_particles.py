@@ -76,6 +76,7 @@ class TestPushForwardEquivalence:
         mu = AtomicMeasure([[0.0], [0.05]], [0.25, 0.75])
         out = push_forward_atoms(mu, repulsion_model(2), 0.01)
         np.testing.assert_array_equal(out.weights, mu.weights)
+        assert out.weights is mu.weights
 
     def test_weighted_step_is_push_forward(self):
         # each agent keeps its own weight, and moves against the weighted measure
@@ -150,11 +151,13 @@ class TestStackedStep:
                               kernel=CustomKernel(func, A / EPS, A / EPS ** 2),
                               neighborhood=Ball(R, B))
         # 12 agents stacked on 3 points: the dense form evaluates 3 x 3 atom pairs
-        pos = np.repeat([[0.0], [0.03], [0.06]], 4, axis=0)
+        agents = AtomicMeasure(np.repeat([[0.0], [0.03], [0.06]], 4, axis=0))
         pairs.clear()
-        out = euler_step(AtomicMeasure(pos), model, 0.01)
+        out = euler_step(agents, model, 0.01)
         assert sum(pairs) == 3 * 3
         assert len(np.unique(out.positions)) == 3
+        # the stacked measure has weights of its own; the next state keeps the agents'
+        assert out.weights is agents.weights
 
 
 def euler_step_stacking(agents, model, dt):

@@ -226,6 +226,9 @@ class TestRun:
             next(run(lam, drift_model((1.0,)), T=0.0, dt=0.1))
         with pytest.raises(ValueError):
             next(run(lam, drift_model((1.0,)), T=0.1, dt=-0.1))
+        for dt in (0.0, -0.1):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                step(lam, drift_model((1.0,)), dt)
 
 
 class TestSampleAt:

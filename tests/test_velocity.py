@@ -334,6 +334,10 @@ class TestRotation:
             one = rotation_at(model, x)
             assert (rows.cos_t[i], rows.sin_t[i]) == (one.cos_t, one.sin_t)
 
+    def test_rotation_at_refuses_1d(self):
+        with pytest.raises(ValueError, match="dim == 2"):
+            rotation_at(ball_model(), [0.0])
+
     def test_pair_sum_rotates_by_rotation_at(self):
         # the scheme's sector cutoff is cutoff_at's: N sum_j w_j F(y_j - x) sigma_{U_x}(y_j)
         model = VelocityModel(
