@@ -59,9 +59,9 @@ def cmd_project(cfg: ExperimentConfig, args) -> int:
 
 def cmd_particles(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args, ["particles.csv", "particles_final.json"])
-    agents = run_particles(cfg.initial, cfg.model, cfg.T, cfg.oracle_dt)
-    write_trajectory_csv(agents, cfg.oracle_dt, out / "particles.csv")
-    (out / "particles_final.json").write_text(to_measure(agents[-1]).to_json() + "\n")
+    states = run_particles(cfg.initial, cfg.model, cfg.T, cfg.oracle_dt)
+    write_trajectory_csv(states, cfg.oracle_dt, out / "particles.csv")
+    (out / "particles_final.json").write_text(to_measure(states[-1]).to_json() + "\n")
     return EXIT_OK
 
 

@@ -20,9 +20,14 @@ from .velocity import (Ball, CaseStudyRepulsion, ConstantDesired, FixedAxis,
                        ZeroDesired, velocity_bound)
 
 
-# The particle oracle keeps every state, (step_count(T, oracle_dt) + 1) x
-# agents x dim float64 positions; a config whose oracle would need more is
-# refused at load, before its initial atoms are drawn.
+# The particle oracle keeps every state, step_count(T, oracle_dt) + 1 >= 2 of
+# them. A state holds its atoms' float64 coordinates, at most one atom per
+# agent, and, once agents have met, a map of its agents onto its atoms in the
+# smallest unsigned integers that number them, at most 4 bytes an agent under
+# this budget; the agents' float64 weights are kept once. So the states take
+# at most (dim + 1) x 8 bytes per agent per state (states with no new
+# stacking share their map, so this overcounts). A config whose oracle would
+# need more is refused at load, before its initial atoms are drawn.
 MAX_ORACLE_BYTES = 1 << 30
 
 
@@ -144,7 +149,7 @@ def _equal_agents(count: int, model: VelocityModel) -> int:
 
 def _oracle_fits(count: int, model: VelocityModel, states: int, field: str) -> None:
     """Refuse ``count`` agents whose oracle states would exceed MAX_ORACLE_BYTES."""
-    size = states * count * model.dim * 8
+    size = states * count * (model.dim + 1) * 8
     if size > MAX_ORACLE_BYTES:
         raise ConfigError(f"{field} = {count}: the oracle would keep {states} states of "
                           f"{count} agents in {model.dim}D, {size:.3g} bytes, over its "

@@ -8,11 +8,14 @@ is not odd may run only through the dense pair sum.
 
 ``density`` and ``translated`` read a grid measure as a dict and shift an
 atomic measure. ``fft_seen_counts`` is the lattice path's FFT count of the
-cells each cell sees, the reference of its integer count. ``load_bench``
+cells each cell sees, the reference of its integer count.
+``write_trajectory_csv_agents`` is the oracle's CSV formatted agent by agent,
+the reference of the writer that formats each atom once. ``load_bench``
 imports a module of ``bench/`` by path.
 """
 
 import importlib.util
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -22,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from crowdflow import AtomicMeasure, GridMeasure, VelocityModel, velocity
+from crowdflow.grids import csv_text
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -79,6 +83,22 @@ def fft_seen_counts(model: VelocityModel, lam: GridMeasure) -> np.ndarray:
     f = np.fft.rfftn((velocity._lattice_stencil(model, h) != 0).astype(float), shape, axes)
     f *= np.fft.rfftn(dense)[..., None]
     return np.rint(np.fft.irfftn(f, shape, axes)[tuple((lam.indices - lo + r).T)])
+
+
+def write_trajectory_csv_agents(states, dt: float, path) -> None:
+    """``particles.csv`` of the agents' measures ``states``, every agent's
+    coordinates formatted: the writer ``write_trajectory_csv`` replaced when
+    the oracle's states became its stacked measures, kept as its reference."""
+    n, d = states[0].positions.shape
+    header = ["t", "particle"] + [f"x_{l}" for l in range(d)]
+    particles = [str(l) for l in range(n)]
+    t = 0.0
+    with open(path, "w", newline="") as fh:
+        fh.write(csv_text([header]))
+        for s in states:
+            columns = [map(repr, c) for c in s.positions.T.tolist()]
+            fh.write(csv_text(zip(itertools.repeat(repr(t)), particles, *columns)))
+            t += float(dt)
 
 
 def load_bench(filename: str):

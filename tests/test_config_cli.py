@@ -357,10 +357,12 @@ class TestValidation:
     @pytest.mark.parametrize("initial, field", [(UNIFORM, "initial.count"),
                                                 (None, "initial.positions")])
     def test_oracle_budget_is_its_states_times_agents(self, monkeypatch, initial, field):
-        # T = 0.01 and ks [4, 8]: step_count(T, oracle_dt) + 1 states of 3 agents in 1D
+        # T = 0.01 and ks [4, 8]: step_count(T, oracle_dt) + 1 states of 3 agents
+        # in 1D, (dim + 1) x 8 bytes an agent a state: its atom's float64
+        # coordinates, its index in the state's map onto the atoms and its weight
         data = fast_config(**({"initial": initial} if initial else {}))
         cfg = parse_config(data)
-        size = (scheme.step_count(cfg.T, cfg.oracle_dt) + 1) * 3 * 1 * 8
+        size = (scheme.step_count(cfg.T, cfg.oracle_dt) + 1) * 3 * (1 + 1) * 8
         monkeypatch.setattr(config, "MAX_ORACLE_BYTES", size)
         parse_config(data)
         monkeypatch.setattr(config, "MAX_ORACLE_BYTES", size - 1)

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 
 import numpy as np
@@ -7,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
-                       NumericalInvariantError, Sector, VelocityModel, ZeroDesired,
+                       NumericalInvariantError, Sector, VelocityModel, ZeroDesired, cli,
                        eval_atomic_many, euler_step, push_forward_atoms, run_particles,
                        particles, to_measure, velocity)
-from crowdflow.particles import write_trajectory_csv
-from helpers import CustomDesired, CustomKernel
+from crowdflow.config import load_config
+from crowdflow.particles import Agents, write_trajectory_csv
+from crowdflow.scheme import step_count
+from helpers import CustomDesired, CustomKernel, write_trajectory_csv_agents
 
 A, EPS, R, B = 0.01, 0.025, 0.1, 0.02
 
@@ -219,6 +222,106 @@ class TestTieCheck:
             ref = euler_step_stacking(ref, model, 0.001)
             assert s.positions.tobytes() == ref.positions.tobytes()
             assert s.weights is mu0.weights
+            assert isinstance(s, AtomicMeasure)  # no agent map is made
+
+
+def run_stacking(mu0, model, T, dt):
+    """The agents' measures of the run that moves every agent by its own row
+    (:func:`euler_step_stacking`), mu0 first: the reference of run_particles."""
+    states = [mu0]
+    for _ in range(step_count(T, dt)):
+        states.append(euler_step_stacking(states[-1], model, dt))
+    return states
+
+
+class TestStackedRun:
+    """The oracle's states, a stacked measure and its agents' map, against the
+    per-agent loop: every state's agents bit for bit, the stacked measure
+    as to_measure of the agents, and particles.csv byte for byte against the
+    writer that formats every agent."""
+
+    @staticmethod
+    def check(mu0, model, T, dt, tmp_path):
+        states = run_particles(mu0, model, T, dt)
+        ref = run_stacking(mu0, model, T, dt)
+        assert len(states) == len(ref)
+        for s, r in zip(states, ref):
+            assert s.positions.tobytes() == r.positions.tobytes()
+            assert s.weights is mu0.weights
+            mu, want = to_measure(s), to_measure(r)
+            assert mu.positions.tobytes() == want.positions.tobytes()
+            assert mu.weights.tobytes() == want.weights.tobytes()
+        write_trajectory_csv(states, dt, tmp_path / "got.csv")
+        write_trajectory_csv_agents(ref, dt, tmp_path / "ref.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        return states
+
+    def test_oracle_1d_agents_meet_at_the_atoms(self, tmp_path):
+        # the oracle_1d workload's model and initial draw (1000 agents, seed
+        # 12345) over 40 steps of 5e-4: agents first meet at step 28 and
+        # atoms meet again at later steps, with over 63 atoms throughout, so
+        # every step sums at the atoms
+        mu0 = AtomicMeasure(np.random.default_rng(12345).uniform(0.0, 1.0, size=(1000, 1)))
+        states = self.check(mu0, repulsion_model(1000), 0.02, 5e-4, tmp_path)
+        atoms = [to_measure(s).n_atoms for s in states]
+        assert min(atoms) > velocity._DENSE_MAX_ATOMS
+        assert sum(b < a for a, b in zip(atoms, atoms[1:])) >= 2
+        assert states[-1].atom.dtype == np.uint16  # the smallest that numbers 1000 atoms
+
+    @pytest.mark.parametrize("threshold", [math.inf, 0])
+    def test_signed_zero_ties_in_2d(self, threshold, tmp_path, monkeypatch):
+        # 60 agents on first coordinates 0.0, -0.0 and three others and second
+        # ones 0.0, -0.0 and two others: agents at 0.0 and -0.0 stack, in the
+        # dense and in the at-atoms form
+        rng = np.random.default_rng(9)
+        pos = np.column_stack([rng.choice([0.0, -0.0, 0.02, -0.03, 0.05], 60),
+                               rng.choice([0.0, -0.0, 0.01, 0.04], 60)])
+        assert np.signbit(pos).any() and to_measure(AtomicMeasure(pos)).n_atoms <= 20
+        monkeypatch.setattr(velocity, "_DENSE_MAX_ATOMS", threshold)
+        for model in stacked_models(2):
+            states = self.check(AtomicMeasure(pos), model, 0.1, 0.01, tmp_path)
+            assert isinstance(states[1], Agents)
+
+
+def test_cli_reads_each_state_stacked(tmp_path, monkeypatch):
+    # the oracle converge compares at each sample time, and particles_final.json,
+    # are to_measure of that state's agents; at T = 0.02 the oracle_1d instance
+    # runs 44 steps, sampled unstacked at 0.01 and after agents meet at 0.02
+    config = {"model": {"dim": 1, "n_agents": 1000, "desired": {"type": "zero"},
+                        "kernel": {"type": "case_study", "a": A, "eps": EPS},
+                        "neighborhood": {"type": "ball", "R": R, "b": B}},
+              "initial": {"type": "uniform_random", "count": 1000,
+                          "interval": [0.0, 1.0], "seed": 12345},
+              "T": 0.02, "schedule": {"delta": 0.9, "ks": [100], "v_ref": 4.0},
+              "w1_sample_times": [0.01, 0.02], "outputs": str(tmp_path / "out")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    cfg = load_config(path)
+    states = run_particles(cfg.initial, cfg.model, cfg.T, cfg.oracle_dt)
+
+    def agents_measure(state):
+        return to_measure(AtomicMeasure(state.positions, state.weights))
+
+    assert isinstance(states[round(0.01 / cfg.oracle_dt)], AtomicMeasure)
+    assert isinstance(states[-1], Agents)
+    assert cli.main(["particles", "--config", str(path)]) == 0
+    final = (tmp_path / "out" / "particles_final.json").read_text()
+    assert final == agents_measure(states[-1]).to_json() + "\n"
+
+    read = []
+    w1_grid_atomic = cli.w1_grid_atomic
+
+    def recording(lam, mu):
+        read.append(mu)
+        return w1_grid_atomic(lam, mu)
+
+    monkeypatch.setattr(cli, "w1_grid_atomic", recording)
+    assert cli.main(["converge", "--config", str(path)]) == 0
+    assert len(read) == 2
+    for t, mu in zip(cfg.w1_sample_times, read):
+        want = agents_measure(states[round(t / cfg.oracle_dt)])
+        assert mu.positions.tobytes() == want.positions.tobytes()
+        assert mu.weights.tobytes() == want.weights.tobytes()
 
 
 class TestRunParticles:
@@ -330,6 +433,21 @@ class TestToMeasure:
         assert mu.weights.tobytes() == got.weights.tobytes()
         assert np.array_equal(mu.positions[atom], state.positions)
 
+    @given(agent_measures(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_state_stacks_as_its_agents(self, agents, data):
+        # the stacked measure's atoms moved onto a few coordinates, so some
+        # meet: the state stacks as the dict loop stacks its agents
+        mu, atom = to_measure(agents, return_inverse=True)
+        rows = data.draw(st.lists(st.lists(COORDS, min_size=mu.dim, max_size=mu.dim),
+                                  min_size=mu.n_atoms, max_size=mu.n_atoms))
+        state = Agents(np.array(rows), atom, agents.weights)
+        got, got_atom = to_measure(state, return_inverse=True)
+        ref = to_measure_loop(AtomicMeasure(state.positions, agents.weights))
+        assert got.positions.tobytes() == ref.positions.tobytes()
+        assert got.weights.tobytes() == ref.weights.tobytes()
+        assert np.array_equal(got.positions[got_atom], state.positions)
+
     def test_uniform_weights(self):
         mu = to_measure(AtomicMeasure(np.array([[0.0], [1.0]])))
         np.testing.assert_array_equal(mu.weights, [0.5, 0.5])
@@ -398,4 +516,21 @@ class TestTrajectoryCsv:
         d = tmp_path_factory.mktemp("csv")
         write_trajectory_csv(states, dt, d / "got.csv")
         write_trajectory_csv_writer(states, dt, d / "ref.csv")
+        assert (d / "got.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+    @given(st.floats(0.0, 10.0), st.integers(1, 3).flatmap(lambda d: st.lists(
+               st.lists(CSV_VALUES, min_size=d, max_size=d), min_size=1, max_size=4)),
+           st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_atoms_formatted_once_match_every_agent(self, tmp_path_factory, dt, atoms, data):
+        # agents on the atoms of a measure by a map, after a state without one
+        m = len(atoms)
+        atom = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6)),
+                        dtype=np.int32)
+        n = len(atom)
+        mapped = Agents(np.array(atoms), atom, np.full(n, 1.0 / n))
+        states = (AtomicMeasure(mapped.positions), mapped)
+        d = tmp_path_factory.mktemp("csv")
+        write_trajectory_csv(states, dt, d / "got.csv")
+        write_trajectory_csv_agents(states, dt, d / "ref.csv")
         assert (d / "got.csv").read_bytes() == (d / "ref.csv").read_bytes()
