@@ -159,6 +159,8 @@ def cmd_converge(cfg: ExperimentConfig, args) -> int:
                "monotone_decrease": monotone,
                "grid_sample_times": per_level(lambda r: r.t_grid),
                "w1_gap": per_level(lambda r: r.w1.upper - r.w1.lower)}
+    if cfg.model.dim > 1:  # 1D rows are the CDF sweep, which solves no LP
+        summary["w1_lp_solves"] = per_level(lambda r: r.w1.lp_solves)
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     if monotone is None:
         print("converge: single level, no monotonicity verdict")

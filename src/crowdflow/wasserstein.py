@@ -4,8 +4,12 @@ In 1D, W1 is the cumulative-distribution sweep :func:`w1_1d`. In any
 dimension, :func:`w1_exact` solves the transportation LP with Euclidean costs
 by column generation: HiGHS solves the LP restricted to a sparse set of
 candidate atom pairs, the reduced cost of every pair is priced against its
-duals, the pairs that price negative join the set, and the loop ends when
-none does. HiGHS runs with primal and dual feasibility tolerances of 1e-10.
+duals, and the loop ends when none prices negative. The restricted optimum is
+often global while its duals are not feasible for every pair: those duals are
+one of many, so a shift per component of the plan's support first tries to
+make them feasible, and only when that fails do the pairs that price negative
+join the set for another solve. HiGHS runs with primal and dual feasibility
+tolerances of 1e-10.
 The :class:`W1Result` carries a certified interval around the exact optimum:
 a lower bound from the duals made exactly feasible by a c-transform, and an
 upper bound from the plan rounded onto the exact marginals. The dense LP is the same
@@ -49,12 +53,14 @@ class W1Result:
     is a grid measure atomized at its cell centers, it is sqrt(d) * h / 2, and
     the true distance lies in
     [max(0, lower - atomization_bound), upper + atomization_bound].
+    ``lp_solves`` counts the restricted LPs solved for it (0 from the 1D sweep).
     """
 
     distance: float
     lower: float
     upper: float
     atomization_bound: float = 0.0
+    lp_solves: int = 0
 
 
 def w1_1d(mu: AtomicMeasure, nu: AtomicMeasure) -> float:
@@ -98,16 +104,25 @@ def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure) -> W1Result:
     pairs = np.unique(np.concatenate([rows * n + cols, near_rows * n + near_cols,
                                       _north_west_pairs(a, b)]))
     # each round adds at least one of the m * n pairs, so the loop ends
+    solves = 0
     while True:
         value, plan, cost, f, g = _restricted_lp(xs, a, ys, b, pairs)
+        solves += 1
         negative, g_c = _price(xs, ys, f, g)
         new = np.setdiff1d(negative, pairs, assume_unique=True)
+        # such duals may be one optimum among many: re-priced after a shift
+        # that makes them feasible, they end the loop without another solve
+        if new.size and (shifted := _shifted_duals(xs, ys, pairs, plan, f, g)) is not None:
+            f, g = shifted
+            negative, g_c = _price(xs, ys, f, g)
+            new = np.setdiff1d(negative, pairs, assume_unique=True)
         if new.size == 0:
             break
         pairs = np.union1d(pairs, new)
     # (f, g_c) is feasible for every pair, so its dual objective bounds W1 below
     lower = float(a @ f + b @ g_c)
-    return W1Result(value, lower, _rounded_cost(xs, a, ys, b, pairs, cost, plan))
+    return W1Result(value, lower, _rounded_cost(xs, a, ys, b, pairs, cost, plan),
+                     lp_solves=solves)
 
 
 def _cost_blocks(xs: np.ndarray, ys: np.ndarray):
@@ -172,6 +187,68 @@ def _price(xs, ys, f, g):
         r, c = np.nonzero(D - g < -_LP_TOL)
         negative.append((i + r) * n + c)
     return np.concatenate(negative), g_c
+
+
+def _shifted_duals(xs, ys, pairs, plan, f, g):
+    """Optimal duals of the restricted LP that price no pair below -_LP_TOL,
+    or None when no shift per support component gives them.
+
+    The plan's support (pairs with positive flow; rows and columns as nodes)
+    splits into components, and every dual in complementary slackness with the
+    plan is f + delta_p on the rows and g - delta_p on the columns of each
+    component p. Such a dual is feasible when delta_p - delta_q <= w[p, q], the
+    least reduced cost from a row of p to a column of q. Within a component the
+    shift changes nothing, so a w[p, p] below -_LP_TOL refuses at once: the
+    plan is then not optimal over all pairs. Otherwise Bellman-Ford solves the
+    constraints, with slack _LP_TOL / 2, or finds a negative cycle, which
+    refuses too.
+    """
+    m, n = len(xs), len(ys)
+    i, j = np.divmod(pairs[plan > 0], n)
+    labels = _components(m + n, i, m + j)
+    n_comp = labels.max() + 1
+    rows, cols = labels[:m], labels[m:]
+    # M[p, j]: the least reduced cost from a row of component p to column j,
+    # scanned with the rows in component order
+    by_row = np.argsort(rows, kind="stable")
+    M = np.full((n_comp, n), np.inf)
+    for r, C in _cost_blocks(xs[by_row], ys):
+        block = by_row[r:r + len(C)]
+        first = np.flatnonzero(np.diff(rows[block], prepend=-1))
+        p = rows[block[first]]
+        M[p] = np.minimum(M[p], np.minimum.reduceat(C - f[block, None] - g, first, axis=0))
+    # w[p, k]: the same to the columns of component q[k]
+    by_col = np.argsort(cols, kind="stable")
+    first = np.flatnonzero(np.diff(cols[by_col], prepend=-1))
+    q = cols[by_col[first]]
+    w = np.minimum.reduceat(M[:, by_col], first, axis=1)
+    within = q, np.arange(len(q))  # w[p, p] of each component holding a column
+    if w[within].min() < -_LP_TOL:
+        return None
+    w[within] = np.inf
+    w += _LP_TOL / 2
+    # every edge of a shortest path leaves a distinct component of q, so the
+    # shifts settle within len(q) rounds unless a cycle is negative
+    delta = np.zeros(n_comp)
+    for _ in range(len(q) + 1):
+        relaxed = np.minimum(delta, (w + delta[q]).min(axis=1))
+        if np.array_equal(relaxed, delta):
+            return f + delta[rows], g - delta[cols]
+        delta = relaxed
+    return None
+
+
+def _components(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Component labels 0, 1, ... of the nodes of the graph with edges (u, v):
+    each round hooks the root of every edge's larger end onto the smaller
+    root, then points every node at its root."""
+    root = np.arange(n_nodes)
+    while not np.array_equal(root[u], root[v]):
+        ru, rv = root[u], root[v]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    return np.unique(root, return_inverse=True)[1]
 
 
 def _rounded_cost(xs, a, ys, b, pairs, cost, plan) -> float:

@@ -16,7 +16,7 @@ from crowdflow import (CaseStudyRepulsion, GridMeasure, Sector, VelocityModel, _
                        config, scheme, wasserstein)
 from crowdflow.cli import main
 from crowdflow.config import ConfigError, case_study_path, load_config, parse_config
-from helpers import CustomDesired
+from helpers import CustomDesired, load_bench
 
 FAST_MODEL = {
     "dim": 1,
@@ -113,6 +113,20 @@ class TestLoadConfig:
         assert cfg.w1_sample_times == (0.05, 0.1)
         assert cfg.model.kernel.a == pytest.approx(0.01)
         assert cfg.model.neighborhood.radius == pytest.approx(0.1)
+
+    def test_bundled_sector_2d(self):
+        # the deep 2D study: the benchmark's sector_2d model and pinned seed,
+        # run to T = 0.05 over three levels
+        path = case_study_path().with_name("sector_2d.json")
+        data = json.loads(path.read_text())
+        bench = load_bench("workloads.py").sector_2d(7)
+        assert data["model"] == bench["model"] and data["initial"] == bench["initial"]
+        cfg = load_config(path)
+        assert cfg.model.dim == 2
+        assert cfg.initial.n_atoms == 100
+        assert cfg.T == 0.05
+        assert [k for k, _, _ in cfg.levels] == [50, 100, 200]
+        assert cfg.w1_sample_times == (0.025, 0.05)
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -524,6 +538,7 @@ class TestCli:
         # both levels run past T, so every row compares the grid at its own t
         assert summary["grid_sample_times"] == {k: {"0.005": 0.005, "0.01": 0.01}
                                                 for k in ("4", "8")}
+        assert "w1_lp_solves" not in summary  # 1D rows solve no LP
         assert "warning" not in capsys.readouterr().err
 
     def test_converge_records_grid_sample_times(self, tmp_path, capsys):
@@ -581,6 +596,9 @@ class TestCli:
         assert set(gaps) == {"8", "16"}
         # the bounds are sums in floating point, so they may cross by rounding
         assert all(-1e-12 <= gap <= 1e-8 for row in gaps.values() for gap in row.values())
+        solves = json.loads((tmp_path / "o1" / "summary.json").read_text())["w1_lp_solves"]
+        assert {k: set(row) for k, row in solves.items()} == {k: set(row) for k, row in gaps.items()}
+        assert all(n >= 1 for row in solves.values() for n in row.values())
 
     def test_w1_cap_hit_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(wasserstein, "DEFAULT_MAX_PAIRS", 8)
