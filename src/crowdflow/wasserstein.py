@@ -8,8 +8,12 @@ duals, and the loop ends when none prices negative. The restricted optimum is
 often global while its duals are not feasible for every pair: those duals are
 one of many, so a shift per component of the plan's support first tries to
 make them feasible, and only when that fails do the pairs that price negative
-join the set for another solve. HiGHS runs with primal and dual feasibility
-tolerances of 1e-10.
+join the set for another solve. Each restricted LP goes to HiGHS through
+scipy's own binding, ``scipy.optimize._highspy._core``, with the options
+``linprog(method="highs")`` sets: presolve, the dual simplex method, and
+primal and dual feasibility tolerances of 1e-10. An infeasible verdict, which
+presolve can give a feasible restricted LP, is checked once without presolve.
+The cost blocks are built one coordinate at a time, with ``sq_norm``'s bits.
 The :class:`W1Result` carries a certified interval around the exact optimum:
 a lower bound from the duals made exactly feasible by a c-transform, and an
 upper bound from the plan rounded onto the exact marginals. The dense LP is the same
@@ -22,8 +26,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, MatrixFormat, _Highs,
+                                           simplex_constants)
 
 from .grids import (AtomicMeasure, GridMeasure, NumericalInvariantError, atomize,
                     merge_duplicates, sq_norm)
@@ -35,6 +39,12 @@ DEFAULT_MAX_PAIRS = 2 ** 24
 # when its reduced cost is below -_LP_TOL, the slack HiGHS allows the pairs it
 # already holds
 _LP_TOL = 1e-10
+# the options scipy's linprog(method="highs") sets: presolve, the dual simplex
+# method, both feasibility tolerances at _LP_TOL, and no output
+_HIGHS_OPTIONS = (("output_flag", False), ("presolve", "on"),
+                  ("simplex_strategy", int(simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+                  ("primal_feasibility_tolerance", _LP_TOL),
+                  ("dual_feasibility_tolerance", _LP_TOL))
 # nearest atoms on the other side that seed each atom's candidate pairs
 _NEAREST = 4
 # cost entries per block when the m x n cost is scanned
@@ -129,8 +139,17 @@ def _cost_blocks(xs: np.ndarray, ys: np.ndarray):
     """Yield (first row, Euclidean cost block) over row blocks of the m x n
     cost between xs and ys, at most about _BLOCK_PAIRS entries each."""
     step = max(1, _BLOCK_PAIRS // len(ys))
+    # coordinate-major: each block sums the squared offsets of one coordinate
+    # at a time from the first, as sq_norm does, so the bits are sq_norm's
+    xt, yt = np.ascontiguousarray(xs.T), np.ascontiguousarray(ys.T)
     for i in range(0, len(xs), step):
-        yield i, np.sqrt(sq_norm(xs[i:i + step, None, :] - ys[None, :, :]))
+        C = np.subtract.outer(xt[0, i:i + step], yt[0])
+        C *= C
+        for x, y in zip(xt[1:, i:i + step], yt[1:]):
+            D = np.subtract.outer(x, y)
+            D *= D
+            C += D
+        yield i, np.sqrt(C, out=C)
 
 
 def _nearest(xs: np.ndarray, ys: np.ndarray):
@@ -158,22 +177,50 @@ def _north_west_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _restricted_lp(xs, a, ys, b, pairs):
     """Transport LP over the pairs with flat keys ``pairs``: optimal
     value, plan and cost on those pairs, and the duals (f, g), with g = 0 on
-    the last column, whose constraint is left out as redundant."""
+    the last column, whose constraint is left out as redundant.
+
+    HiGHS solves it with presolve first. Presolve can call a feasible
+    restricted LP infeasible, so an infeasible verdict is checked once by the
+    same LP without presolve; any other status but optimal raises."""
     m, n = len(a), len(b)
     i, j = np.divmod(pairs, n)
     cost = np.sqrt(sq_norm(xs[i] - ys[j]))
-    var = np.arange(len(pairs))
-    A = sparse.csr_matrix((np.ones(2 * len(pairs)),
-                           (np.concatenate([i, m + j]), np.concatenate([var, var]))),
-                          shape=(m + n, len(pairs)))
-    rhs = np.concatenate([a, b])
-    res = linprog(cost, A_eq=A[:-1], b_eq=rhs[:-1], bounds=(0, None), method="highs",
-                  options={"primal_feasibility_tolerance": _LP_TOL,
-                           "dual_feasibility_tolerance": _LP_TOL})
-    if not res.success:
-        raise NumericalInvariantError(f"transport LP failed: {res.message}")
-    duals = res.eqlin.marginals
-    return float(res.fun), res.x, cost, duals[:m], np.append(duals[m:], 0.0)
+    # column p holds a 1 in rows i[p] and m + j[p], unless that is the last
+    # column's row, left out
+    rows = np.stack([i, m + j], axis=1)
+    kept = rows < m + n - 1
+    start = np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
+    rhs = np.concatenate([a, b[:-1]])
+
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(pairs)
+    lp.num_row_ = lp.a_matrix_.num_row_ = m + n - 1
+    lp.col_cost_ = cost
+    lp.col_lower_ = np.zeros(len(pairs))
+    lp.col_upper_ = np.full(len(pairs), np.inf)
+    lp.row_lower_ = lp.row_upper_ = rhs
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    # integer arrays convert to HiGHS's vectors element by element; lists of
+    # Python ints convert faster
+    lp.a_matrix_.start_ = start.tolist()
+    lp.a_matrix_.index_ = rows[kept].tolist()
+    lp.a_matrix_.value_ = np.ones(start[-1])
+    highs = _Highs()
+    for name, value in _HIGHS_OPTIONS:
+        highs.setOptionValue(name, value)
+    highs.passModel(lp)
+    highs.run()
+    if highs.getModelStatus() == HighsModelStatus.kInfeasible:
+        highs.setOptionValue("presolve", "off")
+        highs.run()
+    status = highs.getModelStatus()
+    if status != HighsModelStatus.kOptimal:
+        raise NumericalInvariantError(
+            f"transport LP failed: {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    duals = np.array(solution.row_dual)
+    return (highs.getInfo().objective_function_value, np.array(solution.col_value), cost,
+            duals[:m], np.append(duals[m:], 0.0))
 
 
 def _price(xs, ys, f, g):

@@ -10,7 +10,6 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from scipy.optimize import OptimizeResult
 
 from crowdflow import (CaseStudyRepulsion, GridMeasure, Sector, VelocityModel, __version__,
                        config, scheme, wasserstein)
@@ -631,8 +630,14 @@ class TestCli:
     def test_failed_transport_lp_exits_3(self, tmp_path, monkeypatch, capsys):
         # a 2D W1 row whose LP solve fails ends the run with one named line,
         # not a traceback
-        monkeypatch.setattr("crowdflow.wasserstein.linprog", lambda *args, **kwargs:
-                            OptimizeResult(success=False, message="forced failure"))
+        class Failing(wasserstein._Highs):
+            def getModelStatus(self):
+                return wasserstein.HighsModelStatus.kSolveError
+
+            def modelStatusToString(self, status):
+                return "forced failure"
+
+        monkeypatch.setattr(wasserstein, "_Highs", Failing)
         data = fast_config(model=dict(FAST_MODEL, dim=2))
         data["initial"] = {"type": "atoms",
                            "positions": [[0.1, 0.1], [0.5, 0.5], [0.9, 0.1]]}

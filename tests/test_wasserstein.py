@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
 
-from crowdflow import (AtomicMeasure, GridMeasure, GridSpec, W1Result, atomize,
-                       project_atomic, w1_1d, w1_exact, w1_grid_atomic, wasserstein)
-from crowdflow.grids import MassError, check_mass, merge_duplicates, total_mass
+from crowdflow import (AtomicMeasure, GridMeasure, GridSpec, NumericalInvariantError, W1Result,
+                       atomize, project_atomic, w1_1d, w1_exact, w1_grid_atomic, wasserstein)
+from crowdflow.grids import MassError, check_mass, merge_duplicates, sq_norm, total_mass
 from crowdflow.cli import main
 from helpers import load_bench, translated
 
@@ -130,11 +132,12 @@ def assert_certified(res, dense):
 
 
 @st.composite
-def measures(draw, dim):
-    """A small measure whose atoms often coincide, within it or with another."""
+def measures(draw, dim, weight=st.integers(1, 9)):
+    """A small measure whose atoms often coincide, within it or with another,
+    with weights in proportion to draws of ``weight``."""
     coord = st.one_of(st.integers(-2, 2).map(float), st.floats(-2, 2))
     atoms = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=12))
-    weights = np.array(draw(st.lists(st.integers(1, 9), min_size=len(atoms),
+    weights = np.array(draw(st.lists(weight, min_size=len(atoms),
                                      max_size=len(atoms))), dtype=float)
     return AtomicMeasure(atoms, weights / weights.sum())
 
@@ -266,13 +269,14 @@ class TestColumnGeneration:
 
 
 def count_solves(monkeypatch):
-    """Wrap the restricted LP; the list it returns grows by one per solve."""
+    """Wrap the restricted LP; the list it returns gets each solve's
+    arguments."""
     solves = []
     restricted = wasserstein._restricted_lp
 
-    def counted(xs, a, ys, b, pairs):
-        solves.append(len(pairs))
-        return restricted(xs, a, ys, b, pairs)
+    def counted(*args):
+        solves.append(args)
+        return restricted(*args)
 
     monkeypatch.setattr(wasserstein, "_restricted_lp", counted)
     return solves
@@ -421,6 +425,97 @@ class TestShiftedDuals:
         gaps = [v for row in summary["w1_gap"].values() for v in row.values()]
         assert solves == [1, 1, 1, 1]
         assert len(gaps) == 4 and max(gaps) <= 1e-9
+
+
+def linprog_restricted_lp(xs, a, ys, b, pairs):
+    """The restricted LP of ``_restricted_lp`` through scipy's linprog, which
+    builds the same LP for HiGHS from a sparse matrix, with the same options
+    and the same retry without presolve on an infeasible verdict."""
+    m, n = len(a), len(b)
+    i, j = np.divmod(pairs, n)
+    cost = np.sqrt(sq_norm(xs[i] - ys[j]))
+    var = np.arange(len(pairs))
+    A = sparse.csr_matrix((np.ones(2 * len(pairs)),
+                           (np.concatenate([i, m + j]), np.concatenate([var, var]))),
+                          shape=(m + n, len(pairs)))
+    rhs = np.concatenate([a, b])
+    options = {"primal_feasibility_tolerance": wasserstein._LP_TOL,
+               "dual_feasibility_tolerance": wasserstein._LP_TOL}
+    res = linprog(cost, A_eq=A[:-1], b_eq=rhs[:-1], bounds=(0, None), method="highs",
+                  options=options)
+    if res.status == 2:
+        res = linprog(cost, A_eq=A[:-1], b_eq=rhs[:-1], bounds=(0, None), method="highs",
+                      options={**options, "presolve": False})
+    assert res.success, res.message
+    duals = res.eqlin.marginals
+    return float(res.fun), res.x, cost, duals[:m], np.append(duals[m:], 0.0)
+
+
+def record_presolve_off(monkeypatch):
+    """Wrap HiGHS; the list it returns grows by one each time a solve turns
+    presolve off to run again."""
+    retries = []
+
+    class Recorded(wasserstein._Highs):
+        def setOptionValue(self, name, value):
+            if (name, value) == ("presolve", "off"):
+                retries.append(name)
+            return super().setOptionValue(name, value)
+
+    monkeypatch.setattr(wasserstein, "_Highs", Recorded)
+    return retries
+
+
+class TestRestrictedLp:
+    @given(st.data(), st.sampled_from([2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_linprog_bit_for_bit(self, data, dim):
+        # every restricted LP w1_exact solves, and the all-pairs LP dense_w1
+        # solves, on measures with tied weights, weights down to 1e-19 of the
+        # total and, as often as not, one atom on a side
+        weight = st.integers(1, 9) | st.sampled_from([1e-19, 1e-12, 1e-9])
+        mu, nu = (data.draw(measures(dim, weight)) for _ in range(2))
+        if data.draw(st.booleans()):
+            mu = AtomicMeasure(mu.positions[:1])
+        if data.draw(st.booleans()):
+            nu = AtomicMeasure(nu.positions[:1])
+        with pytest.MonkeyPatch.context() as mp:
+            solves = count_solves(mp)
+            w1_exact(mu, nu)
+        xs, a, ys, b, _ = solves[0]
+        for args in [*solves, (xs, a, ys, b, np.arange(len(a) * len(b)))]:
+            value, *arrays = wasserstein._restricted_lp(*args)
+            ref_value, *ref_arrays = linprog_restricted_lp(*args)
+            assert type(value) is float and value == ref_value
+            assert [x.tobytes() for x in arrays] == [x.tobytes() for x in ref_arrays]
+
+    def test_totals_that_differ_raise(self, monkeypatch):
+        # column 0 asks for 0.7 where the one row holds 0.5: infeasible, with
+        # presolve and without
+        retries = record_presolve_off(monkeypatch)
+        xs, ys = np.zeros((1, 2)), np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(NumericalInvariantError, match="^transport LP failed: Infeasible$"):
+            wasserstein._restricted_lp(xs, np.array([0.5]), ys, np.array([0.7, 0.3]),
+                                       np.arange(2))
+        assert retries == ["presolve"]
+
+    def test_presolve_infeasible_sector_2d_passes(self, tmp_path, monkeypatch):
+        # seed 30 of the benchmark's 2D workload: HiGHS's presolve calls a
+        # feasible restricted LP infeasible, which the solve without presolve
+        # then solves; the retry is not another restricted LP
+        retries = record_presolve_off(monkeypatch)
+        solves = count_solves(monkeypatch)
+        w = load_bench("workloads.py").WORKLOADS["sector_2d"]
+        w.write_config(30, tmp_path / "cfg.json")
+        assert main(["converge", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        gaps = [v for row in summary["w1_gap"].values() for v in row.values()]
+        assert summary["monotone_decrease"] is True
+        assert len(gaps) == 4 and max(gaps) <= 1e-9
+        assert retries
+        assert sum(v for row in summary["w1_lp_solves"].values()
+                   for v in row.values()) == len(solves)
 
 
 class TestMetricProperties:
