@@ -12,6 +12,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from .grids import AtomicMeasure, GridSpec, cell_indices
 from .scheme import mesh_schedule, step_count
@@ -176,7 +177,7 @@ def _read_initial(block, model: VelocityModel, states: int) -> AtomicMeasure:
         # checked before the draw, so a mistyped count allocates nothing
         count = _equal_agents(_integer(_require(block, "count", "initial")), model)
         _oracle_fits(count, model, states, "initial.count")
-        rng = np.random.default_rng(_integer(_require(block, "seed", "initial")))
+        rng = default_rng(_integer(_require(block, "seed", "initial")))
         mu0 = AtomicMeasure(rng.uniform(lo, hi, size=(count, model.dim)))
     else:
         raise ConfigError(f"unknown initial data type '{kind}'")

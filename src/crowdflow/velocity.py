@@ -7,6 +7,11 @@ The field evaluated against a measure mu is
 with a pairwise kernel F, a bounded interaction neighborhood U_x (ball, or a
 sector turned to face the agent's heading in 2D), and a smooth cutoff sigma
 that vanishes on the neighborhood boundary.
+
+On the grid, a translation-invariant model's interaction at the cell centers
+is one FFT correlation over the padded bounding box (numpy's FFT); each axis
+pads to the smallest 2^a 3^b 5^c length, computed here by
+:func:`next_fast_len`, so the module needs nothing from scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
+from numpy.fft import irfftn, rfftn
 
 from .grids import AtomicMeasure, GridMeasure, NumericalInvariantError, sq_norm
 
@@ -458,11 +463,32 @@ def _lattice_stencil(model: VelocityModel, h: float) -> np.ndarray:
     return G
 
 
+def next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n (n >= 1), the length each lattice axis
+    pads to: numpy's FFT is several times slower on lengths with a large
+    prime factor. It is the length ``scipy.fft.next_fast_len(n, real=True)``
+    gives, so the padded shape, and with it every output bit, is scipy's."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < n:
+            # p35 times the smallest power of 2 that reaches n
+            m = p35 << ((n - 1) // p35).bit_length()
+            if m < best:
+                best = m
+            p35 *= 3
+        if p35 < best:
+            best = p35
+        p5 *= 5
+    return best
+
+
 @functools.lru_cache(maxsize=_SPECTRA_HELD)
 def _stencil_spectrum(model: VelocityModel, h: float, shape: tuple) -> np.ndarray:
     """The stencil's rfftn, zero-padded to ``shape`` over the lattice axes:
     fixed for (model, h, shape), so computed once and returned read-only."""
-    f = np.fft.rfftn(_lattice_stencil(model, h), shape, tuple(range(model.dim)))
+    f = rfftn(_lattice_stencil(model, h), shape, tuple(range(model.dim)))
     f.setflags(write=False)
     return f
 
@@ -540,9 +566,7 @@ def _lattice_interaction(model: VelocityModel, lam: GridMeasure):
     r = math.ceil(model.neighborhood.radius / h)
     lo = lam.indices.min(axis=0)
     full = lam.indices.max(axis=0) - lo + 1 + 2 * r  # extent of the correlation
-    # the smallest 2^a 3^b 5^c >= n per axis: numpy's FFT is several times
-    # slower on lengths with a large prime factor
-    shape = tuple(next_fast_len(int(n), real=True) for n in full)
+    shape = tuple(next_fast_len(int(n)) for n in full)
     if math.prod(shape) > min(_LATTICE_MAX_CELLS // d, lam.occupied ** 2):
         return None
 
@@ -551,9 +575,9 @@ def _lattice_interaction(model: VelocityModel, lam: GridMeasure):
     # it frees the mass before the inverse transform (32 MB at the ceiling)
     f = np.zeros(shape)
     f[tuple(cells.T)] = lam.cell_masses()
-    f = _stencil_spectrum(model, h, shape) * np.fft.rfftn(f)[..., None]
+    f = _stencil_spectrum(model, h, shape) * rfftn(f)[..., None]
     # cell i sits at i - lo + r of the full convolution
-    inter = np.fft.irfftn(f, shape, tuple(range(d)))[tuple((cells + r).T)]
+    inter = irfftn(f, shape, tuple(range(d)))[tuple((cells + r).T)]
     # FFT rounding never gives an exact 0, but the pair sum does where every
     # term of a component is 0 (no cell in range, or all on the cell's row in
     # 2D), and a rounding-level velocity there would leak mass into a neighbor

@@ -9,10 +9,12 @@ often global while its duals are not feasible for every pair: those duals are
 one of many, so a shift per component of the plan's support first tries to
 make them feasible, and only when that fails do the pairs that price negative
 join the set for another solve. Each restricted LP goes to HiGHS through
-scipy's own binding, ``scipy.optimize._highspy._core``, with the options
-``linprog(method="highs")`` sets: presolve, the dual simplex method, and
-primal and dual feasibility tolerances of 1e-10. An infeasible verdict, which
-presolve can give a feasible restricted LP, is checked once without presolve.
+scipy's own binding, ``scipy.optimize._highspy._core``, the one part of
+scipy this module uses: the compiled core is loaded alone, without the rest
+of ``scipy.optimize``. The solve uses the options ``linprog(method="highs")``
+sets: presolve, the dual simplex method, and primal and dual feasibility
+tolerances of 1e-10. An infeasible verdict, which presolve can give a
+feasible restricted LP, is checked once without presolve.
 The cost blocks are built one coordinate at a time, with ``sq_norm``'s bits.
 The :class:`W1Result` carries a certified interval around the exact optimum:
 a lower bound from the duals made exactly feasible by a c-transform, and an
@@ -23,14 +25,45 @@ restricted solve over all m * n pairs, which the tests use as the reference.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import find_spec, module_from_spec
 
 import numpy as np
-from scipy.optimize._highspy._core import (HighsLp, HighsModelStatus, MatrixFormat, _Highs,
-                                           simplex_constants)
 
 from .grids import (AtomicMeasure, GridMeasure, NumericalInvariantError, atomize,
                     merge_duplicates, sq_norm)
+
+
+def _highs_core():
+    """scipy's HiGHS binding, ``scipy.optimize._highspy._core``, loaded on its
+    own: importing it by name first runs ``scipy/optimize/__init__.py``, which
+    imports some 300 scipy modules (scipy.sparse, scipy.linalg, ...). It is
+    registered under its real name, so an ``import scipy.optimize`` before or
+    after shares this module and the extension is loaded once; after, scipy
+    reaches it through ``sys.modules``, and ``scipy.optimize._highspy`` has no
+    ``_core`` attribute."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = find_spec("scipy")
+    if scipy is None:
+        raise ImportError("crowdflow needs scipy >= 1.15 for HiGHS; scipy is not installed")
+    where = os.path.join(scipy.submodule_search_locations[0], "optimize", "_highspy")
+    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"crowdflow needs scipy >= 1.15 for HiGHS: no compiled "
+                          f"core {name} in {where}")
+    core = sys.modules[name] = module_from_spec(spec)
+    spec.loader.exec_module(core)
+    return core
+
+
+_core = _highs_core()
+HighsLp, HighsModelStatus, MatrixFormat, _Highs = (
+    _core.HighsLp, _core.HighsModelStatus, _core.MatrixFormat, _core._Highs)
 
 # cap on the atom pairs priced per solve (m * n); pricing memory stays bounded
 # by _BLOCK_PAIRS whatever the cap
@@ -42,7 +75,8 @@ _LP_TOL = 1e-10
 # the options scipy's linprog(method="highs") sets: presolve, the dual simplex
 # method, both feasibility tolerances at _LP_TOL, and no output
 _HIGHS_OPTIONS = (("output_flag", False), ("presolve", "on"),
-                  ("simplex_strategy", int(simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+                  ("simplex_strategy",
+                   int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
                   ("primal_feasibility_tolerance", _LP_TOL),
                   ("dual_feasibility_tolerance", _LP_TOL))
 # nearest atoms on the other side that seed each atom's candidate pairs

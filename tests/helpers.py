@@ -76,7 +76,7 @@ def fft_seen_counts(model: VelocityModel, lam: GridMeasure) -> np.ndarray:
     r = math.ceil(model.neighborhood.radius / h)
     lo = lam.indices.min(axis=0)
     full = lam.indices.max(axis=0) - lo + 1 + 2 * r
-    shape = tuple(velocity.next_fast_len(int(n), real=True) for n in full)
+    shape = tuple(velocity.next_fast_len(int(n)) for n in full)
     axes = tuple(range(d))
     dense = np.zeros(shape)
     dense[tuple((lam.indices - lo).T)] = 1.0

@@ -618,7 +618,7 @@ class TestLatticeCorrelation:
                         for a in range(15) for b in range(10) for c in range(7))
         n = np.arange(1, 10 ** 4 + 1)
         want = np.asarray(smooth)[np.searchsorted(smooth, n)]
-        assert [velocity.next_fast_len(int(k), real=True) for k in n] == want.tolist()
+        assert [velocity.next_fast_len(int(k)) for k in n] == want.tolist()
 
     @given(st.integers(1, 2), st.sampled_from([0.02, 0.025, 0.05, 0.03]),
            st.floats(0.0, 2 * math.pi),
@@ -727,9 +727,9 @@ class TestLatticeCorrelation:
         # padded cells needs a ceiling of 2P, while a 1D box of P fits in P
         lam2 = GridMeasure(GridSpec(2, 0.02), np.indices((8, 8)).reshape(2, -1).T,
                            [2500 / 64] * 64)
-        P = velocity.next_fast_len(8 + 2 * math.ceil(R / 0.02), real=True) ** 2
+        P = velocity.next_fast_len(8 + 2 * math.ceil(R / 0.02)) ** 2
         n = P - 2 * math.ceil(R / 0.01)
-        assert velocity.next_fast_len(P, real=True) == P  # the 1D box pads to P
+        assert velocity.next_fast_len(P) == P  # the 1D box pads to P
         lam1 = GridMeasure(GridSpec(1, 0.01), np.arange(n)[:, None], [100 / n] * n)
         for ceiling, lattice in ((P, False), (2 * P, True)):
             monkeypatch.setattr(velocity, "_LATTICE_MAX_CELLS", ceiling)
@@ -892,13 +892,13 @@ class TestSeenCounts:
             return rfftn(a, *args, **kwargs)
 
         velocity._stencil_spectrum.cache_clear()
-        monkeypatch.setattr(np.fft, "rfftn", counting)
+        monkeypatch.setattr(velocity, "rfftn", counting)
         first = _lattice_interaction(model, lam)
         again = _lattice_interaction(model, lam)
         # one transform of the stencil, one of the mass a call
         assert [a is stencil for a in inputs] == [True, False, False]
         assert first.tobytes() == again.tobytes()
-        padded = (velocity.next_fast_len(30 + 2 * 10, real=True),)
+        padded = (velocity.next_fast_len(30 + 2 * 10),)
         f = velocity._stencil_spectrum(model, 0.01, padded)
         assert not f.flags.writeable
         assert f.tobytes() == rfftn(stencil, padded, (0,)).tobytes()
