@@ -4,22 +4,22 @@ In 1D, W1 is the cumulative-distribution sweep :func:`w1_1d`. In any
 dimension, :func:`w1_exact` solves the transportation LP with Euclidean costs
 by column generation: HiGHS solves the LP restricted to a sparse set of
 candidate atom pairs, the reduced cost of every pair is priced against its
-duals, and the loop ends when none prices negative. The restricted optimum is
-often global while its duals are not feasible for every pair: those duals are
-one of many, so a shift per component of the plan's support first tries to
-make them feasible, and only when that fails do the pairs that price negative
-join the set for another solve. Each restricted LP goes to HiGHS through
-scipy's own binding, ``scipy.optimize._highspy._core``, the one part of
-scipy this module uses: the compiled core is loaded alone, without the rest
-of ``scipy.optimize``. The solve uses the options ``linprog(method="highs")``
-sets: presolve, the dual simplex method, and primal and dual feasibility
-tolerances of 1e-10. An infeasible verdict, which presolve can give a
-feasible restricted LP, is checked once without presolve.
+duals, and the pairs that price negative join the set for another solve until
+none does. Atoms lighter than the LP's 1e-10 tolerance, which HiGHS cannot
+resolve, first move onto their nearest heavier atom on the same side; the
+cost of those moves widens the certified interval. Each restricted LP goes to
+HiGHS through scipy's own binding, ``scipy.optimize._highspy._core``, the one
+part of scipy this module uses: the compiled core is loaded alone, without
+the rest of ``scipy.optimize``. The solve uses the options
+``linprog(method="highs")`` sets: presolve, the dual simplex method, and
+primal and dual feasibility tolerances of 1e-10. An infeasible verdict, which
+presolve can give a feasible restricted LP, is checked once without presolve.
 The cost blocks are built one coordinate at a time, with ``sq_norm``'s bits.
 The :class:`W1Result` carries a certified interval around the exact optimum:
 a lower bound from the duals made exactly feasible by a c-transform, and an
-upper bound from the plan rounded onto the exact marginals. The dense LP is the same
-restricted solve over all m * n pairs, which the tests use as the reference.
+upper bound from the plan rounded onto the exact marginals, each widened by
+the cost of the light atoms' moves. The dense LP is the same restricted solve
+over all m * n pairs, which the tests use as the reference.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ HighsLp, HighsModelStatus, MatrixFormat, _Highs = (
 DEFAULT_MAX_PAIRS = 2 ** 24
 # HiGHS primal and dual feasibility tolerance; a pair joins the candidate set
 # when its reduced cost is below -_LP_TOL, the slack HiGHS allows the pairs it
-# already holds
+# already holds, and an atom lighter than it, which HiGHS cannot resolve,
+# moves onto a heavier one before the LP
 _LP_TOL = 1e-10
 # the options scipy's linprog(method="highs") sets: presolve, the dual simplex
 # method, both feasibility tolerances at _LP_TOL, and no output
@@ -93,10 +94,12 @@ class AtomCapError(ValueError):
 class W1Result:
     """A computed W1 distance between two atomic measures, with
     ``lower <= W1 <= upper`` certified for its exact value (all three are equal
-    in 1D). ``atomization_bound`` is 0 between atomic measures; when one side
-    is a grid measure atomized at its cell centers, it is sqrt(d) * h / 2, and
-    the true distance lies in
-    [max(0, lower - atomization_bound), upper + atomization_bound].
+    in 1D). In 2D and up, ``distance`` is the LP optimum once the atoms lighter
+    than the LP's tolerance have moved onto heavier ones, and the interval
+    widens the LP's bounds by the cost of those moves on each side.
+    ``atomization_bound`` is 0 between atomic measures; when one side is a grid
+    measure atomized at its cell centers, it is sqrt(d) * h / 2, and the true
+    distance lies in [max(0, lower - atomization_bound), upper + atomization_bound].
     ``lp_solves`` counts the restricted LPs solved for it (0 from the 1D sweep).
     """
 
@@ -124,6 +127,10 @@ def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure) -> W1Result:
     solved by column generation and returned with its certified interval.
 
     Result is independent of atom input order (atoms are canonicalized first).
+    Each atom lighter than _LP_TOL moves onto its nearest heavier atom on its
+    side, and the LP runs on what remains; by the triangle inequality, the
+    cost eps of the moves gives the original pair's W1 in
+    [lower - eps, upper + eps] from the reduced pair's bounds.
     The heaviest atom of ``nu`` (the last of equal ones) takes the mass the
     others leave, so no weight turns negative, and the bounds hold for those
     marginals; the LP leaves out the last column constraint as redundant.
@@ -136,8 +143,8 @@ def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure) -> W1Result:
         raise AtomCapError(
             f"atom counts ({mu.n_atoms}, {nu.n_atoms}) give "
             f"{mu.n_atoms * nu.n_atoms} pairs, over the cap {DEFAULT_MAX_PAIRS}")
-    xs, a = merge_duplicates(mu.positions, mu.weights)
-    ys, b = merge_duplicates(nu.positions, nu.weights)
+    xs, a, eps_a = _move_light(*merge_duplicates(mu.positions, mu.weights))
+    ys, b, eps_b = _move_light(*merge_duplicates(nu.positions, nu.weights))
     # the marginals the LP enforces, with equal totals, as the bounds need
     j = len(b) - 1 - np.argmax(b[::-1])
     b[j] = a.sum() - np.delete(b, j).sum()
@@ -145,8 +152,8 @@ def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure) -> W1Result:
 
     rows, cols = _nearest(xs, ys)
     near_cols, near_rows = _nearest(ys, xs)
-    pairs = np.unique(np.concatenate([rows * n + cols, near_rows * n + near_cols,
-                                      _north_west_pairs(a, b)]))
+    pairs = _unique(np.concatenate([rows * n + cols, near_rows * n + near_cols,
+                                    _north_west_pairs(a, b)]))
     # each round adds at least one of the m * n pairs, so the loop ends
     solves = 0
     while True:
@@ -154,19 +161,35 @@ def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure) -> W1Result:
         solves += 1
         negative, g_c = _price(xs, ys, f, g)
         new = np.setdiff1d(negative, pairs, assume_unique=True)
-        # such duals may be one optimum among many: re-priced after a shift
-        # that makes them feasible, they end the loop without another solve
-        if new.size and (shifted := _shifted_duals(xs, ys, pairs, plan, f, g)) is not None:
-            f, g = shifted
-            negative, g_c = _price(xs, ys, f, g)
-            new = np.setdiff1d(negative, pairs, assume_unique=True)
         if new.size == 0:
             break
-        pairs = np.union1d(pairs, new)
-    # (f, g_c) is feasible for every pair, so its dual objective bounds W1 below
-    lower = float(a @ f + b @ g_c)
-    return W1Result(value, lower, _rounded_cost(xs, a, ys, b, pairs, cost, plan),
-                     lp_solves=solves)
+        pairs = np.sort(np.concatenate([pairs, new]))
+    # (f, g_c) is feasible for every pair, so its dual objective bounds W1
+    # below; the moves of the light atoms widen both bounds by their cost
+    eps = eps_a + eps_b
+    lower = float(a @ f + b @ g_c) - eps
+    upper = _rounded_cost(xs, a, ys, b, pairs, cost, plan) + eps
+    return W1Result(value, lower, upper, lp_solves=solves)
+
+
+def _move_light(xs: np.ndarray, w: np.ndarray):
+    """The atoms (xs, w) with each atom lighter than _LP_TOL moved onto its
+    nearest atom of weight at least _LP_TOL: their positions and weights, and
+    the W1 cost of the moves, the sum of weight * distance moved."""
+    light = w < _LP_TOL
+    heavy_xs, heavy_w = xs[~light], w[~light]
+    light_w = w[light]
+    onto, dist = np.empty(len(light_w), dtype=np.intp), np.empty(len(light_w))
+    for i, C in _cost_blocks(xs[light], heavy_xs):
+        onto[i:i + len(C)], dist[i:i + len(C)] = C.argmin(axis=1), C.min(axis=1)
+    return (heavy_xs, heavy_w + np.bincount(onto, light_w, minlength=len(heavy_w)),
+            float(light_w @ dist))
+
+
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct keys: np.unique's, without its import of numpy.ma."""
+    keys = np.sort(keys)
+    return keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
 
 
 def _cost_blocks(xs: np.ndarray, ys: np.ndarray):
@@ -199,10 +222,11 @@ def _nearest(xs: np.ndarray, ys: np.ndarray):
 
 
 def _north_west_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Flat keys i * n + j of the north-west-corner plan's support: pair (i, j)
-    carries the overlap of row i's and column j's intervals of cumulative mass."""
+    """Flat keys i * n + j, some repeated, of the north-west-corner plan's
+    support: pair (i, j) carries the overlap of row i's and column j's
+    intervals of cumulative mass."""
     ca, cb = np.cumsum(a), np.cumsum(b)
-    starts = np.union1d(0.0, np.concatenate([ca[:-1], cb[:-1]]))
+    starts = np.concatenate([[0.0], ca[:-1], cb[:-1]])
     i = np.minimum(np.searchsorted(ca, starts, side="right"), len(a) - 1)
     j = np.minimum(np.searchsorted(cb, starts, side="right"), len(b) - 1)
     return i * len(b) + j
@@ -268,68 +292,6 @@ def _price(xs, ys, f, g):
         r, c = np.nonzero(D - g < -_LP_TOL)
         negative.append((i + r) * n + c)
     return np.concatenate(negative), g_c
-
-
-def _shifted_duals(xs, ys, pairs, plan, f, g):
-    """Optimal duals of the restricted LP that price no pair below -_LP_TOL,
-    or None when no shift per support component gives them.
-
-    The plan's support (pairs with positive flow; rows and columns as nodes)
-    splits into components, and every dual in complementary slackness with the
-    plan is f + delta_p on the rows and g - delta_p on the columns of each
-    component p. Such a dual is feasible when delta_p - delta_q <= w[p, q], the
-    least reduced cost from a row of p to a column of q. Within a component the
-    shift changes nothing, so a w[p, p] below -_LP_TOL refuses at once: the
-    plan is then not optimal over all pairs. Otherwise Bellman-Ford solves the
-    constraints, with slack _LP_TOL / 2, or finds a negative cycle, which
-    refuses too.
-    """
-    m, n = len(xs), len(ys)
-    i, j = np.divmod(pairs[plan > 0], n)
-    labels = _components(m + n, i, m + j)
-    n_comp = labels.max() + 1
-    rows, cols = labels[:m], labels[m:]
-    # M[p, j]: the least reduced cost from a row of component p to column j,
-    # scanned with the rows in component order
-    by_row = np.argsort(rows, kind="stable")
-    M = np.full((n_comp, n), np.inf)
-    for r, C in _cost_blocks(xs[by_row], ys):
-        block = by_row[r:r + len(C)]
-        first = np.flatnonzero(np.diff(rows[block], prepend=-1))
-        p = rows[block[first]]
-        M[p] = np.minimum(M[p], np.minimum.reduceat(C - f[block, None] - g, first, axis=0))
-    # w[p, k]: the same to the columns of component q[k]
-    by_col = np.argsort(cols, kind="stable")
-    first = np.flatnonzero(np.diff(cols[by_col], prepend=-1))
-    q = cols[by_col[first]]
-    w = np.minimum.reduceat(M[:, by_col], first, axis=1)
-    within = q, np.arange(len(q))  # w[p, p] of each component holding a column
-    if w[within].min() < -_LP_TOL:
-        return None
-    w[within] = np.inf
-    w += _LP_TOL / 2
-    # every edge of a shortest path leaves a distinct component of q, so the
-    # shifts settle within len(q) rounds unless a cycle is negative
-    delta = np.zeros(n_comp)
-    for _ in range(len(q) + 1):
-        relaxed = np.minimum(delta, (w + delta[q]).min(axis=1))
-        if np.array_equal(relaxed, delta):
-            return f + delta[rows], g - delta[cols]
-        delta = relaxed
-    return None
-
-
-def _components(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Component labels 0, 1, ... of the nodes of the graph with edges (u, v):
-    each round hooks the root of every edge's larger end onto the smaller
-    root, then points every node at its root."""
-    root = np.arange(n_nodes)
-    while not np.array_equal(root[u], root[v]):
-        ru, rv = root[u], root[v]
-        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
-        while not np.array_equal(root[root], root):
-            root = root[root]
-    return np.unique(root, return_inverse=True)[1]
 
 
 def _rounded_cost(xs, a, ys, b, pairs, cost, plan) -> float:

@@ -65,14 +65,13 @@ print(json.dumps([rc, sorted(set(sys.modules) - before)]))
 @pytest.mark.parametrize("workload, command, allowed", [
     ("case_study_1d", "converge", set()),
     ("case_study_1d", "particles", set()),
-    ("sector_2d", "converge", {"numpy.ma", "numpy.ma.core", "numpy.ma.extras"}),
+    ("sector_2d", "converge", set()),
 ])
 def test_run_imports_nothing_new(tmp_path, workload, command, allowed):
     """A run imports what it uses when crowdflow is imported, not inside
-    ``cli.main``, whose time the benchmark reads as the run's. Two standard
-    exceptions: argparse's first parser loads ``locale`` through gettext
-    (1.4 ms), and the first plain ``np.unique``, in numpy's ``_unique1d``,
-    imports ``numpy.ma`` (about 13 ms), which only the 2D W1 reaches."""
+    ``cli.main``, whose time the benchmark reads as the run's. One standard
+    exception: argparse's first parser loads ``locale`` through gettext
+    (1.4 ms)."""
     cfg = load_bench("workloads.py").WORKLOADS[workload].make_config(3)
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     rc, added = json.loads(fresh(MAIN_IMPORTS, command, "--config", "cfg.json", cwd=tmp_path))

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
-from scipy.sparse.csgraph import connected_components
 
 from crowdflow import (AtomicMeasure, GridMeasure, GridSpec, NumericalInvariantError, W1Result,
                        atomize, project_atomic, w1_1d, w1_exact, w1_grid_atomic, wasserstein)
@@ -106,9 +105,10 @@ class TestW1Exact:
 
 
 def dense_w1(mu, nu) -> W1Result:
-    """The full transport LP: the column-generation helper over all m * n pairs,
-    certified on the marginals w1_exact enforces: the c-transform of its duals
-    below, its plan rounded onto those marginals above."""
+    """The full transport LP on every atom: the column-generation helper over
+    all m * n pairs, with the totals balanced as w1_exact balances them,
+    certified on those marginals: the c-transform of its duals below, its plan
+    rounded onto those marginals above."""
     xs, a = merge_duplicates(mu.positions, mu.weights)
     ys, b = merge_duplicates(nu.positions, nu.weights)
     j = len(b) - 1 - np.argmax(b[::-1])
@@ -255,6 +255,49 @@ class TestColumnGeneration:
         assert len(solves) >= 2 and solves == sorted(solves) and solves[-1] < 40 * 30
         assert_certified(res, dense_w1(mu, nu))
 
+    @given(st.data(), st.sampled_from([2, 3]))
+    @settings(max_examples=50, deadline=None)
+    def test_light_atoms_match_dense_lp(self, data, dim):
+        # atoms lighter than the LP's tolerance move onto heavier ones before
+        # the LP; the dense LP keeps them, and the intervals must still meet
+        weight = st.integers(1, 9) | st.sampled_from([1e-19, 1e-12, 1e-11])
+        mu, nu = (data.draw(measures(dim, weight)) for _ in range(2))
+        assert_certified(w1_exact(mu, nu), dense_w1(mu, nu))
+
+    def test_light_atom_widens_the_interval_by_its_move(self):
+        # the atom of weight 1e-11 at (3, 4) moves onto the origin, distance 5:
+        # the LP sees one atom of weight 1, and its interval widens by 5e-11
+        heavy = 1 - 1e-11
+        mu = AtomicMeasure([[0, 0], [3, 4]], [heavy, 1e-11])
+        nu = AtomicMeasure([[1, 0], [0, 2], [-1, -1]], [0.5, 0.25, 0.25])
+        res = w1_exact(mu, nu)
+        moved = w1_exact(AtomicMeasure([[0, 0]], [heavy + 1e-11]), nu)
+        assert res.distance == moved.distance
+        assert res.lower == moved.lower - 1e-11 * 5
+        assert res.upper == moved.upper + 1e-11 * 5
+        assert_certified(res, dense_w1(mu, nu))
+
+    @pytest.mark.parametrize("mu, nu", [
+        # an assignment: the optimal plan is a matching, whose support splits
+        # into five components, so the optimal duals are far from unique
+        (AtomicMeasure([[5, 1], [3, 2], [0, 2], [4, 3], [0, 1]], np.full(5, 0.2)),
+         AtomicMeasure([[0, 2], [3, 5], [0, 0], [0, 4], [1, 5]], np.full(5, 0.2))),
+        # cell centres against cell corners: tied distances
+        (AtomicMeasure(0.1 * np.array([[0, 2], [0, 1], [0, 2], [3, 2], [3, 0], [1, 1],
+                                       [0, 0]]), np.full(7, 1 / 7)),
+         AtomicMeasure(0.1 * np.array([[1, 1], [3, 3], [2, 1], [1, 0], [2, 1], [1, 2],
+                                       [0, 0]]) + 0.05, np.full(7, 1 / 7))),
+    ], ids=["assignment", "lattice"])
+    def test_degenerate_optimum_is_certified(self, mu, nu):
+        res = w1_exact(mu, nu)
+        assert_certified(res, dense_w1(mu, nu))
+        assert res.upper - res.lower <= 1e-9
+
+    @given(st.lists(st.integers(0, 50), min_size=1, max_size=40))
+    def test_unique_keys_match_numpy(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        assert wasserstein._unique(keys).tobytes() == np.unique(keys).tobytes()
+
     def test_above_old_per_side_cap(self):
         # 5000 lattice atoms (more than the former 4096-atom cap per side)
         # against 50 atoms, as a grid measure against the particle oracle
@@ -266,6 +309,19 @@ class TestColumnGeneration:
         res = w1_exact(AtomicMeasure(x, w / w.sum()), AtomicMeasure(y))
         assert res.upper - res.lower <= 1e-8
         assert res.lower <= res.distance + 1e-12 and res.distance <= res.upper + 1e-12
+
+
+    def test_pinned_sector_2d_rows_take_one_solve(self, tmp_path):
+        # the benchmark's 2D instance: 598-1924 grid cells against 100 agents
+        w = load_bench("workloads.py").WORKLOADS["sector_2d"]
+        w.write_config(w.pinned_seed, tmp_path / "cfg.json")
+        assert main(["converge", "--config", str(tmp_path / "cfg.json"),
+                     "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        solves = [v for row in summary["w1_lp_solves"].values() for v in row.values()]
+        gaps = [v for row in summary["w1_gap"].values() for v in row.values()]
+        assert solves == [1, 1, 1, 1]
+        assert len(gaps) == 4 and max(gaps) <= 1e-9
 
 
 def count_solves(monkeypatch):
@@ -280,151 +336,6 @@ def count_solves(monkeypatch):
 
     monkeypatch.setattr(wasserstein, "_restricted_lp", counted)
     return solves
-
-
-def record_shifts(monkeypatch):
-    """Wrap the dual shift; the list it returns gets each call's arguments
-    and result."""
-    calls = []
-    shift = wasserstein._shifted_duals
-
-    def recorded(*args):
-        calls.append((args, shift(*args)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(wasserstein, "_shifted_duals", recorded)
-    return calls
-
-
-def assert_optimal_duals(xs, ys, pairs, plan, duals):
-    """The duals price no pair of the dense cost below -_LP_TOL and are
-    tight on every pair the plan uses."""
-    f, g = duals
-    C = np.linalg.norm(xs[:, None] - ys[None], axis=2)
-    assert (C - f[:, None] - g[None] >= -wasserstein._LP_TOL).all()
-    i, j = np.divmod(pairs[plan > 0], len(ys))
-    np.testing.assert_allclose(f[i] + g[j], C[i, j], rtol=0, atol=1e-9)
-
-
-class TestShiftedDuals:
-    @given(st.data(), st.sampled_from([2, 3]), st.sampled_from([1, 4]))
-    @settings(max_examples=60, deadline=None)
-    def test_accepted_shift_is_feasible_and_complementary(self, data, dim, nearest):
-        mu, nu = data.draw(measures(dim)), data.draw(measures(dim))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(wasserstein, "_NEAREST", nearest)
-            calls = record_shifts(mp)
-            res = w1_exact(mu, nu)
-        for (xs, ys, pairs, plan, _, _), shifted in calls:
-            if shifted is not None:
-                assert_optimal_duals(xs, ys, pairs, plan, shifted)
-        assert_certified(res, dense_w1(mu, nu))
-
-    @given(st.data(), st.sampled_from([2, 3]), st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_undoes_a_random_shift_of_optimal_duals(self, data, dim, seed):
-        # the dense LP's duals, shifted at random per component of its plan's
-        # support, stay optimal for the restricted LP over all pairs but price
-        # pairs between components negative: a feasible shift exists, so it
-        # must be found
-        mu, nu = data.draw(measures(dim)), data.draw(measures(dim))
-        xs, a = merge_duplicates(mu.positions, mu.weights)
-        ys, b = merge_duplicates(nu.positions, nu.weights)
-        if data.draw(st.booleans()):
-            # an assignment, as often as not: its optimal plans are matchings,
-            # whose supports split into many components
-            k = min(len(a), len(b))
-            xs, ys, a, b = xs[:k], ys[:k], np.full(k, 1 / k), np.full(k, 1 / k)
-        j = len(b) - 1 - np.argmax(b[::-1])
-        b[j] = a.sum() - np.delete(b, j).sum()
-        m, n = len(a), len(b)
-        pairs = np.arange(m * n)
-        _, plan, _, f, g = wasserstein._restricted_lp(xs, a, ys, b, pairs)
-        C = np.linalg.norm(xs[:, None] - ys[None], axis=2)
-        if (C - f[:, None] - g[None] < -wasserstein._LP_TOL / 2).any():
-            return  # HiGHS's own duals leave the shift no slack
-        support = np.zeros((m + n, m + n), dtype=bool)
-        i, j = np.divmod(pairs[plan > 0], n)
-        support[i, m + j] = True
-        _, labels = connected_components(support, directed=False)
-        delta = np.random.default_rng(seed).uniform(-1, 1, labels.max() + 1)
-        shifted = wasserstein._shifted_duals(xs, ys, pairs, plan,
-                                             f + delta[labels[:m]], g - delta[labels[m:]])
-        assert shifted is not None
-        assert_optimal_duals(xs, ys, pairs, plan, shifted)
-
-    @given(st.integers(1, 40), st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)),
-                                        max_size=60))
-    @settings(max_examples=100, deadline=None)
-    def test_components_match_csgraph(self, n_nodes, edges):
-        u, v = (np.array([e[k] % n_nodes for e in edges], dtype=np.int64) for k in (0, 1))
-        labels = wasserstein._components(n_nodes, u, v)
-        graph = np.zeros((n_nodes, n_nodes), dtype=bool)
-        graph[u, v] = True
-        n_comp, reference = connected_components(graph, directed=False)
-        # the same partition, numbered 0 .. n_comp - 1
-        assert labels.max() + 1 == n_comp
-        assert len(set(zip(labels.tolist(), reference.tolist()))) == n_comp
-
-    @pytest.mark.parametrize("mu, nu", [
-        # an assignment: the optimal plan is a matching, whose support splits
-        # into five components
-        (AtomicMeasure([[5, 1], [3, 2], [0, 2], [4, 3], [0, 1]], np.full(5, 0.2)),
-         AtomicMeasure([[0, 2], [3, 5], [0, 0], [0, 4], [1, 5]], np.full(5, 0.2))),
-        # cell centres against cell corners: tied distances give cycles of
-        # components whose least reduced costs sum to 0 up to rounding, which
-        # the shift's slack lets through
-        (AtomicMeasure(0.1 * np.array([[0, 2], [0, 1], [0, 2], [3, 2], [3, 0], [1, 1],
-                                       [0, 0]]), np.full(7, 1 / 7)),
-         AtomicMeasure(0.1 * np.array([[1, 1], [3, 3], [2, 1], [1, 0], [2, 1], [1, 2],
-                                       [0, 0]]) + 0.05, np.full(7, 1 / 7))),
-    ], ids=["assignment", "lattice"])
-    def test_degenerate_optimum_takes_one_solve(self, monkeypatch, mu, nu):
-        # the first restricted optimum is global, but HiGHS's duals, one
-        # optimum among many, price a pair outside the candidates negative,
-        # which without the shift costs a second solve
-        solves = count_solves(monkeypatch)
-        calls = record_shifts(monkeypatch)
-        res = w1_exact(mu, nu)
-        assert len(solves) == res.lp_solves == 1
-        assert len(calls) == 1 and calls[0][1] is not None
-        (xs, ys, pairs, plan, _, _), shifted = calls[0]
-        assert_optimal_duals(xs, ys, pairs, plan, shifted)
-        assert_certified(res, dense_w1(mu, nu))
-        assert res.upper - res.lower <= 1e-9
-
-        solves.clear()
-        monkeypatch.setattr(wasserstein, "_shifted_duals", lambda *args: None)
-        unshifted = w1_exact(mu, nu)
-        assert len(solves) == unshifted.lp_solves == 2
-        assert abs(unshifted.distance - res.distance) <= 1e-12
-
-    def test_negative_pair_within_a_component_solves_again(self, monkeypatch):
-        # the first plan's support holds a row and a column whose pair prices
-        # negative: no shift moves one against the other, so that plan is not
-        # optimal and the pair joins the candidates for a second solve
-        mu = AtomicMeasure([[5, 1], [3, 5], [4, 5], [4, 4], [2, 1]],
-                           np.array([3, 4, 4, 2, 4]) / 17)
-        nu = AtomicMeasure([[1, 0], [3, 5], [1, 3], [0, 4], [1, 4]],
-                           np.array([4, 4, 1, 1, 3]) / 13)
-        solves = count_solves(monkeypatch)
-        calls = record_shifts(monkeypatch)
-        res = w1_exact(mu, nu)
-        assert len(solves) == res.lp_solves >= 2
-        assert calls[0][1] is None
-        assert_certified(res, dense_w1(mu, nu))
-
-    def test_pinned_sector_2d_rows_take_one_solve(self, tmp_path):
-        # the benchmark's 2D instance: 598-1924 grid cells against 100 agents
-        w = load_bench("workloads.py").WORKLOADS["sector_2d"]
-        w.write_config(w.pinned_seed, tmp_path / "cfg.json")
-        assert main(["converge", "--config", str(tmp_path / "cfg.json"),
-                     "--out", str(tmp_path / "out")]) == 0
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        solves = [v for row in summary["w1_lp_solves"].values() for v in row.values()]
-        gaps = [v for row in summary["w1_gap"].values() for v in row.values()]
-        assert solves == [1, 1, 1, 1]
-        assert len(gaps) == 4 and max(gaps) <= 1e-9
 
 
 def linprog_restricted_lp(xs, a, ys, b, pairs):
@@ -500,9 +411,11 @@ class TestRestrictedLp:
         assert retries == ["presolve"]
 
     def test_presolve_infeasible_sector_2d_passes(self, tmp_path, monkeypatch):
-        # seed 30 of the benchmark's 2D workload: HiGHS's presolve calls a
-        # feasible restricted LP infeasible, which the solve without presolve
-        # then solves; the retry is not another restricted LP
+        # seed 30 of the benchmark's 2D workload with its light atoms kept:
+        # HiGHS's presolve calls a feasible restricted LP infeasible, which
+        # the solve without presolve then solves; the retry is not another
+        # restricted LP
+        monkeypatch.setattr(wasserstein, "_move_light", lambda xs, w: (xs, w, 0.0))
         retries = record_presolve_off(monkeypatch)
         solves = count_solves(monkeypatch)
         w = load_bench("workloads.py").WORKLOADS["sector_2d"]
