@@ -77,8 +77,8 @@ def _typed(value, kind: type = list):
 
 
 def _numbers(value) -> list:
-    """A JSON list of numbers, or of such lists, as floats."""
-    return [_numbers(v) if isinstance(v, list) else _number(v) for v in _typed(value)]
+    """A flat JSON list of numbers, as floats."""
+    return [_number(v) for v in _typed(value)]
 
 
 def time_label(t: float) -> str:
@@ -163,7 +163,9 @@ def _read_initial(block, model: VelocityModel, states: int) -> AtomicMeasure:
     kind = _require(block, "type", "initial")
     if kind == "atoms":
         _known(block, ("type", "positions", "weights"), "initial")
-        positions = _numbers(_require(block, "positions", "initial"))
+        # one number or one list of numbers per atom
+        positions = [_numbers(p) if isinstance(p, list) else _number(p)
+                     for p in _typed(_require(block, "positions", "initial"))]
         _oracle_fits(len(positions), model, states, "initial.positions")
         weights = block.get("weights")
         if weights is None:

@@ -21,6 +21,9 @@ from .velocity import VelocityModel, eval_grid_many, velocity_bound
 
 DEFAULT_MAX_OCCUPIED = 10 ** 7
 DEFAULT_MAX_STEPS = 10 ** 7
+# the run's slack on its per-step checks: a cell moves at most V*dt*(1 + it),
+# and each cell's overlap fractions sum to 1 within it
+STEP_TOL = 1e-12
 
 
 def mesh_schedule(v_ref: float, delta: float, ks) -> tuple:
@@ -42,6 +45,7 @@ class StepReport:
     max_displacement: float
     cfl_alpha: float
     occupied_cells: int
+    partition_error: float  # max over cells of |sum of its fractions - 1|
 
     @property
     def mass_error(self) -> float:
@@ -94,6 +98,8 @@ def step(lam: GridMeasure, model: VelocityModel, dt: float):
         max_displacement=float(np.max(np.sqrt(sq_norm(disp)))) if lam.occupied else 0.0,
         cfl_alpha=cfl_ratio(model, dt, spec.cell_width),
         occupied_cells=new.occupied,
+        partition_error=float(np.abs(fractions.reshape(2 ** spec.dim, -1).sum(axis=0) - 1.0)
+                              .max(initial=0.0)),
     )
     return new, report
 
@@ -111,11 +117,22 @@ def step_count(T: float, dt: float) -> int:
 
 def run(lam0: GridMeasure, model: VelocityModel, T: float, dt: float):
     """Iterate the scheme for step_count(T, dt) steps from lam0, yielding
-    ``(lam, report)`` after each step; no frame is kept. More occupied cells
-    than DEFAULT_MAX_OCCUPIED break the run."""
+    ``(lam, report)`` after each step; no frame is kept. A step breaks the
+    run if a cell moves farther than V*dt or its overlap fractions do not
+    sum to 1 (each within STEP_TOL), if it loses mass, or if more cells than
+    DEFAULT_MAX_OCCUPIED are occupied."""
     lam = lam0
+    reach = velocity_bound(model) * dt
     for n in range(step_count(T, dt)):
         lam, rep = step(lam, model, dt)
+        if not rep.max_displacement <= reach * (1.0 + STEP_TOL):  # NaN fails too
+            raise NumericalInvariantError(
+                f"a cell moved {rep.max_displacement!r} at step {n + 1}, "
+                f"farther than V*dt = {reach!r}")
+        if not rep.partition_error <= STEP_TOL:
+            raise NumericalInvariantError(
+                f"a cell's overlap fractions sum to 1 only within {rep.partition_error:.3g} "
+                f"at step {n + 1}, over {STEP_TOL}")
         check_mass(rep.mass, f"the grid after step {n + 1}")
         if rep.occupied_cells > DEFAULT_MAX_OCCUPIED:
             raise NumericalInvariantError(

@@ -62,8 +62,8 @@ def _highs_core():
 
 
 _core = _highs_core()
-HighsLp, HighsModelStatus, MatrixFormat, _Highs = (
-    _core.HighsLp, _core.HighsModelStatus, _core.MatrixFormat, _core._Highs)
+HighsModelStatus, MatrixFormat, ObjSense, _Highs = (
+    _core.HighsModelStatus, _core.MatrixFormat, _core.ObjSense, _core._Highs)
 
 # cap on the atom pairs priced per solve (m * n); pricing memory stays bounded
 # by _BLOCK_PAIRS whatever the cap
@@ -245,28 +245,17 @@ def _restricted_lp(xs, a, ys, b, pairs):
     cost = np.sqrt(sq_norm(xs[i] - ys[j]))
     # column p holds a 1 in rows i[p] and m + j[p], unless that is the last
     # column's row, left out
-    rows = np.stack([i, m + j], axis=1)
+    rows = np.stack([i, m + j], axis=1).astype(np.int32)
     kept = rows < m + n - 1
-    start = np.concatenate([[0], np.cumsum(kept.sum(axis=1))])
+    start = np.concatenate([[0], np.cumsum(kept.sum(axis=1))]).astype(np.int32)
     rhs = np.concatenate([a, b[:-1]])
-
-    lp = HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(pairs)
-    lp.num_row_ = lp.a_matrix_.num_row_ = m + n - 1
-    lp.col_cost_ = cost
-    lp.col_lower_ = np.zeros(len(pairs))
-    lp.col_upper_ = np.full(len(pairs), np.inf)
-    lp.row_lower_ = lp.row_upper_ = rhs
-    lp.a_matrix_.format_ = MatrixFormat.kColwise
-    # integer arrays convert to HiGHS's vectors element by element; lists of
-    # Python ints convert faster
-    lp.a_matrix_.start_ = start.tolist()
-    lp.a_matrix_.index_ = rows[kept].tolist()
-    lp.a_matrix_.value_ = np.ones(start[-1])
     highs = _Highs()
     for name, value in _HIGHS_OPTIONS:
         highs.setOptionValue(name, value)
-    highs.passModel(lp)
+    highs.passModel(len(pairs), m + n - 1, start[-1], MatrixFormat.kColwise,
+                    ObjSense.kMinimize, 0.0, cost, np.zeros(len(pairs)),
+                    np.full(len(pairs), np.inf), rhs, rhs, start, rows[kept],
+                    np.ones(start[-1]), np.zeros(len(pairs), dtype=np.int32))
     highs.run()
     if highs.getModelStatus() == HighsModelStatus.kInfeasible:
         highs.setOptionValue("presolve", "off")

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crowdflow import (CaseStudyRepulsion, GridMeasure, Sector, VelocityModel, __version__,
@@ -273,15 +274,21 @@ class TestValidation:
          "model: model.heading"),
         ("converge", ("model", "heading", "axis"), "[1.0, 0.0, 0.0]", SECTOR_2D, "model"),
         ("project", ("initial", "positions"), "[[0.1], [0.5], [0.9]]", SECTOR_2D, "initial"),
+        ("project", ("initial", "interval"), "[[0.0, 0.5], [1.0, 3.0]]",
+         dict(SECTOR_2D, initial=UNIFORM), "initial"),
+        ("project", ("initial", "weights"), "[[0.25, 0.25], [0.25, 0.25]]",
+         {"initial": {"type": "atoms", "positions": [[0.1], [0.3], [0.5], [0.9]]}}, "initial"),
     ], ids=["axis-converge", "axis-particles", "T", "ks", "positions", "interval",
-            "reach", "cell-volume", "heading-under-ball", "axis-3d", "atoms-1d-in-2d"])
+            "reach", "cell-volume", "heading-under-ball", "axis-3d", "atoms-1d-in-2d",
+            "nested-interval", "nested-weights"])
     def test_refused_value_names_its_part(self, tmp_path, capsys, command, path, text,
                                           overrides, part):
         # a heading axis 1e-10 short of unit length, numbers written as strings,
         # atoms or an interval 2^53 or more cells from the origin, a radius that
         # takes the run as far, a cell volume past the largest float, a
         # heading under a ball, which nothing would read, a 3D heading axis on
-        # a sector and 1D atoms under a 2D model
+        # a sector, 1D atoms under a 2D model, and an interval or weights
+        # nested a level deeper than their flat list of numbers
         cfg = tmp_path / "cfg.json"
         cfg.write_text(with_raw_value(path, text, **overrides))
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -663,6 +670,38 @@ class TestCli:
         assert "13 occupied cells at step 5" in capsys.readouterr().err
         lines = (out / "level_0" / "steps.jsonl").read_text().splitlines()
         assert lines == full_lines[:4]
+
+    @pytest.mark.parametrize("fault", ["velocity", "fractions"])
+    def test_step_invariant_break_exits_3_naming_the_step(self, tmp_path, monkeypatch, capsys,
+                                                          fault):
+        # from step 3 on, the grid field is 2V, or one overlap fraction is
+        # scaled by 1 + 1e-9: either breaks the run before that step's line
+        calls = []
+        if fault == "velocity":
+            def field(model, lam, X):
+                calls.append(None)
+                v = scheme.velocity_bound(model) * (2.0 if len(calls) >= 3 else 0.0)
+                return np.full(np.shape(X), v)
+            monkeypatch.setattr(scheme, "eval_grid_many", field)
+        else:
+            exact = scheme.overlap_fractions
+
+            def fractions(spec, J, W):
+                calls.append(None)
+                targets, frac = exact(spec, J, W)
+                if len(calls) >= 3:
+                    frac[np.argmax(frac)] *= 1 + 1e-9
+                return targets, frac
+            monkeypatch.setattr(scheme, "overlap_fractions", fractions)
+        data = fast_config(schedule={"h": 0.01, "dt": 0.001})
+        cfg = write_json(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical invariant violated: ")
+        assert "at step 3," in err[0]
+        assert ("farther than V*dt" if fault == "velocity" else "overlap fractions") in err[0]
+        assert len((out / "level_0" / "steps.jsonl").read_text().splitlines()) == 2
 
     @pytest.mark.parametrize("where", ["step", "snapshot", "w1"])
     def test_mass_violation_exits_3(self, tmp_path, monkeypatch, capsys, where):
