@@ -220,7 +220,8 @@ def parse_config(data, source: str = "<config>") -> ExperimentConfig:
         part = "initial"
         mu0 = _read_initial(_require(data, "initial", "config"), model, oracle_steps + 1)
         part = "w1_sample_times"
-        times = tuple(_numbers(data.get("w1_sample_times", [T / 2.0, T])))
+        # + 0.0 reads -0.0 as 0.0, so outputs name it "0" as `project` does
+        times = tuple(t + 0.0 for t in _numbers(data.get("w1_sample_times", [T / 2.0, T])))
         if not times:
             raise ConfigError("w1_sample_times must be nonempty")
         for t in times:

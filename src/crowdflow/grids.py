@@ -83,6 +83,16 @@ def cell_indices(spec: GridSpec, X: np.ndarray) -> np.ndarray:
     return np.floor(q + 0.5).astype(np.int64)
 
 
+# Max point pairs in one block of any pairwise scan, the velocity pair sums'
+# and W1's cost blocks; a row is never split. Sized to the cache: each of a
+# block's temporaries takes at most 128 KB, which the allocator reuses from
+# block to block; at 4e6 a 1000-agent 1D oracle step (68k pairs, 0.5 MB
+# temporaries) faulted fresh memory in and ran 1.5x slower. Over 2^12-2^16,
+# 2^14 was fastest or tied on the 1D oracle and 2D pair sums, and no slower
+# than 2^18 on the 2D W1 rows (2-CPU x86 VM, numpy 2.4, one thread).
+PAIR_BLOCK = 1 << 14
+
+
 def sq_norm(z: np.ndarray) -> np.ndarray:
     """|z|^2 over the last axis, summed one component at a time from the first:
     the same bits as ``np.sum(z * z, axis=-1)``, whose square root is

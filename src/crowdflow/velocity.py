@@ -23,17 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.fft import irfftn, rfftn
 
-from .grids import AtomicMeasure, GridMeasure, NumericalInvariantError, sq_norm
+from .grids import PAIR_BLOCK, AtomicMeasure, GridMeasure, NumericalInvariantError, sq_norm
 
-# Max (query, atom) pairs evaluated in one block of the pair sum, sized to the
-# cache: each of a block's dozen temporaries takes at most 128 KB, which stays
-# in cache and which the allocator reuses from block to block. Much larger
-# blocks take fresh memory for every temporary and spend much of their time
-# faulting it in (at 4e6, a 1000-agent 1D oracle step of 68k pairs was one
-# block of 0.5 MB temporaries and ran 1.5x slower). Scanned over 2^12 to 2^16
-# on the 1D oracle and on 2D pair sums, 2^14 was fastest or tied (2-CPU x86 VM,
-# numpy 2.4, one thread). A query is never split across blocks.
-_EVAL_CHUNK = 1 << 14
 # The pair sum at the atoms takes its at-atoms form from _DENSE_MAX_ATOMS + 1
 # = 64 atoms on, and its dense form below. On n uniform atoms in [0, 1]^d with
 # R = 0.1, the dense form was faster at n = 48 in 1D and the at-atoms form at
@@ -45,7 +36,7 @@ _DENSE_MAX_ATOMS = 63
 # 32 MB. One call at the ceiling raised the peak RSS by 160 MB in 1D at 2^22
 # cells and by 129 MB in 2D at 2^21 cells a component, and left the stencil's
 # spectrum, 32 MB, held in its cache (numpy 2.4). Past it the pair sum runs,
-# in _EVAL_CHUNK blocks.
+# in PAIR_BLOCK blocks.
 _LATTICE_MAX_CELLS = 1 << 22
 # The stencil spectra the lattice path holds between steps, one per (model,
 # h, padded shape): at most 64 MB at the ceiling, two shapes, enough for a
@@ -361,13 +352,13 @@ def cutoff_at(model: VelocityModel, X, Y) -> np.ndarray:
 def _window_blocks(count: np.ndarray):
     """The pairs of the at-atoms sum in blocks: sorted atom i pairs with the
     count[i] atoms after it. Yields (row, col), each pair's two atom indices,
-    for the rows lo..hi-1, which hold at most _EVAL_CHUNK pairs (or row lo
+    for the rows lo..hi-1, which hold at most PAIR_BLOCK pairs (or row lo
     alone); rows are never split, and pairs come row by row, atoms in order."""
     ends = np.cumsum(count)  # the pairs of row i are ends[i] - count[i] ... ends[i] - 1
     lo = 0
     while lo < len(count):
         base = ends[lo] - count[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, base + _EVAL_CHUNK, "right")))
+        hi = max(lo + 1, int(np.searchsorted(ends, base + PAIR_BLOCK, "right")))
         n = count[lo:hi]
         # pair p, counted over all rows, pairs row i with atom p + i + 1 - (ends[i] - n[i])
         shift = np.arange(lo + 1, hi + 1) - ends[lo:hi] + n
@@ -386,7 +377,7 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
       atoms, :func:`_interaction_sum_at_atoms` evaluates each pair of atoms
       once;
     - dense: everywhere else, every (query, atom) pair is evaluated in
-      blocks of at most _EVAL_CHUNK pairs, and a row gets the same bits
+      blocks of at most PAIR_BLOCK pairs, and a row gets the same bits
       whether alone or in a batch. The program asks only at the atoms, so
       points off them come from callers of the API.
     """
@@ -395,7 +386,7 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
     if m > _DENSE_MAX_ATOMS and np.array_equal(X, Y):
         return _interaction_sum_at_atoms(model, Y, w)
     out = np.empty((q, d))
-    block = max(1, _EVAL_CHUNK // max(m, 1))
+    block = max(1, PAIR_BLOCK // max(m, 1))
     for lo in range(0, q, block):
         Xb = X[lo:lo + block, None, :]
         Z = Y[None, :, :] - Xb

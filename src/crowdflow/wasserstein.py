@@ -33,7 +33,7 @@ from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
-from .grids import (AtomicMeasure, GridMeasure, NumericalInvariantError, atomize,
+from .grids import (PAIR_BLOCK, AtomicMeasure, GridMeasure, NumericalInvariantError, atomize,
                     merge_duplicates, sq_norm)
 
 
@@ -66,7 +66,7 @@ HighsModelStatus, MatrixFormat, ObjSense, _Highs = (
     _core.HighsModelStatus, _core.MatrixFormat, _core.ObjSense, _core._Highs)
 
 # cap on the atom pairs priced per solve (m * n); pricing memory stays bounded
-# by _BLOCK_PAIRS whatever the cap
+# by PAIR_BLOCK whatever the cap
 DEFAULT_MAX_PAIRS = 2 ** 24
 # HiGHS primal and dual feasibility tolerance; a pair joins the candidate set
 # when its reduced cost is below -_LP_TOL, the slack HiGHS allows the pairs it
@@ -82,8 +82,6 @@ _HIGHS_OPTIONS = (("output_flag", False), ("presolve", "on"),
                   ("dual_feasibility_tolerance", _LP_TOL))
 # nearest atoms on the other side that seed each atom's candidate pairs
 _NEAREST = 4
-# cost entries per block when the m x n cost is scanned
-_BLOCK_PAIRS = 2 ** 18
 
 
 class AtomCapError(ValueError):
@@ -194,8 +192,8 @@ def _unique(keys: np.ndarray) -> np.ndarray:
 
 def _cost_blocks(xs: np.ndarray, ys: np.ndarray):
     """Yield (first row, Euclidean cost block) over row blocks of the m x n
-    cost between xs and ys, at most about _BLOCK_PAIRS entries each."""
-    step = max(1, _BLOCK_PAIRS // len(ys))
+    cost between xs and ys, at most PAIR_BLOCK entries each (or one row)."""
+    step = max(1, PAIR_BLOCK // len(ys))
     # coordinate-major: each block sums the squared offsets of one coordinate
     # at a time from the first, as sq_norm does, so the bits are sq_norm's
     xt, yt = np.ascontiguousarray(xs.T), np.ascontiguousarray(ys.T)
@@ -276,9 +274,10 @@ def _price(xs, ys, f, g):
     n = len(ys)
     negative, g_c = [], np.full(n, np.inf)
     for i, C in _cost_blocks(xs, ys):
-        D = C - f[i:i + len(C), None]
-        np.minimum(g_c, D.min(axis=0), out=g_c)
-        r, c = np.nonzero(D - g < -_LP_TOL)
+        C -= f[i:i + len(C), None]
+        np.minimum(g_c, C.min(axis=0), out=g_c)
+        C -= g
+        r, c = np.nonzero(C < -_LP_TOL)
         negative.append((i + r) * n + c)
     return np.concatenate(negative), g_c
 

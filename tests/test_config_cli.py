@@ -547,6 +547,22 @@ class TestCli:
         assert "w1_lp_solves" not in summary  # 1D rows solve no LP
         assert "warning" not in capsys.readouterr().err
 
+    def test_negative_zero_sample_time_is_zero(self, tmp_path):
+        # -0.0 is read as 0.0, so every output names it "0", as project does
+        cfg = write_json(tmp_path, fast_config(w1_sample_times=[-0.0, 0.005]))
+        out = tmp_path / "o"
+        assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 0
+        names = sorted(str(p.relative_to(out)) for p in out.rglob("*"))
+        assert [n for n in names if "-0" in n] == []
+        for k in ("4", "8"):
+            assert f"level_{k}/density_t0.csv" in names
+        summary = json.loads((out / "summary.json").read_text())
+        assert all(list(row) == ["0", "0.005"] for row in summary["w1_gap"].values())
+        assert all(math.copysign(1, row["0"]) == 1
+                   for row in summary["grid_sample_times"].values())
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[3] for r in rows] == ["0.0", "0.005"] * 2
+
     def test_converge_records_grid_sample_times(self, tmp_path, capsys):
         # v_ref = 1.2 gives dt = 0.456 at k = 4, where round(0.6 / dt) = 1 step
         # ends the run at t = 0.456 < T, and dt = 0.323 at k = 8 (2 steps, past T)

@@ -15,7 +15,7 @@ from crowdflow import (AtomicMeasure, Ball, CaseStudyRepulsion, ConstantDesired,
                        kernel_F, lipschitz_constants, rotation_at, velocity_bound)
 from crowdflow import velocity, wasserstein
 from crowdflow.config import build_model, case_study_path
-from crowdflow.grids import sq_norm
+from crowdflow.grids import PAIR_BLOCK, sq_norm
 from crowdflow.velocity import _bump, _headings, _interaction_sum, _lattice_interaction
 from helpers import CustomDesired, CustomKernel, fft_seen_counts
 
@@ -31,7 +31,7 @@ def ball_model(n_agents=2, dim=1):
                          neighborhood=Ball(R, B))
 
 
-def pair_sum(form, model, Y, w, X, chunk=velocity._EVAL_CHUNK):
+def pair_sum(form, model, Y, w, X, chunk=PAIR_BLOCK):
     """_interaction_sum forced into one of its forms: "dense", or "atoms" (at
     any atom count), which X must take: X equal to Y."""
     Y, w, X = (np.asarray(a, dtype=float) for a in (Y, w, X))
@@ -39,7 +39,7 @@ def pair_sum(form, model, Y, w, X, chunk=velocity._EVAL_CHUNK):
         assert np.array_equal(X, Y)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(velocity, "_DENSE_MAX_ATOMS", math.inf if form == "dense" else 0)
-        mp.setattr(velocity, "_EVAL_CHUNK", chunk)
+        mp.setattr(velocity, "PAIR_BLOCK", chunk)
         return _interaction_sum(model, Y, w, X)
 
 
@@ -142,7 +142,7 @@ def repulsion_norm_form(kernel, z):
 
 
 def cost_blocks_norm_form(xs, ys):
-    step = max(1, wasserstein._BLOCK_PAIRS // len(ys))
+    step = max(1, PAIR_BLOCK // len(ys))
     return [np.linalg.norm(xs[i:i + step, None, :] - ys[None, :, :], axis=2)
             for i in range(0, len(xs), step)]
 
@@ -452,7 +452,7 @@ class TestCustomCallables:
         shapes.clear()
         eval_atomic_many(model, mu, X)
         assert shapes == [(12, 5, 1)]
-        monkeypatch.setattr(velocity, "_EVAL_CHUNK", 20)  # 4 queries per block
+        monkeypatch.setattr(velocity, "PAIR_BLOCK", 20)  # 4 queries per block
         shapes.clear()
         eval_atomic_many(model, mu, X)
         assert shapes == [(4, 5, 1)] * 3
@@ -971,7 +971,7 @@ def all_terms_zero(model, Y, w):
     return np.all(terms == 0, axis=(1, 2))
 
 
-CHUNKS = [7, velocity._EVAL_CHUNK, 4_000_000]
+CHUNKS = [7, PAIR_BLOCK, 4_000_000]
 
 
 class TestAtomsFormAgainstDense:

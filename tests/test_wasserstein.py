@@ -10,7 +10,8 @@ from scipy.optimize import linprog
 
 from crowdflow import (AtomicMeasure, GridMeasure, GridSpec, NumericalInvariantError, W1Result,
                        atomize, project_atomic, w1_1d, w1_exact, w1_grid_atomic, wasserstein)
-from crowdflow.grids import MassError, check_mass, merge_duplicates, sq_norm, total_mass
+from crowdflow.grids import (PAIR_BLOCK, MassError, check_mass, merge_duplicates, sq_norm,
+                            total_mass)
 from crowdflow.cli import main
 from helpers import load_bench, translated
 
@@ -336,6 +337,91 @@ def count_solves(monkeypatch):
 
     monkeypatch.setattr(wasserstein, "_restricted_lp", counted)
     return solves
+
+
+def w1_at_budget(mu, nu, budget):
+    """w1_exact with the cost scanned in blocks of at most ``budget`` pairs
+    (or one row), and the number of blocks of each scan, in call order."""
+    blocks = []
+    cost_blocks = wasserstein._cost_blocks
+
+    def counted(xs, ys):
+        blocks.append(0)
+        for block in cost_blocks(xs, ys):
+            blocks[-1] += 1
+            yield block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wasserstein, "PAIR_BLOCK", budget)
+        mp.setattr(wasserstein, "_cost_blocks", counted)
+        return w1_exact(mu, nu), blocks
+
+
+def price_three_array_form(xs, ys, f, g):
+    """_price with each block's C, D = C - f and D - g held at once: the
+    reference for the bits of its in-place form."""
+    n = len(ys)
+    negative, g_c = [], np.full(n, np.inf)
+    for i, C in wasserstein._cost_blocks(xs, ys):
+        D = C - f[i:i + len(C), None]
+        np.minimum(g_c, D.min(axis=0), out=g_c)
+        r, c = np.nonzero(D - g < -wasserstein._LP_TOL)
+        negative.append((i + r) * n + c)
+    return np.concatenate(negative), g_c
+
+
+class TestPairBlocks:
+    """The W1 scans take the shared PAIR_BLOCK budget; a budget of 7 pairs
+    splits every scan of more than a few atoms into blocks of a row or two."""
+
+    @given(st.data(), st.sampled_from([2, 3]))
+    @settings(max_examples=50, deadline=None)
+    def test_budget_leaves_the_result(self, data, dim):
+        weight = st.integers(1, 9) | st.sampled_from([1e-19, 1e-12, 1e-11])
+        mu, nu = (data.draw(measures(dim, weight)) for _ in range(2))
+        dense = dense_w1(mu, nu)
+        res, _ = w1_at_budget(mu, nu, PAIR_BLOCK)
+        small, _ = w1_at_budget(mu, nu, 7)
+        assert ([small.distance.hex(), small.lower.hex(), small.lp_solves]
+                == [res.distance.hex(), res.lower.hex(), res.lp_solves])
+        for r in (res, small):
+            assert_certified(r, dense)
+
+    def test_rank_one_rounding_in_several_blocks(self):
+        # 5 rows and 5 columns miss mass after the plan is scaled onto the
+        # marginals, so the rank-1 plan's cost, the last scan, takes 5 blocks
+        rng = np.random.default_rng(2)
+        w = rng.integers(1, 10, 12).astype(float)
+        mu = AtomicMeasure(rng.random((12, 2)), w / w.sum())
+        w = rng.integers(1, 10, 11).astype(float)
+        nu = AtomicMeasure(rng.random((11, 2)), w / w.sum())
+        res, blocks = w1_at_budget(mu, nu, PAIR_BLOCK)
+        small, small_blocks = w1_at_budget(mu, nu, 7)
+        assert blocks[-1] == 1 and small_blocks[-1] == 5
+        assert ([small.distance.hex(), small.lower.hex(), small.lp_solves]
+                == [res.distance.hex(), res.lower.hex(), res.lp_solves])
+        # the rank-1 cost sums per block, so the upper bounds may round apart
+        assert small.upper == pytest.approx(res.upper, rel=1e-15, abs=1e-16)
+        dense = dense_w1(mu, nu)
+        for r in (res, small):
+            assert_certified(r, dense)
+
+    @given(st.data(), st.sampled_from([2, 3]), st.sampled_from([7, PAIR_BLOCK]))
+    @settings(max_examples=50, deadline=None)
+    def test_price_matches_three_array_form(self, data, dim, budget):
+        # g puts some reduced costs on either side of -_LP_TOL and some on it
+        xs, ys = data.draw(measures(dim)).positions, data.draw(measures(dim)).positions
+        f = np.array(data.draw(st.lists(st.floats(-3, 3), min_size=len(xs),
+                                        max_size=len(xs))))
+        C = np.linalg.norm(xs[:, None] - ys[None], axis=2)
+        offset = st.sampled_from([0.0, -2e-10, -1e-10, 1e-10, 0.5, -0.5])
+        g = (C - f[:, None]).min(axis=0) + data.draw(
+            st.lists(offset, min_size=len(ys), max_size=len(ys)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(wasserstein, "PAIR_BLOCK", budget)
+            got = wasserstein._price(xs, ys, f, g)
+            ref = price_three_array_form(xs, ys, f, g)
+        assert [got[0].tobytes(), got[1].tobytes()] == [ref[0].tobytes(), ref[1].tobytes()]
 
 
 def linprog_restricted_lp(xs, a, ys, b, pairs):
