@@ -368,25 +368,13 @@ def _window_blocks(count: np.ndarray):
 
 def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
                      X: np.ndarray) -> np.ndarray:
-    """N * sum_j w_j F(y_j - x) sigma_{U_x}(y_j) for each row x of X.
-
-    The sum takes one of two forms:
-
-    - at the atoms: where X equals Y (the same points in the same order,
-      whatever array holds them) and there are more than _DENSE_MAX_ATOMS
-      atoms, :func:`_interaction_sum_at_atoms` evaluates each pair of atoms
-      once;
-    - dense: everywhere else, every (query, atom) pair is evaluated in
-      blocks of at most PAIR_BLOCK pairs, and a row gets the same bits
-      whether alone or in a batch. The program asks only at the atoms, so
-      points off them come from callers of the API.
-    """
+    """N * sum_j w_j F(y_j - x) sigma_{U_x}(y_j) for each row x of X: the
+    dense field at any points, the reference of every faster form. Every
+    (query, atom) pair is evaluated, in blocks of at most PAIR_BLOCK pairs,
+    and a row gets the same bits whether alone or in a batch."""
     q, d = X.shape
-    m = Y.shape[0]
-    if m > _DENSE_MAX_ATOMS and np.array_equal(X, Y):
-        return _interaction_sum_at_atoms(model, Y, w)
     out = np.empty((q, d))
-    block = max(1, PAIR_BLOCK // max(m, 1))
+    block = max(1, PAIR_BLOCK // max(Y.shape[0], 1))
     for lo in range(0, q, block):
         Xb = X[lo:lo + block, None, :]
         Z = Y[None, :, :] - Xb
@@ -397,8 +385,8 @@ def _interaction_sum(model: VelocityModel, Y: np.ndarray, w: np.ndarray,
 
 
 def _interaction_sum_at_atoms(model: VelocityModel, Y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The pair sum at the atoms themselves for an odd kernel, each pair of
-    atoms evaluated once.
+    """The pair sum at the atoms themselves for an odd kernel: the dense form
+    up to _DENSE_MAX_ATOMS atoms, and above, each pair of atoms evaluated once.
 
     U_x lies inside B_R(x), so with the atoms sorted by first coordinate,
     atom i pairs only with the atoms after it, up to y_0 + R (rounding is
@@ -413,6 +401,8 @@ def _interaction_sum_at_atoms(model: VelocityModel, Y: np.ndarray, w: np.ndarray
     size moves no bits.
     """
     m, d = Y.shape
+    if m <= _DENSE_MAX_ATOMS:
+        return _interaction_sum(model, Y, w, Y)
     order = np.argsort(Y[:, 0], kind="stable")
     Y, w = Y[order], w[order]
     after = np.searchsorted(Y[:, 0], Y[:, 0] + model.neighborhood.radius, "right")
@@ -579,19 +569,28 @@ def _lattice_interaction(model: VelocityModel, lam: GridMeasure):
 
 def eval_grid_many(model: VelocityModel, lam: GridMeasure, X: np.ndarray) -> np.ndarray:
     """v[lambda](x) at each row x of X by cell-center quadrature over the
-    occupied cells: the lattice correlation where X equals ``lam.centers()``
-    and :func:`_lattice_interaction` applies, else the pair sum."""
+    occupied cells. Where X equals ``lam.centers()`` (by value), the
+    lattice correlation runs where :func:`_lattice_interaction` applies,
+    else the pair sum at the atoms; other points take the dense sum."""
     X = np.asarray(X, dtype=float)
-    inter = _lattice_interaction(model, lam) if np.array_equal(X, lam.centers()) else None
-    if inter is None:
-        inter = _interaction_sum(model, lam.centers(), lam.cell_masses(), X)
+    C = lam.centers()
+    if np.array_equal(X, C):
+        inter = _lattice_interaction(model, lam)
+        if inter is None:
+            inter = _interaction_sum_at_atoms(model, C, lam.cell_masses())
+    else:
+        inter = _interaction_sum(model, C, lam.cell_masses(), X)
     return model.desired(X) + inter
 
 
 def eval_atomic_many(model: VelocityModel, mu: AtomicMeasure, X) -> np.ndarray:
-    """v[mu](x) at each row x of the points X."""
+    """v[mu](x) at each row x of the points X: the pair sum at the atoms
+    where X equals ``mu.positions`` (by value), else the dense sum."""
     X = np.asarray(X, dtype=float)
-    return model.desired(X) + _interaction_sum(model, mu.positions, mu.weights, X)
+    Y, w = mu.positions, mu.weights
+    if X is Y or np.array_equal(X, Y):  # the oracle's step passes mu.positions itself
+        return model.desired(X) + _interaction_sum_at_atoms(model, Y, w)
+    return model.desired(X) + _interaction_sum(model, Y, w, X)
 
 
 def velocity_bound(model: VelocityModel) -> float:

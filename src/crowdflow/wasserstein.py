@@ -91,8 +91,10 @@ class AtomCapError(ValueError):
 @dataclass(frozen=True)
 class W1Result:
     """A computed W1 distance between two atomic measures, with
-    ``lower <= W1 <= upper`` certified for its exact value (all three are equal
-    in 1D). In 2D and up, ``distance`` is the LP optimum once the atoms lighter
+    ``lower <= W1 <= upper`` certified for its exact value up to the rounding
+    of the two sums that give the bounds, so ``upper - lower`` can read a few
+    ulps below 0 (all three are equal in 1D). In 2D and up, ``distance`` is
+    the LP optimum once the atoms lighter
     than the LP's tolerance have moved onto heavier ones, and the interval
     widens the LP's bounds by the cost of those moves on each side.
     ``atomization_bound`` is 0 between atomic measures; when one side is a grid
@@ -133,7 +135,8 @@ def w1_exact(mu: AtomicMeasure, nu: AtomicMeasure) -> W1Result:
     others leave, so no weight turns negative, and the bounds hold for those
     marginals; the LP leaves out the last column constraint as redundant.
     Raises :class:`AtomCapError` when the m * n atom pairs exceed
-    DEFAULT_MAX_PAIRS; callers may then subsample or fall back to :func:`w1_1d`.
+    DEFAULT_MAX_PAIRS; ``converge`` then exits 2, naming the level, the
+    sample time and both atom counts.
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")

@@ -32,15 +32,17 @@ def ball_model(n_agents=2, dim=1):
 
 
 def pair_sum(form, model, Y, w, X, chunk=PAIR_BLOCK):
-    """_interaction_sum forced into one of its forms: "dense", or "atoms" (at
-    any atom count), which X must take: X equal to Y."""
+    """The pair sum in blocks of ``chunk`` pairs: "dense", _interaction_sum
+    at the points X, or "atoms", _interaction_sum_at_atoms forced into its
+    at-atoms form at any atom count, which X must take: X equal to Y."""
     Y, w, X = (np.asarray(a, dtype=float) for a in (Y, w, X))
-    if form == "atoms":
-        assert np.array_equal(X, Y)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(velocity, "_DENSE_MAX_ATOMS", math.inf if form == "dense" else 0)
         mp.setattr(velocity, "PAIR_BLOCK", chunk)
-        return _interaction_sum(model, Y, w, X)
+        if form == "dense":
+            return _interaction_sum(model, Y, w, X)
+        assert np.array_equal(X, Y)
+        mp.setattr(velocity, "_DENSE_MAX_ATOMS", 0)
+        return velocity._interaction_sum_at_atoms(model, Y, w)
 
 
 class TestKernels:
@@ -522,6 +524,21 @@ class TestEvaluation:
         for i, x in enumerate(X):
             np.testing.assert_array_equal(many[i], eval_atomic_many(model, mu, x[None])[0])
 
+    @pytest.mark.parametrize("name", ["ball_1d", "ball_2d", "sector_2d"])
+    def test_dense_sum_at_the_atoms_matches_single_rows(self, name):
+        # the dense sum is the reference at any points, the atoms included:
+        # asked at more than _DENSE_MAX_ATOMS atoms it still evaluates every
+        # pair, so each row has the bits it has alone
+        dim = 1 if name == "ball_1d" else 2
+        model = (atoms_models(2, 0.3)["sector_custom"] if name == "sector_2d"
+                 else ball_model(n_agents=100, dim=dim))
+        rng = np.random.default_rng(16)
+        Y = rng.uniform(0.0, 0.5, size=(100, dim))
+        w = rng.uniform(0.5, 1.5, size=100) / 100
+        assert len(Y) > velocity._DENSE_MAX_ATOMS
+        rows = np.vstack([_interaction_sum(model, Y, w, y[None]) for y in Y])
+        assert _interaction_sum(model, Y, w, Y).tobytes() == rows.tobytes()
+
 
 class TestBounds:
     def test_velocity_bound_frozen(self):
@@ -620,20 +637,23 @@ class TestLatticeCorrelation:
         want = np.asarray(smooth)[np.searchsorted(smooth, n)]
         assert [velocity.next_fast_len(int(k)) for k in n] == want.tolist()
 
-    @given(st.integers(1, 2), st.sampled_from([0.02, 0.025, 0.05, 0.03]),
+    @given(st.integers(1, 3), st.sampled_from([0.02, 0.025, 0.05, 0.03]),
            st.floats(0.0, 2 * math.pi),
-           st.lists(st.floats(0.01, 10.0), min_size=100, max_size=100),
+           st.lists(st.floats(0.01, 10.0), min_size=125, max_size=125),
            st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30),
-                              st.floats(0.01, 10.0)), max_size=10))
+                              st.integers(-30, 30), st.floats(0.01, 10.0)), max_size=10))
     @settings(max_examples=60, deadline=None)
     def test_matches_pair_sum(self, dim, h, theta, core, cells):
-        # a full core block of 10^d cells holds the pairs that let the size
-        # rule admit the lattice path; the drawn cells around it spread the
-        # support, some of them out of every other cell's range
-        side = 10
+        # a full core block of 10^d cells (5^3 in 3D, ball models only) holds
+        # the pairs that let the size rule admit the lattice path; the drawn
+        # cells around it spread the support, some of them out of every other
+        # cell's range. In 3D they lie within 6 cells of the core, so the
+        # padded box, at most 24^3 cells, stays within the 125^2 pairs
+        side = 10 if dim < 3 else 5
+        spread = np.array([c[:dim] for c in cells], dtype=np.int64).reshape(-1, dim)
         idx = np.vstack([np.indices((side,) * dim).reshape(dim, -1).T,
-                         np.array([c[:dim] for c in cells]).reshape(-1, dim)])
-        lam = GridMeasure(GridSpec(dim, h), idx, core[:side ** dim] + [c[2] for c in cells])
+                         spread if dim < 3 else spread // 5])
+        lam = GridMeasure(GridSpec(dim, h), idx, core[:side ** dim] + [c[3] for c in cells])
         X = lam.centers()
         for name, model in lattice_models(dim, theta).items():
             got = _lattice_interaction(model, lam)
@@ -701,11 +721,13 @@ class TestLatticeCorrelation:
             dim=2, n_agents=3, desired=CustomDesired(
                 lambda x: np.stack([np.ones_like(x[..., 0]), x[..., 0]], axis=-1), 2.0, 1.0),
             kernel=CaseStudyRepulsion(A, EPS), neighborhood=Sector(R, math.pi, B))
-        X = lam.centers()
+        X, w = lam.centers(), lam.cell_masses()
         assert _lattice_interaction(model, lam) is None
-        np.testing.assert_array_equal(
-            eval_grid_many(model, lam, X),
-            model.desired(X) + _interaction_sum(model, X, lam.cell_masses(), X))
+        # 64 cells: the pair sum at the atoms takes its at-atoms form
+        at_atoms = velocity._interaction_sum_at_atoms(model, X, w)
+        np.testing.assert_array_equal(eval_grid_many(model, lam, X), model.desired(X) + at_atoms)
+        ref = _interaction_sum(model, X, w, X)
+        assert np.max(np.abs(at_atoms - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_far_spread_support_falls_back(self):
         # two cells 10^7 apart: the dense box would dwarf the 4 pairs
@@ -799,10 +821,11 @@ def cells_grid(dim, h, cells):
 
 @st.composite
 def seen_grids(draw):
-    """Random 1D and 2D grids of up to 60 cells, spread over up to 81 cells a
-    side, so that some cells see many others and some none."""
-    dim = draw(st.integers(1, 2))
-    span = draw(st.integers(0, 40))
+    """Random 1D, 2D and 3D grids of up to 60 cells, spread over up to 81
+    cells a side (21 in 3D, where the FFT count's box grows as its cube), so
+    that some cells see many others and some none."""
+    dim = draw(st.integers(1, 3))
+    span = draw(st.integers(0, 40 if dim < 3 else 10))
     cells = draw(st.lists(st.lists(st.integers(-span, span), min_size=dim, max_size=dim),
                           min_size=1, max_size=60))
     return cells_grid(dim, draw(st.sampled_from([0.01, 0.02, 0.025, 0.03, 0.05])), cells)
@@ -1090,24 +1113,28 @@ class TestEachPairEvaluatedOnce:
                 seen["cutoff"].append(len(z)), cutoff(self, z, *u))[1])
             seen["kernel"].clear()
             seen["cutoff"].clear()
-            _interaction_sum(model, Y, w, Y.copy())  # a copy of the atoms: the at-atoms form
+            velocity._interaction_sum_at_atoms(model, Y, w)  # 300 atoms: the at-atoms form
             assert sum(seen["kernel"]) == in_window
             assert sum(seen["cutoff"]) == per_pair * in_window
 
     def test_dispatch(self, monkeypatch):
-        # the at-atoms form runs where the points equal the atoms (the same
-        # points in the same order, whatever array holds them) and there are
-        # more than _DENSE_MAX_ATOMS of them, under a ball or a sector. A
-        # permuted copy of the atoms, points off the atoms and fewer atoms
-        # take the dense form, which agrees to rounding
+        # eval_atomic_many asks for the pair sum at the atoms where the points
+        # equal the atoms (the same points in the same order, whatever array
+        # holds them), under a ball or a sector, and that sum takes its
+        # at-atoms form (the pair windows of _window_blocks) above
+        # _DENSE_MAX_ATOMS atoms. A permuted copy of the atoms and points off
+        # the atoms take the dense sum, which agrees to rounding; 63 atoms
+        # take the dense form at the atoms, bit for bit
         calls = []
-        at_atoms = velocity._interaction_sum_at_atoms
-        monkeypatch.setattr(velocity, "_interaction_sum_at_atoms",
-                            lambda *args: (calls.append(1), at_atoms(*args))[1])
+        for name in ("_interaction_sum_at_atoms", "_window_blocks"):
+            f = getattr(velocity, name)
+            monkeypatch.setattr(velocity, name, lambda *args, name=name, f=f: (
+                calls.append(name), f(*args))[1])
         rng = np.random.default_rng(15)
         mu1 = AtomicMeasure(rng.uniform(0.0, 1.0, size=(100, 1)))
         mu2 = AtomicMeasure(rng.uniform(0.0, 1.0, size=(100, 2)))
         perm = rng.permutation(100)
+        both = ["_interaction_sum_at_atoms", "_window_blocks"]
 
         def close(got, ref):
             return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -1116,16 +1143,20 @@ class TestEachPairEvaluatedOnce:
                 (mu2, atoms_models(2, 0.3)["sector_custom"])]:
             calls.clear()
             got = eval_atomic_many(model, mu, mu.positions)
-            assert calls == [1]
+            assert calls == both
             copied = eval_atomic_many(model, mu, mu.positions.copy())
             assert copied.tobytes() == got.tobytes()
-            assert calls == [1, 1]
+            assert calls == both * 2
             permuted = eval_atomic_many(model, mu, mu.positions[perm])
             assert close(permuted, got[perm])
             X = mu.positions[:-1] + 1e-3
             off = eval_atomic_many(model, mu, X) - model.desired(X)
             assert close(off, pair_sum("dense", model, mu.positions, mu.weights, X))
-            assert calls == [1, 1]
+            assert calls == both * 2
         few = AtomicMeasure(mu1.positions[:velocity._DENSE_MAX_ATOMS])
-        eval_atomic_many(ball_model(n_agents=8), few, few.positions)
-        assert calls == [1, 1]
+        model = ball_model(n_agents=8)
+        calls.clear()
+        got = eval_atomic_many(model, few, few.positions)
+        assert calls == ["_interaction_sum_at_atoms"]
+        dense = _interaction_sum(model, few.positions, few.weights, few.positions)
+        assert got.tobytes() == (model.desired(few.positions) + dense).tobytes()
