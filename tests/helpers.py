@@ -8,7 +8,8 @@ is not odd may run only through the dense pair sum.
 
 ``density`` and ``translated`` read a grid measure as a dict and shift an
 atomic measure. ``fft_seen_counts`` is the lattice path's FFT count of the
-cells each cell sees, the reference of its integer count.
+cells each cell sees, the reference of its integer count, and
+``lattice_calls`` records whether each call of the lattice path ran.
 ``write_trajectory_csv_agents`` is the oracle's CSV formatted agent by agent,
 the reference of the writer that formats each atom once. ``load_bench``
 imports a module of ``bench/`` by path.
@@ -83,6 +84,21 @@ def fft_seen_counts(model: VelocityModel, lam: GridMeasure) -> np.ndarray:
     f = np.fft.rfftn((velocity._lattice_stencil(model, h) != 0).astype(float), shape, axes)
     f *= np.fft.rfftn(dense)[..., None]
     return np.rint(np.fft.irfftn(f, shape, axes)[tuple((lam.indices - lo + r).T)])
+
+
+def lattice_calls(monkeypatch):
+    """Patch velocity._lattice_interaction to record, per call, whether it
+    ran."""
+    ran = []
+    lattice = velocity._lattice_interaction
+
+    def recording(model, lam):
+        got = lattice(model, lam)
+        ran.append(got is not None)
+        return got
+
+    monkeypatch.setattr(velocity, "_lattice_interaction", recording)
+    return ran
 
 
 def write_trajectory_csv_agents(states, dt: float, path) -> None:

@@ -16,7 +16,7 @@ from crowdflow import (CaseStudyRepulsion, GridMeasure, Sector, VelocityModel, _
                        config, scheme, wasserstein)
 from crowdflow.cli import main
 from crowdflow.config import ConfigError, case_study_path, load_config, parse_config
-from helpers import CustomDesired, load_bench
+from helpers import CustomDesired, lattice_calls, load_bench
 
 FAST_MODEL = {
     "dim": 1,
@@ -621,6 +621,25 @@ class TestCli:
         solves = json.loads((tmp_path / "o1" / "summary.json").read_text())["w1_lp_solves"]
         assert {k: set(row) for k, row in solves.items()} == {k: set(row) for k, row in gaps.items()}
         assert all(n >= 1 for row in solves.values() for n in row.values())
+
+    def test_converge_3d_takes_the_lattice(self, tmp_path, monkeypatch):
+        # the 3D config of the CI smoke run with 100 agents: each level's one
+        # grid step (73 and 94 cells) takes the lattice correlation, and the
+        # certified W1 LP runs in 3D
+        data = {"model": dict(FAST_MODEL, dim=3, n_agents=100,
+                              desired={"type": "constant", "c": [1, 0, 0]},
+                              neighborhood={"type": "ball", "R": 0.2, "b": 0.02}),
+                "initial": {"type": "uniform_random", "count": 100,
+                            "interval": [0.0, 1.0], "seed": 3},
+                "T": 0.02, "schedule": {"delta": 0.9, "ks": [5, 10], "v_ref": 4.0},
+                "w1_sample_times": [0.01, 0.02], "outputs": "out"}
+        ran = lattice_calls(monkeypatch)
+        assert main(["converge", "--config", str(write_json(tmp_path, data)),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert ran == [True, True]
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert summary["monotone_decrease"] is True
+        assert all(gap <= 1e-8 for row in summary["w1_gap"].values() for gap in row.values())
 
     def test_w1_cap_hit_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(wasserstein, "DEFAULT_MAX_PAIRS", 8)

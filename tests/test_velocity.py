@@ -17,7 +17,7 @@ from crowdflow import velocity, wasserstein
 from crowdflow.config import build_model, case_study_path
 from crowdflow.grids import PAIR_BLOCK, sq_norm
 from crowdflow.velocity import _bump, _headings, _interaction_sum, _lattice_interaction
-from helpers import CustomDesired, CustomKernel, fft_seen_counts
+from helpers import CustomDesired, CustomKernel, fft_seen_counts, lattice_calls
 
 A, EPS, R, B = 0.01, 0.025, 0.1, 0.02
 
@@ -613,19 +613,6 @@ def lattice_models(dim, theta):
             dim=2, n_agents=5, desired=ZeroDesired(), kernel=kern,
             neighborhood=Sector(R, math.pi, B), heading=FixedAxis(heading))
     return models
-
-
-def lattice_calls(monkeypatch):
-    """Patch _lattice_interaction to record, per call, whether it ran."""
-    ran = []
-
-    def recording(model, lam):
-        got = _lattice_interaction(model, lam)
-        ran.append(got is not None)
-        return got
-
-    monkeypatch.setattr(velocity, "_lattice_interaction", recording)
-    return ran
 
 
 class TestLatticeCorrelation:

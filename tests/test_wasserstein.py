@@ -426,8 +426,9 @@ class TestPairBlocks:
 
 def linprog_restricted_lp(xs, a, ys, b, pairs):
     """The restricted LP of ``_restricted_lp`` through scipy's linprog, which
-    builds the same LP for HiGHS from a sparse matrix, with the same options
-    and the same retry without presolve on an infeasible verdict."""
+    builds the same LP for HiGHS from a sparse matrix, with the same options;
+    linprog sets the dual simplex method itself, so a change to HiGHS's
+    default shows here too."""
     m, n = len(a), len(b)
     i, j = np.divmod(pairs, n)
     cost = np.sqrt(sq_norm(xs[i] - ys[j]))
@@ -436,31 +437,26 @@ def linprog_restricted_lp(xs, a, ys, b, pairs):
                            (np.concatenate([i, m + j]), np.concatenate([var, var]))),
                           shape=(m + n, len(pairs)))
     rhs = np.concatenate([a, b])
-    options = {"primal_feasibility_tolerance": wasserstein._LP_TOL,
-               "dual_feasibility_tolerance": wasserstein._LP_TOL}
     res = linprog(cost, A_eq=A[:-1], b_eq=rhs[:-1], bounds=(0, None), method="highs",
-                  options=options)
-    if res.status == 2:
-        res = linprog(cost, A_eq=A[:-1], b_eq=rhs[:-1], bounds=(0, None), method="highs",
-                      options={**options, "presolve": False})
+                  options={"presolve": False,
+                           "primal_feasibility_tolerance": wasserstein._LP_TOL,
+                           "dual_feasibility_tolerance": wasserstein._LP_TOL})
     assert res.success, res.message
     duals = res.eqlin.marginals
     return float(res.fun), res.x, cost, duals[:m], np.append(duals[m:], 0.0)
 
 
-def record_presolve_off(monkeypatch):
-    """Wrap HiGHS; the list it returns grows by one each time a solve turns
-    presolve off to run again."""
-    retries = []
+def count_runs(monkeypatch):
+    """Wrap HiGHS; the list it returns grows by one at each ``run()``."""
+    runs = []
 
-    class Recorded(wasserstein._Highs):
-        def setOptionValue(self, name, value):
-            if (name, value) == ("presolve", "off"):
-                retries.append(name)
-            return super().setOptionValue(name, value)
+    class Counted(wasserstein._Highs):
+        def run(self):
+            runs.append(self)
+            return super().run()
 
-    monkeypatch.setattr(wasserstein, "_Highs", Recorded)
-    return retries
+    monkeypatch.setattr(wasserstein, "_Highs", Counted)
+    return runs
 
 
 class TestRestrictedLp:
@@ -486,23 +482,29 @@ class TestRestrictedLp:
             assert type(value) is float and value == ref_value
             assert [x.tobytes() for x in arrays] == [x.tobytes() for x in ref_arrays]
 
+    def test_dual_simplex_is_the_default(self):
+        # _HIGHS_OPTIONS leaves the simplex strategy at HiGHS's default, the
+        # dual simplex method that linprog(method="highs") sets
+        status, strategy = wasserstein._Highs().getOptionValue("simplex_strategy")
+        dual = wasserstein._core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        assert status == wasserstein._core.HighsStatus.kOk and strategy == int(dual)
+
     def test_totals_that_differ_raise(self, monkeypatch):
-        # column 0 asks for 0.7 where the one row holds 0.5: infeasible, with
-        # presolve and without
-        retries = record_presolve_off(monkeypatch)
+        # column 0 asks for 0.7 where the one row holds 0.5: infeasible after
+        # HiGHS's one run
+        runs = count_runs(monkeypatch)
         xs, ys = np.zeros((1, 2)), np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(NumericalInvariantError, match="^transport LP failed: Infeasible$"):
             wasserstein._restricted_lp(xs, np.array([0.5]), ys, np.array([0.7, 0.3]),
                                        np.arange(2))
-        assert retries == ["presolve"]
+        assert len(runs) == 1
 
     def test_presolve_infeasible_sector_2d_passes(self, tmp_path, monkeypatch):
-        # seed 30 of the benchmark's 2D workload with its light atoms kept:
-        # HiGHS's presolve calls a feasible restricted LP infeasible, which
-        # the solve without presolve then solves; the retry is not another
-        # restricted LP
+        # seed 30 of the benchmark's 2D workload with its light atoms kept,
+        # whose feasible restricted LP HiGHS's presolve once called
+        # infeasible: with presolve off, each restricted LP takes one run
         monkeypatch.setattr(wasserstein, "_move_light", lambda xs, w: (xs, w, 0.0))
-        retries = record_presolve_off(monkeypatch)
+        runs = count_runs(monkeypatch)
         solves = count_solves(monkeypatch)
         w = load_bench("workloads.py").WORKLOADS["sector_2d"]
         w.write_config(30, tmp_path / "cfg.json")
@@ -512,9 +514,8 @@ class TestRestrictedLp:
         gaps = [v for row in summary["w1_gap"].values() for v in row.values()]
         assert summary["monotone_decrease"] is True
         assert len(gaps) == 4 and max(gaps) <= 1e-9
-        assert retries
         assert sum(v for row in summary["w1_lp_solves"].values()
-                   for v in row.values()) == len(solves)
+                   for v in row.values()) == len(solves) == len(runs)
 
 
 class TestMetricProperties:
