@@ -7,8 +7,8 @@ config builds, such as position-dependent desired velocities; a kernel that
 is not odd may run only through the dense pair sum.
 
 ``density`` and ``translated`` read a grid measure as a dict and shift an
-atomic measure. ``fft_seen_counts`` is the lattice path's FFT count of the
-cells each cell sees, the reference of its integer count, and
+atomic measure. ``direct_seen_counts`` counts, pair by pair, the cells each
+cell sees, the reference of the lattice path's FFT count, and
 ``lattice_calls`` records whether each call of the lattice path ran.
 ``write_trajectory_csv_agents`` is the oracle's CSV formatted agent by agent,
 the reference of the writer that formats each atom once. ``load_bench``
@@ -17,7 +17,6 @@ imports a module of ``bench/`` by path.
 
 import importlib.util
 import itertools
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,23 +66,17 @@ def translated(mu: AtomicMeasure, shift) -> AtomicMeasure:
     return AtomicMeasure(mu.positions + np.asarray(shift, dtype=float), mu.weights)
 
 
-def fft_seen_counts(model: VelocityModel, lam: GridMeasure) -> np.ndarray:
-    """(m, d): for each occupied cell and stencil component, the occupied
-    cells the cell sees through the component's nonzero stencil entries, as
-    one FFT correlation of the occupancy with the stencil's nonzero mask,
-    rounded to the nearest integer: the count the lattice path took before
-    ``velocity._seen_counts`` counted in integers."""
-    h, d = lam.spec.cell_width, lam.spec.dim
-    r = math.ceil(model.neighborhood.radius / h)
-    lo = lam.indices.min(axis=0)
-    full = lam.indices.max(axis=0) - lo + 1 + 2 * r
-    shape = tuple(velocity.next_fast_len(int(n)) for n in full)
-    axes = tuple(range(d))
-    dense = np.zeros(shape)
-    dense[tuple((lam.indices - lo).T)] = 1.0
-    f = np.fft.rfftn((velocity._lattice_stencil(model, h) != 0).astype(float), shape, axes)
-    f *= np.fft.rfftn(dense)[..., None]
-    return np.rint(np.fft.irfftn(f, shape, axes)[tuple((lam.indices - lo + r).T)])
+def direct_seen_counts(model: VelocityModel, lam: GridMeasure) -> np.ndarray:
+    """(m, d) ints: for each occupied cell i and stencil component l, the
+    occupied cells c (i itself too) with |c - i|_inf <= r whose entry
+    K_l[c - i] = G[r - (c - i), l] is nonzero, counted pair by pair."""
+    G = velocity._lattice_stencil(model, lam.spec.cell_width)
+    r = G.shape[0] // 2
+    offsets = lam.indices[None, :, :] - lam.indices[:, None, :]  # [i, c] = c - i
+    i, c = np.nonzero(np.all(np.abs(offsets) <= r, axis=-1))
+    counts = np.zeros((lam.occupied, lam.spec.dim), dtype=np.int64)
+    np.add.at(counts, i, G[tuple((r - offsets[i, c]).T)] != 0)
+    return counts
 
 
 def lattice_calls(monkeypatch):

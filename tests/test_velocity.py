@@ -17,7 +17,7 @@ from crowdflow import velocity, wasserstein
 from crowdflow.config import build_model, case_study_path
 from crowdflow.grids import PAIR_BLOCK, sq_norm
 from crowdflow.velocity import _bump, _headings, _interaction_sum, _lattice_interaction
-from helpers import CustomDesired, CustomKernel, fft_seen_counts, lattice_calls
+from helpers import CustomDesired, CustomKernel, direct_seen_counts, lattice_calls
 
 A, EPS, R, B = 0.01, 0.025, 0.1, 0.02
 
@@ -825,19 +825,33 @@ def underflow_model(dim):
                          kernel=CaseStudyRepulsion(A, EPS), neighborhood=Ball(R, 700.0))
 
 
+def occupancy_counts(model, lam):
+    """(m, d) floats: the lattice path's correlation of lam's occupancy with
+    each stencil component's nonzero mask, over the padded box it takes, at
+    the occupied cells."""
+    h = lam.spec.cell_width
+    r = math.ceil(model.neighborhood.radius / h)
+    cells = lam.indices - lam.indices.min(axis=0)
+    shape = tuple(velocity.next_fast_len(int(n)) for n in cells.max(axis=0) + 1 + 2 * r)
+    mask = velocity._stencil_spectra(model, h, shape)[1]
+    return velocity._correlate(mask, shape, cells, 1.0, r)
+
+
 def assert_counts_match(model, lam):
-    """The integer count equals the FFT count, as integers, and is returned."""
-    got = velocity._seen_counts(model, lam.spec.cell_width, lam.indices - lam.indices.min(axis=0))
-    assert got.dtype.kind == "i" and got.shape == (lam.occupied, lam.spec.dim)
-    ref = fft_seen_counts(model, lam)
-    assert got.tolist() == ref.astype(np.int64).tolist()
-    return got
+    """The FFT count, rounded, equals the direct count as integers, which is
+    returned."""
+    got = occupancy_counts(model, lam)
+    assert got.shape == (lam.occupied, lam.spec.dim)
+    ref = direct_seen_counts(model, lam)
+    assert np.rint(got).astype(np.int64).tolist() == ref.tolist()
+    return ref
 
 
 class TestSeenCounts:
     """The lattice path keeps a component 0 where a cell sees no occupied cell
-    through the component's nonzero stencil entries; it counts them in
-    integers, held here to the FFT count it replaced."""
+    through the component's nonzero stencil entries; it counts them as the FFT
+    correlation of the occupancy with the stencil's nonzero mask, held here to
+    a direct count over the pairs of cells."""
 
     @given(seen_grids(), st.floats(0.0, 2 * math.pi))
     @settings(max_examples=60, deadline=None)
@@ -890,6 +904,18 @@ class TestSeenCounts:
         rng = np.random.default_rng(9)
         assert_counts_match(model, cells_grid(dim, 0.01, rng.integers(0, 30, size=(80, dim))))
 
+    def test_count_rounding_stays_far_below_one_half(self):
+        # a 2D sector box of 576^2 = 331,776 padded cells, about half of its
+        # 520^2 cells occupied: each count is an integer to within 1e-9, far
+        # inside the 1/2 that the lattice path's threshold allows
+        model = lattice_models(2, 0.3)["sector_fixed_axis"]
+        rng = np.random.default_rng(4)
+        cells = np.argwhere(rng.random((520, 520)) < 0.5)
+        lam = cells_grid(2, 0.005, cells)
+        assert velocity.next_fast_len(520 + 2 * 20) ** 2 == 331776
+        got = occupancy_counts(model, lam)
+        assert np.max(np.abs(got - np.rint(got))) <= 1e-9
+
     def test_spectrum_is_computed_once_per_shape(self, monkeypatch):
         model = ball_model(n_agents=4)
         lam = GridMeasure(GridSpec(1, 0.01), [[i] for i in range(30)], [1 / 0.3] * 30)
@@ -901,22 +927,28 @@ class TestSeenCounts:
             inputs.append(a)
             return rfftn(a, *args, **kwargs)
 
-        velocity._stencil_spectrum.cache_clear()
+        velocity._stencil_spectra.cache_clear()
         monkeypatch.setattr(velocity, "rfftn", counting)
         first = _lattice_interaction(model, lam)
         again = _lattice_interaction(model, lam)
-        # one transform of the stencil, one of the mass a call
-        assert [a is stencil for a in inputs] == [True, False, False]
+        # the stencil's and the mask's spectra once, then two transforms a
+        # call: of the mass and of the occupancy
+        mass = lam.cell_masses()
+        assert inputs[0] is stencil and np.array_equal(inputs[1], stencil != 0)
+        for box, value in zip(inputs[2:], [mass, 1.0, mass, 1.0]):
+            assert np.array_equal(box[box != 0], np.broadcast_to(value, 30))
+        assert len(inputs) == 6
         assert first.tobytes() == again.tobytes()
         padded = (velocity.next_fast_len(30 + 2 * 10),)
-        f = velocity._stencil_spectrum(model, 0.01, padded)
-        assert not f.flags.writeable
-        assert f.tobytes() == rfftn(stencil, padded, (0,)).tobytes()
-        # a wider box pads to another length: its spectrum is computed anew
+        spectra = velocity._stencil_spectra(model, 0.01, padded)
+        for f, G in zip(spectra, (stencil, (stencil != 0).astype(float))):
+            assert not f.flags.writeable
+            assert f.tobytes() == rfftn(G, padded, (0,)).tobytes()
+        # a wider box pads to another length: both spectra are computed anew
         wider = GridMeasure(GridSpec(1, 0.01), [[i] for i in range(60)], [1 / 0.6] * 60)
         _lattice_interaction(model, wider)
-        assert sum(a is stencil for a in inputs) == 2
-        assert velocity._stencil_spectrum.cache_info().misses == 2
+        assert sum(a is stencil for a in inputs) == 2 and len(inputs) == 10
+        assert velocity._stencil_spectra.cache_info().misses == 2
 
 
 # ---------------------------------------------------------------------------
