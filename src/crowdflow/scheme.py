@@ -8,7 +8,6 @@ fractions. Mass is conserved up to rounding and densities stay nonnegative.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,12 +58,6 @@ def cfl_ratio(model: VelocityModel, dt: float, h: float) -> float:
     return velocity_bound(model) * dt / h
 
 
-@functools.lru_cache(maxsize=None)
-def _corners(d: int) -> np.ndarray:
-    """The 2^d corner offsets in {0, 1}^d, last axis fastest, shaped (2^d, 1, d)."""
-    return np.array(list(itertools.product((0, 1), repeat=d)), dtype=np.int64)[:, None, :]
-
-
 def overlap_fractions(spec: GridSpec, J, W):
     """Target cells and volume fractions of the cells J (m, d) translated by W.
 
@@ -74,7 +67,8 @@ def overlap_fractions(spec: GridSpec, J, W):
     nonnegative and sum to 1 up to rounding; some may be zero.
     """
     d = spec.dim
-    corners = _corners(d)
+    # the 2^d corner offsets in {0, 1}^d, corner-major, last axis fastest
+    corners = np.array(list(itertools.product((0, 1), repeat=d)), dtype=np.int64)[:, None, :]
     s = np.add(J, np.divide(W, spec.cell_width)).reshape(-1, d)
     base = np.floor(s)
     frac = s - base

@@ -428,20 +428,16 @@ def _interaction_sum_at_atoms(model: VelocityModel, Y: np.ndarray, w: np.ndarray
     return model.n_agents * unsorted
 
 
-@functools.lru_cache(maxsize=16)
 def _lattice_stencil(model: VelocityModel, h: float) -> np.ndarray:
     """The lattice correlation's stencil, flipped for a convolution:
     G[b] = K[r - b] = N sigma(z) F(z) at z = (r - b) h for b in [0, 2r]^d,
     shaped (2r + 1,) * d + (d,): the term of a unit atom at 0 seen from the
-    point -z, whose heading is the model's constant one. It is computed once
-    per (model, h): every step of a level reuses it, so it is returned
-    read-only. Models built from a config hash by value."""
+    point -z, whose heading is the model's constant one. Built anew on each
+    call; only its spectra are cached (:func:`_stencil_spectra`)."""
     d, r = model.dim, math.ceil(model.neighborhood.radius / h)
     Z = (r - np.indices((2 * r + 1,) * d).reshape(d, -1).T) * h
     G = model.n_agents * (_frame_cutoff(model, -Z, Z)[:, None] * kernel_F(model.kernel, Z))
-    G = G.reshape((2 * r + 1,) * d + (d,))
-    G.setflags(write=False)
-    return G
+    return G.reshape((2 * r + 1,) * d + (d,))
 
 
 def next_fast_len(n: int) -> int:
@@ -469,7 +465,8 @@ def next_fast_len(n: int) -> int:
 def _stencil_spectra(model: VelocityModel, h: float, shape: tuple) -> tuple:
     """The rfftn of the stencil and of its nonzero mask (G != 0), zero-padded
     to ``shape`` over the lattice axes: fixed for (model, h, shape), so
-    computed once and returned read-only."""
+    computed once and returned read-only; a miss builds the stencil anew.
+    Models built from a config hash by value."""
     G, axes = _lattice_stencil(model, h), tuple(range(model.dim))
     spectra = rfftn(G, shape, axes), rfftn((G != 0).astype(float), shape, axes)
     for f in spectra:

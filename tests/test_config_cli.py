@@ -39,6 +39,18 @@ def fast_config(**overrides):
     return data
 
 
+def assert_same_tree(a: Path, b: Path):
+    """The output trees a and b hold the same files, byte for byte: each
+    level's density_t*.csv and steps.jsonl too."""
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    names = {p.name for p in files}
+    assert {"metrics.csv", "summary.json", "particles.csv", "steps.jsonl"} <= names
+    assert any(name.startswith("density_t") for name in names)
+    for rel in files:
+        assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
 def write_json(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -596,9 +608,7 @@ class TestCli:
         for name in ("o1", "o2"):
             assert main(["converge", "--config", str(cfg),
                          "--out", str(tmp_path / name)]) == 0
-        for rel in ("metrics.csv", "summary.json", "particles.csv"):
-            assert (tmp_path / "o1" / rel).read_bytes() == \
-                   (tmp_path / "o2" / rel).read_bytes()
+        assert_same_tree(tmp_path / "o1", tmp_path / "o2")
 
     def test_converge_determinism_2d(self, tmp_path):
         # 2D rows run the transport LP; its candidate pairs and rounds must
@@ -611,9 +621,7 @@ class TestCli:
         for name in ("o1", "o2"):
             assert main(["converge", "--config", str(cfg),
                          "--out", str(tmp_path / name)]) == 0
-        for rel in ("metrics.csv", "summary.json", "particles.csv"):
-            assert (tmp_path / "o1" / rel).read_bytes() == \
-                   (tmp_path / "o2" / rel).read_bytes()
+        assert_same_tree(tmp_path / "o1", tmp_path / "o2")
         gaps = json.loads((tmp_path / "o1" / "summary.json").read_text())["w1_gap"]
         assert set(gaps) == {"8", "16"}
         # the bounds are sums in floating point, so they may cross by rounding

@@ -145,6 +145,10 @@ class TestMassAndMoments:
         with pytest.raises(ValueError):
             moment(AtomicMeasure([[0.0]]), 3)
 
+    def test_unsupported_measure_type(self):
+        with pytest.raises(TypeError, match="unsupported measure type"):
+            moment(np.zeros((2, 1)), 1)
+
 
 class TestAtomize:
     def test_single_cell(self):

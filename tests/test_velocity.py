@@ -581,6 +581,14 @@ class TestBounds:
         consts = lipschitz_constants(model)
         assert consts["space"] == pytest.approx(consts["measure"] + 1.0)
 
+    def test_lipschitz_constants_of_the_attraction(self):
+        # F(z) = z: F_max is the cap radius and Lip(F) = 1
+        model = VelocityModel(dim=1, n_agents=10, desired=ZeroDesired(),
+                              kernel=PrototypeAttraction(0.2), neighborhood=Ball(0.1, 0.02))
+        want = 10 * (0.2 * Ball(0.1, 0.02).cutoff_lipschitz() + 1.0)
+        assert lipschitz_constants(model) == {"space": want, "measure": want}
+        assert want == pytest.approx(1109.0242, abs=1e-4)
+
     def test_sector_constants_not_implemented(self):
         model = VelocityModel(dim=2, n_agents=1, desired=ConstantDesired((1.0, 0.0)),
                               kernel=CaseStudyRepulsion(A, EPS),
@@ -766,19 +774,41 @@ class TestLatticeCorrelation:
         lam = GridMeasure(GridSpec(1, 0.01), [[i] for i in range(0, 60, 3)], [5.0] * 20)
         ref = _interaction_sum(build_model(block), lam.centers(), lam.cell_masses(),
                                lam.centers())
-        builds = velocity._lattice_stencil.cache_info
-        velocity._lattice_stencil.cache_clear()
+        # the stencil is built on a miss of the spectra cache, keyed by
+        # (model, h, padded shape)
+        velocity._stencil_spectra.cache_clear()
         first = _lattice_interaction(build_model(block), lam)
-        # an equal model built anew, at the same width: no new stencil
+        # an equal model built anew, at the same width and box: no new miss
         again = _lattice_interaction(build_model(block), lam)
-        assert builds().misses == 1
+        assert velocity._stencil_spectra.cache_info().misses == 1
         assert first.tobytes() == again.tobytes()
         assert np.max(np.abs(first - ref)) <= 1e-12 * np.max(np.abs(ref))
-        G = velocity._lattice_stencil(build_model(block), 0.01)
-        assert not G.flags.writeable and G.shape == (21, 1)
+        G, twin = (velocity._lattice_stencil(build_model(block), 0.01) for _ in range(2))
+        assert G.shape == (21, 1) and G.flags.writeable
+        assert G.tobytes() == twin.tobytes() and not np.shares_memory(G, twin)
         _lattice_interaction(build_model(block), GridMeasure(GridSpec(1, 0.02), lam.indices,
                                                             lam.rho))
-        assert builds().misses == 2  # a new width, a new stencil
+        assert velocity._stencil_spectra.cache_info().misses == 2  # a new width, a new miss
+
+    @pytest.mark.parametrize("dim, name, h", [(1, "ball", 0.02), (2, "sector_constant", 0.02),
+                                              (3, "ball", 0.05)])
+    def test_cold_and_warm_spectra_give_the_same_bytes(self, dim, name, h):
+        # a spectra miss builds the stencil anew: a call on a cleared cache
+        # gives the bits of the call that reads the cache, and so does a
+        # second cold call, whose stencil is rebuilt
+        model = lattice_models(dim, 0.3)[name]
+        rng = np.random.default_rng(dim)
+        lam = GridMeasure(GridSpec(dim, h), rng.integers(0, 40 if dim < 3 else 8, size=(80, dim)),
+                          rng.random(80) + 0.1)
+        results = []
+        for clear in (True, False, True):
+            if clear:
+                velocity._stencil_spectra.cache_clear()
+            results.append(_lattice_interaction(model, lam))
+            info = velocity._stencil_spectra.cache_info()
+            assert (info.hits, info.misses) == ((0, 1) if clear else (1, 1))
+        assert results[0] is not None
+        assert len({got.tobytes() for got in results}) == 1
 
     @pytest.mark.parametrize("dim, name", [(dim, name) for dim in (1, 2)
                                            for name in lattice_models(dim, 0.0)])
@@ -934,7 +964,7 @@ class TestSeenCounts:
         # the stencil's and the mask's spectra once, then two transforms a
         # call: of the mass and of the occupancy
         mass = lam.cell_masses()
-        assert inputs[0] is stencil and np.array_equal(inputs[1], stencil != 0)
+        assert np.array_equal(inputs[0], stencil) and np.array_equal(inputs[1], stencil != 0)
         for box, value in zip(inputs[2:], [mass, 1.0, mass, 1.0]):
             assert np.array_equal(box[box != 0], np.broadcast_to(value, 30))
         assert len(inputs) == 6
@@ -947,7 +977,7 @@ class TestSeenCounts:
         # a wider box pads to another length: both spectra are computed anew
         wider = GridMeasure(GridSpec(1, 0.01), [[i] for i in range(60)], [1 / 0.6] * 60)
         _lattice_interaction(model, wider)
-        assert sum(a is stencil for a in inputs) == 2 and len(inputs) == 10
+        assert sum(np.array_equal(a, stencil) for a in inputs) == 2 and len(inputs) == 10
         assert velocity._stencil_spectra.cache_info().misses == 2
 
 
